@@ -1,9 +1,9 @@
 #include "core/base_plus.h"
 
 #include <memory>
-#include <mutex>
 
 #include "core/greedy_internal.h"
+#include "graph/triangle_index.h"
 #include "route/follower_search.h"
 #include "truss/decomposition.h"
 #include "truss/incremental.h"
@@ -43,7 +43,10 @@ AnchorResult RunBasePlus(const Graph& g, uint32_t budget,
     current = &state.current;
     anchored = &state.anchored;
   }
-  FollowerSearch main_search(g);
+  // One full-graph triangle index for the whole solve, shared read-only by
+  // every worker's search.
+  const TriangleIndex triangles = BuildTriangleIndex(g);
+  FollowerSearch main_search(g, triangles);
 
   while (result.anchors.size() < budget) {
     if (control != nullptr && control->ShouldStop(timer.ElapsedSeconds())) {
@@ -54,24 +57,28 @@ AnchorResult RunBasePlus(const Graph& g, uint32_t budget,
       uint64_t gain = 0;
       EdgeId edge = kInvalidEdge;
     };
-    std::vector<Best> bests;
-    std::mutex mu;
-    ParallelFor(m, [&](int64_t begin, int64_t end) {
+    const int workers = ParallelChunkCount(m);
+    std::vector<Best> bests(workers);
+    CandidateCursor cursor(m);
+    ParallelForChunked(workers, [&](int worker, int64_t, int64_t) {
       // Worker-local search state (epoch-stamped scratch arrays).
-      FollowerSearch search(g);
+      FollowerSearch search(g, triangles);
       search.SetState(current, anchored);
       Best local;
-      for (int64_t i = begin; i < end; ++i) {
-        const EdgeId e = static_cast<EdgeId>(i);
-        if (!EligibleCandidate(*current, *anchored, e)) continue;
-        const uint64_t gain = search.CountFollowers(e);
-        if (local.edge == kInvalidEdge ||
-            BetterCandidate(gain, e, local.gain, local.edge)) {
-          local = Best{gain, e};
+      int64_t begin = 0;
+      int64_t end = 0;
+      while (cursor.Claim(&begin, &end)) {
+        for (int64_t i = begin; i < end; ++i) {
+          const EdgeId e = static_cast<EdgeId>(i);
+          if (!EligibleCandidate(*current, *anchored, e)) continue;
+          const uint64_t gain = search.CountFollowers(e);
+          if (local.edge == kInvalidEdge ||
+              BetterCandidate(gain, e, local.gain, local.edge)) {
+            local = Best{gain, e};
+          }
         }
       }
-      std::lock_guard<std::mutex> lock(mu);
-      bests.push_back(local);
+      bests[worker] = local;
     });
     Best best;
     for (const Best& b : bests) {

@@ -20,9 +20,12 @@
 namespace atr {
 
 // Runs BASE+ with the given budget. Candidate evaluation is parallelized
-// across edges with one FollowerSearch instance per worker (deterministic
-// reduction). `control` may carry a per-round progress callback, a
-// cancellation flag, a wall-clock limit, and the use_incremental switch.
+// across edges with one FollowerSearch instance per worker, all sharing
+// one triangle index built per solve; workers claim candidate blocks
+// dynamically and their bests fold under BetterCandidate's total order
+// (deterministic at every thread count). `control` may carry a per-round
+// progress callback, a cancellation flag, a wall-clock limit, and the
+// use_incremental switch.
 // `seed_decomposition`, when non-null, must be the decomposition of `g`
 // under `initial_anchors` (no anchors when null) and replaces the round-1
 // computation (the api layer passes its cached copy); edges it reports as

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
 
 #include "core/greedy_internal.h"
-#include "graph/triangles.h"
+#include "graph/triangle_index.h"
 #include "route/follower_search.h"
 #include "tree/component_tree.h"
 #include "truss/decomposition.h"
@@ -38,7 +37,7 @@ struct CandidateOutcome {
 // whole whenever any of its nodes is dirty, and reused as a whole when all
 // are clean.
 CandidateOutcome EvaluateCandidate(
-    const Graph& g, const TrussDecomposition& decomp,
+    const TriangleIndex& triangles, const TrussDecomposition& decomp,
     const TrussComponentTree& tree, const std::vector<uint32_t>& dirty_nodes,
     bool full_recompute, EdgeId e, FollowerSearch& search, NodeCounts& cache,
     std::vector<std::pair<uint32_t, uint32_t>>& scratch) {
@@ -46,7 +45,7 @@ CandidateOutcome EvaluateCandidate(
   // satisfying Lemma 2 condition (i).
   scratch.clear();
   const std::vector<uint32_t>& edge_node = tree.edge_node_ids();
-  ForEachTriangleOfEdge(g, e, [&](VertexId, EdgeId e1, EdgeId e2) {
+  triangles.ForEachTriangleOf(e, [&](EdgeId e1, EdgeId e2) {
     for (const EdgeId p : {e1, e2}) {
       if (edge_node[p] == kNoTreeNode) continue;  // anchors have no node
       if (!decomp.StrictlyPrecedes(e, p)) continue;
@@ -153,15 +152,19 @@ AnchorResult RunGas(const Graph& g, uint32_t budget,
     current = &state.current;
     anchored_view = &state.anchored;
   }
+  // The topology never changes during a solve, so one full-graph triangle
+  // index serves every walk of every round: the candidate sweep's
+  // per-worker searches, the seed and sla(x) walks, and the tree rebuilds.
+  const TriangleIndex triangles = BuildTriangleIndex(g);
   TrussComponentTree tree;
-  tree.Build(g, *current, *anchored_view);
+  tree.Build(g, triangles, *current, *anchored_view);
 
   std::vector<NodeCounts> caches(m);
   std::vector<uint32_t> dirty_nodes;  // sorted ES node ids for this round
   // Edges whose own (t, l) state is new this round: their seed sets and ≺
   // comparisons changed, so every cached entry is invalid. Round 1: all.
   std::vector<uint8_t> needs_full(m, 1);
-  FollowerSearch main_search(g);
+  FollowerSearch main_search(g, triangles);
 
   while (result.anchors.size() < budget) {
     if (control != nullptr && control->ShouldStop(timer.ElapsedSeconds())) {
@@ -175,31 +178,38 @@ AnchorResult RunGas(const Graph& g, uint32_t budget,
       uint32_t pr = 0;
       uint32_t nr = 0;
     };
-    std::vector<Best> bests;
-    std::mutex mu;
-    ParallelFor(m, [&](int64_t begin, int64_t end) {
-      FollowerSearch search(g);
+    // Each worker evaluates the blocks it claims into a stack-local best and
+    // publishes it once at the end (adjacent slots would false-share); only
+    // the claiming worker touches caches[e].
+    const int workers = ParallelChunkCount(m);
+    std::vector<Best> bests(workers);
+    CandidateCursor cursor(m);
+    ParallelForChunked(workers, [&](int worker, int64_t, int64_t) {
+      FollowerSearch search(g, triangles);
       search.SetState(current, anchored_view);
       std::vector<std::pair<uint32_t, uint32_t>> scratch;
       Best local;
-      for (int64_t i = begin; i < end; ++i) {
-        const EdgeId e = static_cast<EdgeId>(i);
-        if (!EligibleCandidate(*current, *anchored_view, e)) continue;
-        const CandidateOutcome outcome =
-            EvaluateCandidate(g, *current, tree, dirty_nodes,
-                              needs_full[e] != 0, e, search, caches[e],
-                              scratch);
-        local.fr += outcome.reuse_class == 0;
-        local.pr += outcome.reuse_class == 1;
-        local.nr += outcome.reuse_class == 2;
-        if (local.edge == kInvalidEdge ||
-            BetterCandidate(outcome.gain, e, local.gain, local.edge)) {
-          local.gain = outcome.gain;
-          local.edge = e;
+      int64_t begin = 0;
+      int64_t end = 0;
+      while (cursor.Claim(&begin, &end)) {
+        for (int64_t i = begin; i < end; ++i) {
+          const EdgeId e = static_cast<EdgeId>(i);
+          if (!EligibleCandidate(*current, *anchored_view, e)) continue;
+          const CandidateOutcome outcome =
+              EvaluateCandidate(triangles, *current, tree, dirty_nodes,
+                                needs_full[e] != 0, e, search, caches[e],
+                                scratch);
+          local.fr += outcome.reuse_class == 0;
+          local.pr += outcome.reuse_class == 1;
+          local.nr += outcome.reuse_class == 2;
+          if (local.edge == kInvalidEdge ||
+              BetterCandidate(outcome.gain, e, local.gain, local.edge)) {
+            local.gain = outcome.gain;
+            local.edge = e;
+          }
         }
       }
-      std::lock_guard<std::mutex> lock(mu);
-      bests.push_back(local);
+      bests[worker] = local;
     });
     Best best;
     for (const Best& b : bests) {
@@ -240,7 +250,7 @@ AnchorResult RunGas(const Graph& g, uint32_t budget,
     const uint32_t tx = current->trussness[x];
     {
       const std::vector<uint32_t>& edge_node = tree.edge_node_ids();
-      ForEachTriangleOfEdge(g, x, [&](VertexId, EdgeId e1, EdgeId e2) {
+      triangles.ForEachTriangleOf(x, [&](EdgeId e1, EdgeId e2) {
         for (const EdgeId p : {e1, e2}) {
           if (edge_node[p] == kNoTreeNode) continue;
           if (current->trussness[p] >= tx) next_dirty.push_back(edge_node[p]);
@@ -266,7 +276,7 @@ AnchorResult RunGas(const Graph& g, uint32_t budget,
       state.anchored[x] = true;
       state.current = RecomputeGreedyState(g, state.anchored, state.alive);
     }
-    tree.Build(g, *current, *anchored_view);
+    tree.Build(g, triangles, *current, *anchored_view);
 
     // ES: nodes (old and new) of every edge whose (t, l) changed — this
     // covers follower nodes, merged/renumbered nodes, and layer shifts —

@@ -12,6 +12,13 @@
 //     subtree-adjacency (a correctness-preserving superset of the paper's
 //     ES — see DESIGN.md §4).
 //
+// Every per-edge triangle walk of a solve — the candidate sweep's follower
+// searches, the seed and sla(x) walks, the per-round tree rebuild — reads
+// one full-graph TriangleIndex built when the solve starts. The sweep's
+// workers claim candidate blocks from a shared cursor (CandidateCursor in
+// core/greedy_internal.h) and only the claiming worker touches an edge's
+// cache.
+//
 // GAS must select exactly the same anchor sequence as BASE and BASE+ (the
 // reuse is exact); the property tests enforce this.
 

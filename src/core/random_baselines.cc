@@ -6,6 +6,7 @@
 #include <numeric>
 #include <string>
 
+#include "graph/triangle_index.h"
 #include "graph/triangles.h"
 #include "route/follower_search.h"
 #include "truss/decomposition.h"
@@ -66,8 +67,9 @@ std::vector<EdgeId> BaselinePool(const Graph& g, RandomPoolKind kind,
         base = &local;
       }
       std::vector<uint64_t> score(m, 0);
+      const TriangleIndex triangles = BuildTriangleIndex(g);
       ParallelFor(m, [&](int64_t begin, int64_t end) {
-        FollowerSearch search(g);
+        FollowerSearch search(g, triangles);
         search.SetState(base, nullptr);
         for (int64_t i = begin; i < end; ++i) {
           score[i] = search.RouteSize(static_cast<EdgeId>(i));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "graph/triangle_index.h"
 #include "route/follower_search.h"
 #include "util/parallel_for.h"
 
@@ -10,8 +11,9 @@ namespace atr {
 std::vector<uint32_t> ComputeAllRouteSizes(const Graph& g,
                                            const TrussDecomposition& decomp) {
   std::vector<uint32_t> sizes(g.NumEdges(), 0);
+  const TriangleIndex triangles = BuildTriangleIndex(g);
   ParallelFor(g.NumEdges(), [&](int64_t begin, int64_t end) {
-    FollowerSearch search(g);
+    FollowerSearch search(g, triangles);
     search.SetState(&decomp, nullptr);
     for (int64_t i = begin; i < end; ++i) {
       sizes[i] = search.RouteSize(static_cast<EdgeId>(i));

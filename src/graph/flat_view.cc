@@ -1,7 +1,5 @@
 #include "graph/flat_view.h"
 
-#include <utility>
-
 namespace atr {
 namespace {
 
@@ -19,16 +17,6 @@ FlatGraphView FlatGraphView::Build(const Graph& g) {
   FlatGraphView view;
   view.num_vertices = g.NumVertices();
   view.num_edges = g.NumEdges();
-
-  view.offsets.assign(view.num_vertices + 1, 0);
-  view.adj.reserve(static_cast<size_t>(view.num_edges) * 2);
-  for (VertexId u = 0; u < view.num_vertices; ++u) {
-    view.offsets[u] = static_cast<uint32_t>(view.adj.size());
-    for (const AdjEntry& entry : g.Neighbors(u)) {
-      view.adj.push_back(FlatZip(entry.neighbor, entry.edge));
-    }
-  }
-  view.offsets[view.num_vertices] = static_cast<uint32_t>(view.adj.size());
 
   // Oriented half-edges fall out of the already-sorted adjacency in one
   // linear pass: keeping only the (degree, id)-forward entries of each

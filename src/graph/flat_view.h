@@ -1,10 +1,11 @@
 // Flat structure-of-arrays mirror of an immutable Graph, the memory layout
-// the flat peel kernels (truss/flat_peel.h) run on. The CSR in graph.h
-// stores AdjEntry structs; the peel's inner loops want the MaxTruss-style
-// packing instead: each adjacency entry is one zipped uint64_t holding
-// (neighbor << 32) | edge_id, so a sorted-merge intersection compares raw
-// 64-bit words and reads the closing edge ids from the low halves without
-// a FindEdge binary search per probe.
+// the flat peel kernels (truss/flat_peel.h) and the triangle index
+// (graph/triangle_index.h) are built from. The CSR in graph.h stores
+// AdjEntry structs; the triangle sweep's inner loop wants the
+// MaxTruss-style packing instead: each oriented half-edge is one zipped
+// uint64_t holding (neighbor << 32) | edge_id, so a sorted-merge
+// intersection compares raw 64-bit words and reads the closing edge ids
+// from the low halves without a FindEdge binary search per probe.
 //
 // A view is built once per graph snapshot — the shared-decomposition build
 // path (ComputeSharedTrussDecomposition, which the service layer invokes
@@ -17,7 +18,6 @@
 #define ATR_GRAPH_FLAT_VIEW_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -26,7 +26,7 @@
 namespace atr {
 
 // Packs (hi, lo) as (hi << 32) | lo. Zipped arrays sort by the high half
-// first, so adjacency zipped as (neighbor, edge) keeps exactly the
+// first, so half-edges zipped as (neighbor, edge) keep exactly the
 // ascending-neighbor order of Graph::Neighbors.
 inline constexpr uint64_t FlatZip(uint32_t hi, uint32_t lo) {
   return (static_cast<uint64_t>(hi) << 32) | lo;
@@ -42,27 +42,17 @@ struct FlatGraphView {
   uint32_t num_vertices = 0;
   uint32_t num_edges = 0;
 
-  // Full adjacency: adj[offsets[u] .. offsets[u+1]) holds
-  // FlatZip(neighbor, edge) ascending by neighbor — the peel's per-edge
-  // triangle kernel intersects two of these spans.
-  std::vector<uint32_t> offsets;
-  std::vector<uint64_t> adj;
-
   // Degree-ordered orientation (the same (degree, id) rule as the forward
   // triangle sweep in graph/triangles.h): half-edge u -> v exists iff
   // (deg(u), u) < (deg(v), v). Entries are FlatZip(to, edge) ascending by
   // `to`, which bounds every out-degree by O(sqrt(m)) and drives the
-  // work-efficient support-initialization sweep.
+  // work-efficient triangle sweep.
   std::vector<uint32_t> oriented_offsets;
   std::vector<uint64_t> oriented;
 
   // Edge endpoints FlatZip(u, v) with u < v, indexed by EdgeId.
   std::vector<uint64_t> edge_ends;
 
-  std::span<const uint64_t> AdjOf(VertexId u) const {
-    return std::span<const uint64_t>(adj).subspan(offsets[u],
-                                                  offsets[u + 1] - offsets[u]);
-  }
   std::span<const uint64_t> OrientedOf(VertexId u) const {
     return std::span<const uint64_t>(oriented)
         .subspan(oriented_offsets[u],
@@ -71,10 +61,6 @@ struct FlatGraphView {
 
   static FlatGraphView Build(const Graph& g);
 };
-
-// Shared-ownership handle mirroring SharedTrussDecomposition: one view per
-// immutable snapshot, shared by every consumer that peels it.
-using SharedFlatGraphView = std::shared_ptr<const FlatGraphView>;
 
 }  // namespace atr
 

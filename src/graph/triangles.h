@@ -6,8 +6,12 @@
 //    arboricity inputs). Used for support computation and for building the
 //    truss-component tree.
 //  * ForEachTriangleOfEdge enumerates the triangles containing one specific
-//    edge in O(min(d(u), d(v)) * log max(d(u), d(v))), which is the inner
-//    loop of peeling and of the follower search.
+//    edge in O(min(d(u), d(v)) * log max(d(u), d(v))) straight from the
+//    CSR, with no prebuilt structure: the serial oracle peel, incremental
+//    maintenance and AKT query it edge by edge. Callers that walk the
+//    triangles of many edges against one topology (the follower search,
+//    GAS, the component tree) build a TriangleIndex once instead
+//    (graph/triangle_index.h) and scan its per-edge lists.
 
 #ifndef ATR_GRAPH_TRIANGLES_H_
 #define ATR_GRAPH_TRIANGLES_H_

@@ -27,25 +27,39 @@
 // same k-truss component), which is what makes GAS's per-tree-node caching
 // (FollowersByNode) coherent with the full search.
 //
-// All scratch state is epoch-stamped, so one FollowerSearch instance can be
-// reused across the m candidate evaluations of a greedy round with O(route)
-// cost per call instead of O(m).
+// Every per-edge triangle walk — seed collection, s+ counting, the retract
+// scan, route expansion, RouteSize — reads a full-graph TriangleIndex
+// (graph/triangle_index.h): the triangles of an edge are one contiguous
+// scan instead of an adjacency walk with a FindEdge binary search per
+// neighbor. Solvers build one index per solve and share it read-only
+// across their per-worker searches; a search constructed from the graph
+// alone builds and owns its index. All scratch state is epoch-stamped, so
+// one FollowerSearch instance can be reused across the m candidate
+// evaluations of a greedy round with O(route) cost per call instead of
+// O(m).
 
 #ifndef ATR_ROUTE_FOLLOWER_SEARCH_H_
 #define ATR_ROUTE_FOLLOWER_SEARCH_H_
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/triangle_index.h"
 #include "truss/decomposition.h"
 
 namespace atr {
 
 class FollowerSearch {
  public:
+  // Builds and owns a full-graph triangle index of `g`.
   explicit FollowerSearch(const Graph& g);
+
+  // Shares `triangles`, which must be BuildTriangleIndex(g) and outlive the
+  // search. Concurrent searches may share one index (it is only read).
+  FollowerSearch(const Graph& g, const TriangleIndex& triangles);
 
   FollowerSearch(const FollowerSearch&) = delete;
   FollowerSearch& operator=(const FollowerSearch&) = delete;
@@ -126,6 +140,10 @@ class FollowerSearch {
   }
 
   const Graph& g_;
+  // Set only by the graph-only constructor; declared before triangles_ so
+  // it is built first.
+  std::unique_ptr<const TriangleIndex> owned_triangles_;
+  const TriangleIndex& triangles_;
   const TrussDecomposition* decomp_ = nullptr;
   const std::vector<bool>* anchored_ = nullptr;
 

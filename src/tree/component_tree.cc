@@ -4,7 +4,6 @@
 #include <numeric>
 #include <unordered_map>
 
-#include "graph/triangles.h"
 #include "util/macros.h"
 
 namespace atr {
@@ -59,8 +58,15 @@ class EdgeUnionFind {
 void TrussComponentTree::Build(const Graph& g,
                                const TrussDecomposition& decomp,
                                const std::vector<bool>& anchored) {
+  Build(g, BuildTriangleIndex(g), decomp, anchored);
+}
+
+void TrussComponentTree::Build(const Graph& g, const TriangleIndex& triangles,
+                               const TrussDecomposition& decomp,
+                               const std::vector<bool>& anchored) {
   const uint32_t m = g.NumEdges();
   ATR_CHECK(decomp.trussness.size() == m);
+  ATR_CHECK(triangles.NumEdges() == m);
   nodes_.clear();
   edge_node_index_.assign(m, kNoTreeNode);
   edge_node_ids_.assign(m, kNoTreeNode);
@@ -75,19 +81,22 @@ void TrussComponentTree::Build(const Graph& g,
   // though they belong to no node themselves.
   const uint32_t kmax = decomp.max_trussness;
   std::vector<std::vector<std::pair<EdgeId, EdgeId>>> tri_buckets(kmax + 1);
-  ForEachTriangle(g, [&](TriangleEdges t) {
-    uint32_t kmin = kAnchoredTrussness;
-    for (EdgeId e : {t.e1, t.e2, t.e3}) {
-      if (!is_anchored(e)) kmin = std::min(kmin, decomp.trussness[e]);
-    }
-    // All-anchor triangles exist at every level; kmax is the highest level
-    // where their bridging can matter.
-    if (kmin == kAnchoredTrussness) kmin = kmax;
-    if (kmin < 3) return;  // no nodes below level 3 can be connected
-    ATR_DCHECK(kmin <= kmax);
-    tri_buckets[kmin].emplace_back(t.e1, t.e2);
-    tri_buckets[kmin].emplace_back(t.e1, t.e3);
-  });
+  for (EdgeId e = 0; e < m; ++e) {
+    triangles.ForEachTriangleOf(e, [&](EdgeId e1, EdgeId e2) {
+      if (e1 < e || e2 < e) return;  // visit from the smallest edge only
+      uint32_t kmin = kAnchoredTrussness;
+      for (EdgeId t : {e, e1, e2}) {
+        if (!is_anchored(t)) kmin = std::min(kmin, decomp.trussness[t]);
+      }
+      // All-anchor triangles exist at every level; kmax is the highest
+      // level where their bridging can matter.
+      if (kmin == kAnchoredTrussness) kmin = kmax;
+      if (kmin < 3) return;  // no nodes below level 3 can be connected
+      ATR_DCHECK(kmin <= kmax);
+      tri_buckets[kmin].emplace_back(e, e1);
+      tri_buckets[kmin].emplace_back(e, e2);
+    });
+  }
 
   // Per-level edge lists (ascending edge id within a level by construction).
   // Edges outside the decomposition's subset (trussness

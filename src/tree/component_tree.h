@@ -8,12 +8,16 @@
 // are indexed by: a node whose edge set is unchanged across greedy rounds
 // keeps its id.
 //
-// Construction runs one triangle sweep bucketing each triangle at
+// Construction scans a full-graph TriangleIndex (graph/triangle_index.h),
+// visiting each triangle once from its smallest edge id, and buckets it at
 // kmin = min trussness of its edges (anchored edges count as +inf, so an
 // anchor-mediated triangle connects its two non-anchored edges — anchors are
 // members of every truss level), then sweeps levels from k_max downward
 // with a union-find dendrogram: unions at level k merge the classes'
-// previous top nodes as children of the level-k node. O(m^1.5 α) total.
+// previous top nodes as children of the level-k node. The index depends on
+// the topology only, so GAS builds it once per solve and every per-round
+// rebuild reuses it: O((m + #triangles) α) per rebuild, with no oriented
+// adjacency rebuilt or re-intersected.
 //
 // Trussness-2 edges participate in no triangle and form singleton nodes.
 
@@ -24,6 +28,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/triangle_index.h"
 #include "truss/decomposition.h"
 
 namespace atr {
@@ -47,8 +52,13 @@ class TrussComponentTree {
  public:
   TrussComponentTree() = default;
 
-  // (Re)builds the tree. `anchored` may be empty. `decomp` must belong to
-  // the same anchor state.
+  // (Re)builds the tree. `triangles` must be BuildTriangleIndex(g).
+  // `anchored` may be empty. `decomp` must belong to the same anchor state.
+  void Build(const Graph& g, const TriangleIndex& triangles,
+             const TrussDecomposition& decomp,
+             const std::vector<bool>& anchored);
+
+  // As above, building the index first.
   void Build(const Graph& g, const TrussDecomposition& decomp,
              const std::vector<bool>& anchored);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "graph/triangle_index.h"
 #include "truss/core_decompose.h"
 #include "truss/parallel_peel.h"
 #include "util/macros.h"
@@ -14,81 +15,6 @@ namespace {
 // million decrement buffers; cap the chunk count at a worker-independent
 // constant so the partition stays deterministic but bounded.
 constexpr int64_t kMaxExplicitChunks = 4096;
-
-// Triangle incidence over the alive subgraph in CSR form: for edge e,
-// pairs[offsets[e] .. offsets[e+1]) holds FlatZip(e1, e2) for every alive
-// triangle {e, e1, e2}. Materializing this once is what makes the flat
-// peel scan-free: every later round touches exactly the stored pairs of
-// its dying edges — O(1) per triangle visit, never a re-walk of the two
-// endpoints' adjacency lists. The classic per-edge intersection peel pays
-// O(d(u) + d(v)) per dying edge, which on skewed (hub-heavy) graphs is
-// orders of magnitude more than the triangle count; here that adjacency
-// volume is paid once, in the single forward sweep below.
-struct TriangleIncidence {
-  std::vector<uint64_t> offsets;  // size m + 1
-  std::vector<uint64_t> pairs;    // 3 entries per alive triangle
-};
-
-// One forward oriented sweep (each triangle visited exactly once): counts
-// per-edge support and materializes the incidence CSR. O(sum of oriented
-// out-degrees intersected) time, 3 CSR entries + one 12-byte scratch
-// record per alive triangle.
-TriangleIncidence BuildTriangleIncidence(const FlatGraphView& view,
-                                         const std::vector<uint8_t>& alive,
-                                         bool full_graph,
-                                         std::vector<uint32_t>& support) {
-  std::vector<uint32_t> triangles;  // flat (euv, euw, evw) triples
-  for (VertexId u = 0; u < view.num_vertices; ++u) {
-    const std::span<const uint64_t> ou = view.OrientedOf(u);
-    for (const uint64_t hv : ou) {
-      const VertexId v = FlatHi(hv);
-      const EdgeId euv = FlatLo(hv);
-      if (!full_graph && !alive[euv]) continue;
-      const std::span<const uint64_t> ov = view.OrientedOf(v);
-      size_t i = 0;
-      size_t j = 0;
-      while (i < ou.size() && j < ov.size()) {
-        const uint32_t wa = FlatHi(ou[i]);
-        const uint32_t wb = FlatHi(ov[j]);
-        if (wa < wb) {
-          ++i;
-        } else if (wb < wa) {
-          ++j;
-        } else {
-          const EdgeId euw = FlatLo(ou[i]);
-          const EdgeId evw = FlatLo(ov[j]);
-          if (full_graph || (alive[euw] && alive[evw])) {
-            ++support[euv];
-            ++support[euw];
-            ++support[evw];
-            triangles.push_back(euv);
-            triangles.push_back(euw);
-            triangles.push_back(evw);
-          }
-          ++i;
-          ++j;
-        }
-      }
-    }
-  }
-
-  const uint32_t m = view.num_edges;
-  TriangleIncidence tri;
-  tri.offsets.assign(m + 1, 0);
-  for (EdgeId e = 0; e < m; ++e) tri.offsets[e + 1] = support[e];
-  for (EdgeId e = 0; e < m; ++e) tri.offsets[e + 1] += tri.offsets[e];
-  tri.pairs.resize(triangles.size());
-  std::vector<uint64_t> cursor(tri.offsets.begin(), tri.offsets.end() - 1);
-  for (size_t t = 0; t < triangles.size(); t += 3) {
-    const EdgeId a = triangles[t];
-    const EdgeId b = triangles[t + 1];
-    const EdgeId c = triangles[t + 2];
-    tri.pairs[cursor[a]++] = FlatZip(b, c);
-    tri.pairs[cursor[b]++] = FlatZip(a, c);
-    tri.pairs[cursor[c]++] = FlatZip(a, b);
-  }
-  return tri;
-}
 
 // The peel proper. `alive` already excludes out-of-subset edges;
 // `full_graph` is true when every edge is alive. Mirrors PeelParallel
@@ -133,11 +59,12 @@ TrussDecomposition PeelFlat(const Graph& g, const FlatGraphView& view,
                                    ? plan.fanout_cutoff
                                    : internal::ParallelPeelMinFrontier();
 
-  // One oriented sweep yields both the support array and the triangle
-  // incidence CSR the rounds below consume.
+  // One oriented sweep yields both the support array and the alive-subset
+  // triangle index the rounds below consume: every round touches exactly
+  // the stored pairs of its dying edges, O(1) per triangle visit, never a
+  // re-walk of the two endpoints' adjacency lists.
   std::vector<uint32_t> support(m, 0);
-  const TriangleIncidence tri =
-      BuildTriangleIncidence(view, alive, full_graph, support);
+  const TriangleIndex tri = BuildTriangleIndex(view, alive, full_graph, support);
 
   // Bin-sort bucket structure over the peelable (alive, non-anchored)
   // edges: `sorted` ascending by support, pos[e] its slot, bin_start[s]

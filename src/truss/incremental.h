@@ -250,7 +250,9 @@ class IncrementalTruss {
   uint64_t undo_base_serial_ = 0;  // serial "under" position 0
   Stats stats_;
 
-  std::unique_ptr<FollowerSearch> search_;  // lazily created
+  // Created (with its own triangle index) by the first ApplyAnchor, so
+  // engines that only insert and remove edges never build an index.
+  std::unique_ptr<FollowerSearch> search_;
 
   // --- re-peel scratch (epoch-stamped; excluded from copies) -------------
   uint32_t region_pass_ = 0;  // bumped per mutation

@@ -4,10 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "graph/flat_view.h"
+#include "graph/triangle_index.h"
 #include "graph/triangles.h"
 #include "tests/test_helpers.h"
 
@@ -169,6 +174,116 @@ TEST_P(TriangleConsistencyTest, AdaptiveCutoffSweepIsPathInvariant) {
   ASSERT_EQ(runs.size(), 3u);
   EXPECT_EQ(runs[0], runs[1]) << "merge-only vs default diverged";
   EXPECT_EQ(runs[0], runs[2]) << "merge-only vs walk-only diverged";
+}
+
+// --- TriangleIndex ----------------------------------------------------------
+
+using EdgePair = std::pair<EdgeId, EdgeId>;
+
+EdgePair Unordered(EdgeId a, EdgeId b) {
+  return a < b ? EdgePair{a, b} : EdgePair{b, a};
+}
+
+// The triangles of `e` as a multiset of unordered partner pairs.
+std::multiset<EdgePair> IndexedPairs(const TriangleIndex& index, EdgeId e) {
+  std::multiset<EdgePair> pairs;
+  index.ForEachTriangleOf(
+      e, [&](EdgeId e1, EdgeId e2) { pairs.insert(Unordered(e1, e2)); });
+  return pairs;
+}
+
+std::multiset<EdgePair> WalkedPairs(const Graph& g, EdgeId e) {
+  std::multiset<EdgePair> pairs;
+  ForEachTriangleOfEdge(g, e, [&](VertexId, EdgeId e1, EdgeId e2) {
+    pairs.insert(Unordered(e1, e2));
+  });
+  return pairs;
+}
+
+TEST_P(TriangleConsistencyTest, TriangleIndexMatchesPerEdgeWalk) {
+  const Graph g = MakePropertyGraph(GetParam());
+  const TriangleIndex index = BuildTriangleIndex(g);
+  ASSERT_EQ(index.NumEdges(), g.NumEdges());
+  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    EXPECT_EQ(IndexedPairs(index, e), WalkedPairs(g, e)) << "edge " << e;
+  }
+}
+
+TEST_P(TriangleConsistencyTest, TriangleIndexListsEachTriangleOncePerEdge) {
+  const Graph g = MakePropertyGraph(GetParam());
+  const TriangleIndex index = BuildTriangleIndex(g);
+  // Every sorted triangle maps to the edges whose lists hold it; each
+  // member edge must list it exactly once, and no other edge at all.
+  std::map<std::tuple<EdgeId, EdgeId, EdgeId>, std::vector<EdgeId>> listed_by;
+  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    index.ForEachTriangleOf(e, [&](EdgeId e1, EdgeId e2) {
+      EdgeId ids[3] = {e, e1, e2};
+      std::sort(ids, ids + 3);
+      ASSERT_TRUE(ids[0] < ids[1] && ids[1] < ids[2]) << "edge " << e;
+      listed_by[{ids[0], ids[1], ids[2]}].push_back(e);
+    });
+  }
+  EXPECT_EQ(listed_by.size(), CountTriangles(g));
+  for (const auto& [tri, edges] : listed_by) {
+    const std::vector<EdgeId> members = {std::get<0>(tri), std::get<1>(tri),
+                                         std::get<2>(tri)};
+    EXPECT_EQ(edges, members);  // ascending: lists are scanned in id order
+  }
+}
+
+TEST_P(TriangleConsistencyTest, AliveSubsetIndexDropsTrianglesWithDeadEdges) {
+  const uint64_t seed = GetParam();
+  const Graph g = MakePropertyGraph(seed);
+  const uint32_t m = g.NumEdges();
+  std::vector<uint8_t> alive(m, 1);
+  for (EdgeId e = seed % 3; e < m; e += 3 + seed % 4) alive[e] = 0;
+  std::vector<uint32_t> support(m, 0);
+  const TriangleIndex index = BuildTriangleIndex(
+      FlatGraphView::Build(g), alive, /*full_graph=*/false, support);
+  ASSERT_EQ(index.NumEdges(), m);
+  for (EdgeId e = 0; e < m; ++e) {
+    std::multiset<EdgePair> expected;
+    if (alive[e]) {
+      for (const EdgePair& p : WalkedPairs(g, e)) {
+        if (alive[p.first] && alive[p.second]) expected.insert(p);
+      }
+    }
+    EXPECT_EQ(IndexedPairs(index, e), expected) << "edge " << e;
+    EXPECT_EQ(support[e], expected.size()) << "edge " << e;
+  }
+
+  // With every edge alive the subset build is the full-graph index.
+  std::vector<uint32_t> full_support(m, 0);
+  const TriangleIndex all_alive =
+      BuildTriangleIndex(FlatGraphView::Build(g), std::vector<uint8_t>(m, 1),
+                         /*full_graph=*/false, full_support);
+  const TriangleIndex full = BuildTriangleIndex(g);
+  EXPECT_EQ(all_alive.offsets, full.offsets);
+  EXPECT_EQ(all_alive.pairs, full.pairs);
+  EXPECT_EQ(full_support, ComputeSupport(g));
+}
+
+TEST(TriangleIndex, EmptyAndTriangleFreeGraphs) {
+  const TriangleIndex empty = BuildTriangleIndex(GraphBuilder().Build());
+  EXPECT_EQ(empty.NumEdges(), 0u);
+  EXPECT_TRUE(empty.pairs.empty());
+
+  const TriangleIndex edgeless = BuildTriangleIndex(GraphBuilder(5).Build());
+  EXPECT_EQ(edgeless.NumEdges(), 0u);
+  EXPECT_TRUE(edgeless.pairs.empty());
+
+  GraphBuilder sq(4);  // a 4-cycle closes no triangle
+  sq.AddEdge(0, 1);
+  sq.AddEdge(1, 2);
+  sq.AddEdge(2, 3);
+  sq.AddEdge(0, 3);
+  const Graph square = sq.Build();
+  const TriangleIndex none = BuildTriangleIndex(square);
+  ASSERT_EQ(none.NumEdges(), 4u);
+  EXPECT_TRUE(none.pairs.empty());
+  for (EdgeId e = 0; e < 4; ++e) {
+    EXPECT_TRUE(IndexedPairs(none, e).empty()) << "edge " << e;
+  }
 }
 
 // --- Graph::ApplyEdits ----------------------------------------------------

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "api/registry.h"
 #include "api/solver.h"
 #include "graph/generators/social_profiles.h"
@@ -146,6 +149,69 @@ TEST(GreedyEquivalence, WebProfileDeepBudget) {
   const Graph g = MakeSocialProfile("google", 0.03, 0);
   ExpectSameSelections(RunVia("base+", g, 10), RunVia("gas", g, 10),
                        "BASE+ vs GAS (google stand-in)");
+}
+
+SolveResult RunAtThreads(const char* solver_name, const Graph& g,
+                         uint32_t budget, int threads) {
+  StatusOr<std::unique_ptr<Solver>> solver =
+      SolverRegistry::Create(solver_name);
+  EXPECT_TRUE(solver.ok()) << solver.status().message();
+  SolverOptions options;
+  options.budget = budget;
+  options.threads = threads;
+  StatusOr<SolveResult> result = (*solver)->Solve(g, options);
+  EXPECT_TRUE(result.ok()) << result.status().message();
+  return *std::move(result);
+}
+
+// Everything a run reports except timings.
+void ExpectIdenticalRuns(const SolveResult& a, const SolveResult& b,
+                         const std::string& label) {
+  ExpectSameSelections(a, b, label.c_str());
+  ASSERT_EQ(a.rounds.size(), b.rounds.size()) << label;
+  for (size_t i = 0; i < a.rounds.size(); ++i) {
+    EXPECT_EQ(a.rounds[i].follower_trussness, b.rounds[i].follower_trussness)
+        << label << " round " << i;
+    EXPECT_EQ(a.rounds[i].fully_reusable, b.rounds[i].fully_reusable)
+        << label << " round " << i;
+    EXPECT_EQ(a.rounds[i].partially_reusable, b.rounds[i].partially_reusable)
+        << label << " round " << i;
+    EXPECT_EQ(a.rounds[i].non_reusable, b.rounds[i].non_reusable)
+        << label << " round " << i;
+  }
+  EXPECT_EQ(a.fully_reusable, b.fully_reusable) << label;
+  EXPECT_EQ(a.partially_reusable, b.partially_reusable) << label;
+  EXPECT_EQ(a.non_reusable, b.non_reusable) << label;
+}
+
+// BASE+ and GAS hand candidates out in 256-edge blocks to whichever worker
+// asks next, so the worker that evaluates (and, in GAS, caches) an edge
+// changes from run to run. The property graphs above fit in one block;
+// this graph spans dozens, so a claim-loop fault — a block skipped or
+// evaluated twice, a worker's best lost in the fold, a cache entry
+// written by the wrong worker — shows up as a divergence from the
+// one-thread run. The nightly TSan leg runs this test to prove the
+// cursor and the per-edge cache writes race-free.
+TEST(GreedyEquivalence, GasThreadSweepOnManyClaimBlocks) {
+  const Graph g = MakeSocialProfile("pokec", 0.05, 0);
+  ASSERT_GT(g.NumEdges(), 40u * 256);
+  const SolveResult gas = RunAtThreads("gas", g, 6, 1);
+  ASSERT_EQ(gas.anchor_edges.size(), 6u);
+  const SolveResult plus = RunAtThreads("base+", g, 3, 1);
+  for (const int threads : {2, 3, 8}) {
+    const std::string label = "threads " + std::to_string(threads);
+    ExpectIdenticalRuns(gas, RunAtThreads("gas", g, 6, threads),
+                        "GAS " + label);
+    ExpectIdenticalRuns(plus, RunAtThreads("base+", g, 3, threads),
+                        "BASE+ " + label);
+  }
+  const SolveResult gas_prefix = RunAtThreads("gas", g, 3, 8);
+  ExpectSameSelections(plus, gas_prefix, "BASE+ vs GAS");
+  for (size_t i = 0; i < plus.rounds.size(); ++i) {
+    EXPECT_EQ(plus.rounds[i].follower_trussness,
+              gas_prefix.rounds[i].follower_trussness)
+        << "BASE+ vs GAS round " << i;
+  }
 }
 
 }  // namespace
