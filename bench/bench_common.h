@@ -122,7 +122,8 @@ inline void PrintBenchHeader(const char* experiment, const char* paper_ref) {
   std::printf("\n=== %s — reproduces %s ===\n", experiment, paper_ref);
   std::printf(
       "config: ATR_BENCH_SCALE=%.2f ATR_BENCH_B=%u ATR_BENCH_TRIALS=%u "
-      "(synthetic SNAP stand-ins; see DESIGN.md §3)\n\n",
+      "(synthetic SNAP stand-ins; see graph/generators/social_profiles.h)"
+      "\n\n",
       BenchScale(), BenchBudget(), BenchTrials());
 }
 

@@ -11,6 +11,11 @@
 //   "akt:<k>" — AKT vertex anchoring at level k (Zhang et al., ICDE 2018),
 //               e.g. "akt:5"; k must be an integer >= 3
 //
+// base, base+ and gas select identical anchors. base recomputes the
+// decomposition after every commit and is the reference the other two are
+// checked against; base+ and gas commit each round's anchor through the
+// incremental engine (truss/incremental.h).
+//
 // Additional solvers can be registered at runtime (Register /
 // RegisterPrefix); names are case-sensitive and registration of a taken
 // name replaces the previous factory.

@@ -575,8 +575,7 @@ StatusOr<JobHandle> AtrService::SubmitInternal(const std::string& graph_name,
     // the same engine configuration.
     job.batch_key = solver_name + "|" +
                     std::to_string(reinterpret_cast<uintptr_t>(version.get())) +
-                    "|i" + (options.use_incremental ? "1" : "0") + "|t" +
-                    std::to_string(options.threads) + "|p" +
+                    "|t" + std::to_string(options.threads) + "|p" +
                     state->options.plan.CacheKey();
   }
   job.payload = state;
@@ -767,7 +766,6 @@ void AtrService::RunFusedGreedy(
 
   SolverOptions fused;
   fused.budget = max_budget;
-  fused.use_incremental = live.front()->options.use_incremental;
   fused.threads = live.front()->options.threads;
   fused.plan = live.front()->options.plan;
   // The batch's native cancel granularity: after each round, members that

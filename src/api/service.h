@@ -35,7 +35,7 @@
 // round-robin so a flooding tenant cannot starve a light one.
 //
 // Batch fusion: compatible queued jobs — same graph version, same solver
-// (greedy family or exact), same use_incremental/threads, and no
+// (greedy family or exact), same threads and plan, and no
 // caller-owned progress/cancel/wall-clock hooks — coalesce into one
 // solver run. One greedy walk at the max budget serves every member as a
 // prefix; one exact enumeration per distinct checkpoint budget serves all

@@ -78,12 +78,6 @@ struct SolverOptions {
   // never depend on this setting); 0 keeps the process-wide default
   // (ATR_THREADS env, else hardware concurrency).
   int threads = 0;
-  // Greedy family only (base/base+/gas): maintain the truss decomposition
-  // across rounds with truss/incremental.h instead of recomputing it after
-  // every committed anchor (BASE additionally evaluates candidates by
-  // speculative apply/rollback). Results are identical to the
-  // full-recompute path; ignored by the other solvers.
-  bool use_incremental = false;
   // Decomposition kernel selection (truss/plan.h). The solver adapters
   // install this as the thread's ambient plan for the whole Solve call, so
   // the lazy SolverContext::Decomposition build and every nested subset

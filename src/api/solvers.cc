@@ -105,7 +105,6 @@ class GreedySolver : public Solver {
     ScopedParallelism parallelism(options.threads);
     ScopedDecompositionPlan plan_scope(options.plan);
     GreedyControl control = MakeRoundControl(name_, options);
-    control.use_incremental = options.use_incremental;
 
     // Round 1 of every greedy equals the cached decomposition — the
     // anchor-free one, or the mutable session's incrementally maintained

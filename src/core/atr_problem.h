@@ -73,12 +73,6 @@ struct GreedyControl {
   // When positive, the run stops before the next round once the elapsed
   // wall-clock time exceeds this many seconds.
   double wall_clock_limit_seconds = 0.0;
-  // Maintain the decomposition across rounds with truss/incremental.h
-  // instead of recomputing it from scratch after every committed anchor
-  // (BASE additionally evaluates candidates by speculative apply/rollback).
-  // Anchor sequences and gains are identical on both paths; this only
-  // changes how the shared state is kept up to date.
-  bool use_incremental = false;
 
   bool ShouldStop(double elapsed_seconds) const {
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {

@@ -5,7 +5,6 @@
 #include "core/greedy_internal.h"
 #include "truss/decomposition.h"
 #include "truss/gain.h"
-#include "truss/incremental.h"
 #include "util/macros.h"
 #include "util/parallel_for.h"
 #include "util/timer.h"
@@ -30,67 +29,35 @@ Best MergeBests(const std::vector<Best>& bests) {
   return best;
 }
 
-// Same greedy on an IncrementalTruss engine: candidate gains come from
-// speculative ApplyAnchor + rollback on per-worker clones, the committed
-// anchor updates the shared decomposition locally. Anchor sequences and
-// gains are identical to the brute-force path below.
-AnchorResult RunBaseGreedyIncremental(
-    const Graph& g, uint32_t budget, const GreedyControl* control,
-    const TrussDecomposition* seed_decomposition,
-    const std::vector<bool>* initial_anchors) {
-  const uint32_t m = g.NumEdges();
-  AnchorResult result;
-  WallTimer timer;
-  IncrementalTruss engine =
-      MakeGreedyEngine(g, seed_decomposition, initial_anchors);
+// The round state BASE carries between commits. Every commit recomputes
+// the decomposition from scratch, as the paper's Algorithm 2 does.
+struct GreedySeedState {
+  std::vector<bool> anchored;
+  TrussDecomposition current;
+  // Edges participating in the decomposition; empty = all of them. Fixed
+  // for the whole run (anchoring never removes edges).
+  std::vector<EdgeId> alive;
+};
 
-  while (result.anchors.size() < budget) {
-    if (control != nullptr && control->ShouldStop(timer.ElapsedSeconds())) {
-      result.stopped_early = true;
-      break;
-    }
-    std::vector<Best> bests;
-    std::mutex mu;
-    ParallelFor(m, [&](int64_t begin, int64_t end) {
-      IncrementalTruss local(engine);
-      Best chunk;
-      for (int64_t i = begin; i < end; ++i) {
-        const EdgeId e = static_cast<EdgeId>(i);
-        if (!local.IsAlive(e) || local.IsAnchored(e)) continue;
-        const IncrementalTruss::Checkpoint cp = local.MarkRollbackPoint();
-        const uint64_t gain = local.ApplyAnchor(e);
-        local.RollbackTo(cp);
-        if (chunk.edge == kInvalidEdge ||
-            BetterCandidate(gain, e, chunk.gain, chunk.edge)) {
-          chunk = Best{gain, e};
-        }
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      bests.push_back(chunk);
-    });
-    const Best best = MergeBests(bests);
-    if (best.edge == kInvalidEdge) break;  // no eligible candidate left
+GreedySeedState MakeGreedySeedState(const Graph& g,
+                                    const TrussDecomposition* seed,
+                                    const std::vector<bool>* initial_anchors) {
+  GreedySeedState state;
+  state.anchored = initial_anchors != nullptr
+                       ? *initial_anchors
+                       : std::vector<bool>(g.NumEdges(), false);
+  ATR_CHECK(state.anchored.size() == g.NumEdges());
+  state.current =
+      seed != nullptr ? *seed : ComputeTrussDecomposition(g, state.anchored);
+  state.alive = AliveSubsetOf(state.current);
+  return state;
+}
 
-    AnchorRound round;
-    round.anchor = best.edge;
-    std::vector<EdgeId> followers;
-    const uint32_t gain = engine.ApplyAnchor(best.edge, &followers);
-    ATR_CHECK_MSG(gain == best.gain,
-                  "committed gain diverged from speculative evaluation");
-    round.gain = gain;
-    for (const EdgeId f : followers) {
-      // Each follower rose by exactly 1; recover its pre-anchor trussness.
-      round.follower_trussness.push_back(
-          engine.decomposition().trussness[f] - 1);
-    }
-    engine.ClearUndoLog();
-    round.cumulative_seconds = timer.ElapsedSeconds();
-    result.total_gain += gain;
-    result.anchors.push_back(best.edge);
-    result.rounds.push_back(std::move(round));
-    if (!NotifyRound(control, budget, result)) break;
-  }
-  return result;
+TrussDecomposition RecomputeGreedyState(const Graph& g,
+                                        const std::vector<bool>& anchored,
+                                        const std::vector<EdgeId>& alive) {
+  return alive.empty() ? ComputeTrussDecomposition(g, anchored)
+                       : ComputeTrussDecompositionOnSubset(g, anchored, alive);
 }
 
 }  // namespace
@@ -103,10 +70,6 @@ AnchorResult RunBaseGreedy(const Graph& g, uint32_t budget,
   AnchorResult result;
   if (m == 0) return result;
   budget = std::min<uint32_t>(budget, m);
-  if (control != nullptr && control->use_incremental) {
-    return RunBaseGreedyIncremental(g, budget, control, seed_decomposition,
-                                    initial_anchors);
-  }
 
   WallTimer timer;
   GreedySeedState state =

@@ -1,13 +1,9 @@
 // BASE (Algorithm 2): the greedy framework with brute-force gain
 // computation. Every round, the trussness gain of every candidate edge is
 // obtained by a full truss decomposition of the anchored graph —
-// O(b * m^2.5). Only feasible on small graphs; it is the reference
+// O(b * m^2.5), and every commit recomputes the decomposition from
+// scratch. Only feasible on small graphs; it is the reference
 // implementation the accelerated solvers are verified against.
-//
-// With GreedyControl::use_incremental the same greedy runs on an
-// IncrementalTruss engine: candidates are evaluated by speculative
-// ApplyAnchor + rollback and commits update the decomposition locally.
-// The anchor sequence and gains are identical to the brute-force path.
 
 #ifndef ATR_CORE_BASE_GREEDY_H_
 #define ATR_CORE_BASE_GREEDY_H_
@@ -22,13 +18,12 @@ namespace atr {
 
 // Runs BASE with the given budget. Candidate evaluation is parallelized
 // across edges (deterministic reduction). `control` may carry a per-round
-// progress callback, a cancellation flag, a wall-clock limit, and the
-// use_incremental switch. `seed_decomposition`, when non-null, must be the
-// decomposition of `g` under `initial_anchors` (no anchors when null) and
-// replaces the round-1 computation (the api layer passes its cached copy);
-// edges it reports as kTrussnessNotComputed are treated as removed.
-// `initial_anchors` edges are never candidates and gains are measured on
-// top of them.
+// progress callback, a cancellation flag, and a wall-clock limit.
+// `seed_decomposition`, when non-null, must be the decomposition of `g`
+// under `initial_anchors` (no anchors when null) and replaces the round-1
+// computation (the api layer passes its cached copy); edges it reports as
+// kTrussnessNotComputed are treated as removed. `initial_anchors` edges
+// are never candidates and gains are measured on top of them.
 AnchorResult RunBaseGreedy(
     const Graph& g, uint32_t budget, const GreedyControl* control = nullptr,
     const TrussDecomposition* seed_decomposition = nullptr,

@@ -1,7 +1,5 @@
 #include "core/base_plus.h"
 
-#include <memory>
-
 #include "core/greedy_internal.h"
 #include "graph/triangle_index.h"
 #include "route/follower_search.h"
@@ -23,30 +21,15 @@ AnchorResult RunBasePlus(const Graph& g, uint32_t budget,
   budget = std::min<uint32_t>(budget, m);
 
   WallTimer timer;
-  // Two ways to keep the shared (decomposition, anchors) state current:
-  // recompute from scratch after each commit (classic), or maintain it with
-  // the incremental engine. Candidate evaluation reads the same state
-  // either way, so the selected anchors are identical.
-  const bool use_incremental =
-      control != nullptr && control->use_incremental;
-  std::unique_ptr<IncrementalTruss> engine;
-  GreedySeedState state;
-  const TrussDecomposition* current = nullptr;
-  const std::vector<bool>* anchored = nullptr;
-  if (use_incremental) {
-    engine = std::make_unique<IncrementalTruss>(
-        MakeGreedyEngine(g, seed_decomposition, initial_anchors));
-    current = &engine->decomposition();
-    anchored = &engine->anchored();
-  } else {
-    state = MakeGreedySeedState(g, seed_decomposition, initial_anchors);
-    current = &state.current;
-    anchored = &state.anchored;
-  }
   // One full-graph triangle index for the whole solve, shared read-only by
-  // every worker's search.
+  // every worker's search and by the engine's follower recount.
   const TriangleIndex triangles = BuildTriangleIndex(g);
-  FollowerSearch main_search(g, triangles);
+  // The committed (decomposition, anchors) state, updated in place by each
+  // commit; the workers' searches read it between commits.
+  IncrementalTruss engine =
+      MakeGreedyEngine(g, triangles, seed_decomposition, initial_anchors);
+  const TrussDecomposition* current = &engine.decomposition();
+  const std::vector<bool>* anchored = &engine.anchored();
 
   while (result.anchors.size() < budget) {
     if (control != nullptr && control->ShouldStop(timer.ElapsedSeconds())) {
@@ -93,27 +76,14 @@ AnchorResult RunBasePlus(const Graph& g, uint32_t budget,
     AnchorRound round;
     round.anchor = best.edge;
     round.gain = static_cast<uint32_t>(best.gain);
-    if (use_incremental) {
-      std::vector<EdgeId> followers;
-      const uint32_t recount = engine->ApplyAnchor(best.edge, &followers);
-      ATR_CHECK(recount == best.gain);
-      for (const EdgeId f : followers) {
-        // Each follower rose by exactly 1; recover the pre-anchor value.
-        round.follower_trussness.push_back(current->trussness[f] - 1);
-      }
-      engine->ClearUndoLog();
-    } else {
-      std::vector<EdgeId> followers;
-      main_search.SetState(current, anchored);
-      const uint32_t recount =
-          main_search.CountFollowers(best.edge, &followers);
-      ATR_CHECK(recount == best.gain);
-      for (const EdgeId f : followers) {
-        round.follower_trussness.push_back(current->trussness[f]);
-      }
-      state.anchored[best.edge] = true;
-      state.current = RecomputeGreedyState(g, state.anchored, state.alive);
+    std::vector<EdgeId> followers;
+    const uint32_t recount = engine.ApplyAnchor(best.edge, &followers);
+    ATR_CHECK(recount == best.gain);
+    for (const EdgeId f : followers) {
+      // Each follower rose by exactly 1; recover the pre-anchor value.
+      round.follower_trussness.push_back(current->trussness[f] - 1);
     }
+    engine.ClearUndoLog();
     round.cumulative_seconds = timer.ElapsedSeconds();
     result.total_gain += best.gain;
     result.anchors.push_back(best.edge);

@@ -1,12 +1,9 @@
 // BASE+ (paper §IV): the greedy framework where each candidate's gain is
 // computed with the upward-route follower search (Algorithm 3) instead of a
-// full truss decomposition. One decomposition per round, plus m follower
-// searches; no result reuse across rounds.
-//
-// With GreedyControl::use_incremental the per-round decomposition is
-// maintained by truss/incremental.h instead of recomputed from scratch
-// after every committed anchor; candidate evaluation is unchanged, and so
-// are the selected anchors and gains.
+// full truss decomposition. Per round: m follower searches, then the
+// chosen anchor is committed through truss/incremental.h, which updates
+// the decomposition in place (byte-identical to recomputing it); no result
+// reuse across rounds.
 
 #ifndef ATR_CORE_BASE_PLUS_H_
 #define ATR_CORE_BASE_PLUS_H_
@@ -24,8 +21,7 @@ namespace atr {
 // one triangle index built per solve; workers claim candidate blocks
 // dynamically and their bests fold under BetterCandidate's total order
 // (deterministic at every thread count). `control` may carry a per-round
-// progress callback, a cancellation flag, a wall-clock limit, and the
-// use_incremental switch.
+// progress callback, a cancellation flag, and a wall-clock limit.
 // `seed_decomposition`, when non-null, must be the decomposition of `g`
 // under `initial_anchors` (no anchors when null) and replaces the round-1
 // computation (the api layer passes its cached copy); edges it reports as

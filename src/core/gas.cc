@@ -1,7 +1,6 @@
 #include "core/gas.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "core/greedy_internal.h"
 #include "graph/triangle_index.h"
@@ -133,29 +132,18 @@ AnchorResult RunGas(const Graph& g, uint32_t budget,
   budget = std::min<uint32_t>(budget, m);
 
   WallTimer timer;
-  // Shared (decomposition, anchors) state: recomputed from scratch after
-  // each commit (classic), or maintained by the incremental engine. The
-  // candidate evaluation and reuse logic read the same state either way.
-  const bool use_incremental =
-      control != nullptr && control->use_incremental;
-  std::unique_ptr<IncrementalTruss> engine;
-  GreedySeedState state;
-  const TrussDecomposition* current = nullptr;
-  const std::vector<bool>* anchored_view = nullptr;
-  if (use_incremental) {
-    engine = std::make_unique<IncrementalTruss>(
-        MakeGreedyEngine(g, seed_decomposition, initial_anchors));
-    current = &engine->decomposition();
-    anchored_view = &engine->anchored();
-  } else {
-    state = MakeGreedySeedState(g, seed_decomposition, initial_anchors);
-    current = &state.current;
-    anchored_view = &state.anchored;
-  }
   // The topology never changes during a solve, so one full-graph triangle
   // index serves every walk of every round: the candidate sweep's
-  // per-worker searches, the seed and sla(x) walks, and the tree rebuilds.
+  // per-worker searches, the seed and sla(x) walks, the tree rebuilds, and
+  // the engine's follower recount at each commit.
   const TriangleIndex triangles = BuildTriangleIndex(g);
+  // The committed (decomposition, anchors) state, updated in place by each
+  // commit; the candidate evaluation and reuse logic read it between
+  // commits.
+  IncrementalTruss engine =
+      MakeGreedyEngine(g, triangles, seed_decomposition, initial_anchors);
+  const TrussDecomposition* current = &engine.decomposition();
+  const std::vector<bool>* anchored_view = &engine.anchored();
   TrussComponentTree tree;
   tree.Build(g, triangles, *current, *anchored_view);
 
@@ -164,7 +152,6 @@ AnchorResult RunGas(const Graph& g, uint32_t budget,
   // Edges whose own (t, l) state is new this round: their seed sets and ≺
   // comparisons changed, so every cached entry is invalid. Round 1: all.
   std::vector<uint8_t> needs_full(m, 1);
-  FollowerSearch main_search(g, triangles);
 
   while (result.anchors.size() < budget) {
     if (control != nullptr && control->ShouldStop(timer.ElapsedSeconds())) {
@@ -233,19 +220,10 @@ AnchorResult RunGas(const Graph& g, uint32_t budget,
     round.partially_reusable = best.pr;
     round.non_reusable = best.nr;
 
-    // Followers of the chosen anchor (for follower-trussness stats and as a
-    // cross-check that the cached gain is exact).
-    std::vector<EdgeId> followers;
-    main_search.SetState(current, anchored_view);
-    const uint32_t recount = main_search.CountFollowers(x, &followers);
-    ATR_CHECK_MSG(recount == best.gain, "reused gain diverged from recount");
-    for (EdgeId f : followers) {
-      round.follower_trussness.push_back(current->trussness[f]);
-    }
-
     // sla(x) under the *old* tree: every node currently triangle-adjacent to
     // x from above. These become dirty because x turns into an
-    // always-countable partner inside them (DESIGN.md §4 deviation).
+    // always-countable partner inside them (see gas.h on why ES is a
+    // superset of the paper's).
     std::vector<uint32_t> next_dirty;
     const uint32_t tx = current->trussness[x];
     {
@@ -261,20 +239,18 @@ AnchorResult RunGas(const Graph& g, uint32_t budget,
       }
     }
 
-    // Apply the anchor and rebuild decomposition + tree. The incremental
-    // path must copy the pre-anchor state (the engine updates in place);
-    // the classic path moves it out before recomputing.
-    TrussDecomposition previous;
+    // Commit x and rebuild the tree; the engine updates in place, so the
+    // pre-commit state is copied for the ES scan below. ApplyAnchor starts
+    // with a fresh CountFollowers of x, which checks the reused gain; each
+    // follower then sits exactly 1 above its pre-anchor trussness.
+    const TrussDecomposition previous = *current;
     const std::vector<uint32_t> previous_nodes = tree.edge_node_ids();
-    if (use_incremental) {
-      previous = *current;
-      const uint32_t committed = engine->ApplyAnchor(x);
-      ATR_CHECK(committed == best.gain);
-      engine->ClearUndoLog();
-    } else {
-      previous = std::move(state.current);
-      state.anchored[x] = true;
-      state.current = RecomputeGreedyState(g, state.anchored, state.alive);
+    std::vector<EdgeId> followers;
+    const uint32_t recount = engine.ApplyAnchor(x, &followers);
+    ATR_CHECK_MSG(recount == best.gain, "reused gain diverged from recount");
+    engine.ClearUndoLog();
+    for (const EdgeId f : followers) {
+      round.follower_trussness.push_back(current->trussness[f] - 1);
     }
     tree.Build(g, triangles, *current, *anchored_view);
 

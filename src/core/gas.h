@@ -6,18 +6,33 @@
 //  1. every candidate edge e keeps a cache F[e][TN.I] of follower counts per
 //     subtree-adjacent tree node; only entries for "dirty" nodes (the ES set
 //     of Algorithm 5) are recomputed, the rest are reused;
-//  2. the best candidate is anchored, the decomposition and component tree
-//     are rebuilt, and the dirty-node set for the next round is derived from
-//     the edges whose (trussness, layer) changed plus the anchored edge's
-//     subtree-adjacency (a correctness-preserving superset of the paper's
-//     ES — see DESIGN.md §4).
+//  2. the best candidate x is committed through the incremental engine
+//     (truss/incremental.h, which updates the decomposition in place), the
+//     component tree is rebuilt, and the dirty-node set for the next round
+//     is derived from the edges whose (trussness, layer) changed plus x's
+//     subtree-adjacency sla(x).
+//
+// This ES is a superset of the paper's Algorithm 5 set, built for
+// exactness first. Besides the nodes x's followers leave and join, a
+// commit changes cached counts in three more ways: an edge whose trussness
+// stays can still change layer, which reorders ≺ and so the routes and
+// effective triangles through it; x itself becomes an always-countable
+// partner in every node triangle-adjacent to it at or above t(x), i.e.
+// sla(x); and a node renames, with unchanged members, when its minimum
+// edge (its TN.I) is anchored or moves away. So ES holds the old and new
+// node of every edge whose (t, l) or node id changed, sla(x), and x's old
+// node. Extra dirty nodes cost reuse, never exactness: their counts are
+// recomputed from the committed state.
 //
 // Every per-edge triangle walk of a solve — the candidate sweep's follower
-// searches, the seed and sla(x) walks, the per-round tree rebuild — reads
-// one full-graph TriangleIndex built when the solve starts. The sweep's
-// workers claim candidate blocks from a shared cursor (CandidateCursor in
+// searches, the seed and sla(x) walks, the per-round tree rebuild, the
+// engine's follower recount at each commit — reads one full-graph
+// TriangleIndex built when the solve starts. The sweep's workers claim
+// candidate blocks from a shared cursor (CandidateCursor in
 // core/greedy_internal.h) and only the claiming worker touches an edge's
-// cache.
+// cache; the tree rebuild fills its level buckets in parallel too. What
+// stays serial per round is the commit itself and the tree's union-find
+// sweep.
 //
 // GAS must select exactly the same anchor sequence as BASE and BASE+ (the
 // reuse is exact); the property tests enforce this.
@@ -34,15 +49,12 @@
 namespace atr {
 
 // Runs GAS with the given budget. `control` may carry a per-round progress
-// callback, a cancellation flag, a wall-clock limit, and the
-// use_incremental switch (the post-commit decomposition is then maintained
-// by truss/incremental.h instead of recomputed; the component tree is
-// still rebuilt per round). `seed_decomposition`, when non-null, must be
-// the decomposition of `g` under `initial_anchors` (no anchors when null)
-// and replaces the round-1 computation (the api layer passes its cached
-// copy); edges it reports as kTrussnessNotComputed are treated as removed.
-// `initial_anchors` edges are never candidates and gains are measured on
-// top of them.
+// callback, a cancellation flag, and a wall-clock limit.
+// `seed_decomposition`, when non-null, must be the decomposition of `g`
+// under `initial_anchors` (no anchors when null) and replaces the round-1
+// computation (the api layer passes its cached copy); edges it reports as
+// kTrussnessNotComputed are treated as removed. `initial_anchors` edges
+// are never candidates and gains are measured on top of them.
 AnchorResult RunGas(const Graph& g, uint32_t budget,
                     const GreedyControl* control = nullptr,
                     const TrussDecomposition* seed_decomposition = nullptr,

@@ -1,13 +1,14 @@
-// Shared round-state plumbing of the greedy family (BASE, BASE+, GAS):
-// seeding from an optional cached decomposition and optional pre-existing
-// anchors (the api layer's mutable sessions), recomputing with the alive
-// subset respected, and constructing the incremental engine behind
-// GreedyControl::use_incremental.
+// Shared round-state plumbing of the greedy family (BASE, BASE+, GAS): the
+// candidate filter, the candidate-sweep cursor, and the incremental engine
+// that holds a BASE+ or GAS solve's committed state, seeded from an
+// optional cached decomposition and optional pre-existing anchors (the api
+// layer's mutable sessions).
 //
-// The greedy cores keep no private support state of their own: every
-// (re)decomposition below goes through truss/decomposition.h, which
-// dispatches to the round-synchronous parallel peel under the solver's
-// ScopedParallelism worker count with byte-identical results.
+// BASE+ and GAS commit every anchor through that engine
+// (truss/incremental.h), whose affected-region update is byte-identical to
+// a from-scratch decomposition. BASE recomputes from scratch after each
+// commit: it is the paper's brute-force reference the others are checked
+// against.
 
 #ifndef ATR_CORE_GREEDY_INTERNAL_H_
 #define ATR_CORE_GREEDY_INTERNAL_H_
@@ -15,43 +16,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/triangle_index.h"
 #include "truss/decomposition.h"
 #include "truss/incremental.h"
-#include "util/macros.h"
 
 namespace atr {
-
-struct GreedySeedState {
-  std::vector<bool> anchored;
-  TrussDecomposition current;
-  // Edges participating in the decomposition; empty = all of them. Fixed
-  // for the whole run (anchoring never removes edges).
-  std::vector<EdgeId> alive;
-};
-
-inline GreedySeedState MakeGreedySeedState(
-    const Graph& g, const TrussDecomposition* seed,
-    const std::vector<bool>* initial_anchors) {
-  GreedySeedState state;
-  state.anchored = initial_anchors != nullptr
-                       ? *initial_anchors
-                       : std::vector<bool>(g.NumEdges(), false);
-  ATR_CHECK(state.anchored.size() == g.NumEdges());
-  state.current = seed != nullptr ? *seed
-                                  : ComputeTrussDecomposition(g, state.anchored);
-  state.alive = AliveSubsetOf(state.current);
-  return state;
-}
-
-inline TrussDecomposition RecomputeGreedyState(
-    const Graph& g, const std::vector<bool>& anchored,
-    const std::vector<EdgeId>& alive) {
-  return alive.empty() ? ComputeTrussDecomposition(g, anchored)
-                       : ComputeTrussDecompositionOnSubset(g, anchored, alive);
-}
 
 // An edge the greedy may anchor this round: present and not yet anchored.
 inline bool EligibleCandidate(const TrussDecomposition& current,
@@ -91,18 +64,22 @@ class CandidateCursor {
   std::atomic<int64_t> next_{0};
 };
 
+// The committed (decomposition, anchors) state of a BASE+ or GAS solve.
+// `seed`, when non-null, must be the decomposition of `g` under
+// `initial_anchors` (no anchors when null); edges it reports as
+// kTrussnessNotComputed are treated as removed. ApplyAnchor's follower
+// recount reads `triangles`, the solve's BuildTriangleIndex(g), which must
+// outlive the engine.
 inline IncrementalTruss MakeGreedyEngine(
-    const Graph& g, const TrussDecomposition* seed,
+    const Graph& g, const TriangleIndex& triangles,
+    const TrussDecomposition* seed,
     const std::vector<bool>* initial_anchors) {
-  const std::vector<bool> no_anchors;
-  const std::vector<bool>& anchors =
-      initial_anchors != nullptr ? *initial_anchors : no_anchors;
-  if (seed != nullptr) return IncrementalTruss(g, *seed, anchors);
-  if (!anchors.empty()) {
-    return IncrementalTruss(g, ComputeTrussDecomposition(g, anchors),
-                            anchors);
-  }
-  return IncrementalTruss(g);
+  std::vector<bool> anchors =
+      initial_anchors != nullptr ? *initial_anchors : std::vector<bool>();
+  TrussDecomposition decomp =
+      seed != nullptr ? *seed : ComputeTrussDecomposition(g, anchors);
+  return IncrementalTruss(g, std::move(decomp), std::move(anchors),
+                          &triangles);
 }
 
 }  // namespace atr

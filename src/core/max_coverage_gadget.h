@@ -3,12 +3,12 @@
 // b-anchor gain equals the optimal b-set coverage. Used by the validation
 // suite to exercise the problem structure end-to-end.
 //
-// Layout (see DESIGN.md): a hub vertex h; per set T_i a "set edge"
-// a_i = (h, A_i); per element e_j an "element edge" f_j = (h, F_j). For
-// every (i, j) with e_j in T_i, a (t+3)-clique containing A_i and F_j closes
-// the triangle {a_i, f_j, (A_i, F_j)}. Each f_j additionally gets t
-// triangles against 2t private (t+3)-cliques, pinning t(f_j) = t+2 so that
-// anchoring a_i lifts exactly its covered element edges by one.
+// Layout: a hub vertex h; per set T_i a "set edge" a_i = (h, A_i); per
+// element e_j an "element edge" f_j = (h, F_j). For every (i, j) with e_j
+// in T_i, a (t+3)-clique containing A_i and F_j closes the triangle
+// {a_i, f_j, (A_i, F_j)}. Each f_j additionally gets t triangles against
+// 2t private (t+3)-cliques, pinning t(f_j) = t+2 so that anchoring a_i
+// lifts exactly its covered element edges by one.
 
 #ifndef ATR_CORE_MAX_COVERAGE_GADGET_H_
 #define ATR_CORE_MAX_COVERAGE_GADGET_H_

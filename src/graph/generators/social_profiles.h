@@ -3,9 +3,10 @@
 // Table III of the paper evaluates on College, Facebook, Brightkite,
 // Gowalla, Youtube, Google, Patents, Pokec. Offline, we substitute each with
 // a deterministic generator whose family matches the original's structural
-// profile (documented per profile below and in DESIGN.md §3), scaled to
-// laptop size. `scale` in (0, 1] shrinks vertex counts proportionally so
-// the scalability experiments can sweep sizes.
+// profile (documented per profile by the provenance strings
+// SocialProfileSpecs() returns), scaled to laptop size. `scale` in (0, 1]
+// shrinks vertex counts proportionally so the scalability experiments can
+// sweep sizes.
 
 #ifndef ATR_GRAPH_GENERATORS_SOCIAL_PROFILES_H_
 #define ATR_GRAPH_GENERATORS_SOCIAL_PROFILES_H_

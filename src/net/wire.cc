@@ -285,7 +285,6 @@ SolverOptions WireSolverOptions::ToSolverOptions() const {
   options.budget_checkpoints = budget_checkpoints;
   options.seed = seed;
   options.trials = trials;
-  options.use_incremental = use_incremental;
   return options;
 }
 
@@ -298,7 +297,9 @@ std::vector<uint8_t> SubmitRequest::EncodeFrame() const {
   w.WriteU32Vector(options.budget_checkpoints);
   w.WriteU64(options.seed);
   w.WriteU32(options.trials);
-  w.WriteU8(options.use_incremental ? 1 : 0);
+  // Reserved byte: it once selected a greedy state-maintenance path that
+  // no longer exists. Still written so revision-1 frames keep their shape.
+  w.WriteU8(0);
   w.WriteString(tenant);
   w.WriteU32(static_cast<uint32_t>(priority));
   // Revision-3 trailing fields; a request without an explicit plan stays
@@ -316,15 +317,14 @@ StatusOr<SubmitRequest> SubmitRequest::Decode(
     std::span<const uint8_t> payload) {
   ByteReader r(payload);
   SubmitRequest out;
-  uint8_t use_incremental = 0;
+  uint8_t reserved = 0;  // read and ignored; see EncodeFrame
   if (!ReadRequestId(r, &out.request_id) || !r.ReadString(&out.graph) ||
       !r.ReadString(&out.solver) || !r.ReadU32(&out.options.budget) ||
       !r.ReadU32Vector(&out.options.budget_checkpoints) ||
       !r.ReadU64(&out.options.seed) || !r.ReadU32(&out.options.trials) ||
-      !r.ReadU8(&use_incremental)) {
+      !r.ReadU8(&reserved)) {
     return DecodeError("SubmitRequest");
   }
-  out.options.use_incremental = use_incremental != 0;
   // Tenancy fields arrived in protocol revision 2; a payload that ends
   // here is a revision-1 Submit and maps to the default tenant at
   // priority 0 (docs/PROTOCOL.md, "Version compatibility").

@@ -182,7 +182,6 @@ struct WireSolverOptions {
   std::vector<uint32_t> budget_checkpoints;
   uint64_t seed = 1;
   uint32_t trials = 100;
-  bool use_incremental = false;
 
   SolverOptions ToSolverOptions() const;
 };

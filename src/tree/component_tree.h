@@ -19,6 +19,13 @@
 // rebuild reuses it: O((m + #triangles) α) per rebuild, with no oriented
 // adjacency rebuilt or re-intersected.
 //
+// The bucketing is parallel: a count, prefix-sum and fill pass over
+// ParallelForChunked edge chunks writes every level's triangle pairs into
+// one flat array, in the order a serial sweep over edge ids produces. The
+// union-find sweep is serial. The tree — node order, ids, parents, the
+// order of every node's children and edges — is therefore the same at
+// every thread count.
+//
 // Trussness-2 edges participate in no triangle and form singleton nodes.
 
 #ifndef ATR_TREE_COMPONENT_TREE_H_

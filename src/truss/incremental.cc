@@ -34,8 +34,9 @@ IncrementalTruss::IncrementalTruss(const Graph& g) : g_(&g) {
 }
 
 IncrementalTruss::IncrementalTruss(const Graph& g, TrussDecomposition seed,
-                                   std::vector<bool> anchored)
-    : g_(&g) {
+                                   std::vector<bool> anchored,
+                                   const TriangleIndex* triangles)
+    : g_(&g), triangles_(triangles) {
   AdoptSeed(std::move(seed), std::move(anchored));
 }
 
@@ -48,7 +49,8 @@ IncrementalTruss::IncrementalTruss(const IncrementalTruss& other)
       undo_(other.undo_),
       next_undo_serial_(other.next_undo_serial_),
       undo_base_serial_(other.undo_base_serial_),
-      stats_(other.stats_) {
+      stats_(other.stats_),
+      triangles_(other.triangles_) {
   InitScratch();
 }
 
@@ -389,7 +391,11 @@ uint32_t IncrementalTruss::ApplyAnchor(EdgeId e,
   ATR_CHECK_MSG(!anchored_[e], "ApplyAnchor: edge is already anchored");
   ++stats_.anchors_applied;
 
-  if (search_ == nullptr) search_ = std::make_unique<FollowerSearch>(*g_);
+  if (search_ == nullptr) {
+    search_ = triangles_ != nullptr
+                  ? std::make_unique<FollowerSearch>(*g_, *triangles_)
+                  : std::make_unique<FollowerSearch>(*g_);
+  }
   search_->SetState(&decomp_, &anchored_);
   follower_scratch_.clear();
   const uint32_t gain = search_->CountFollowers(e, &follower_scratch_);

@@ -2,10 +2,10 @@
 // truss/decomposition.h).
 //
 // A full truss decomposition costs a whole-graph triangle sweep plus a
-// global peel; the greedy anchor solvers pay that price after every
-// committed anchor, and the edge-deletion baseline pays it once per
-// *candidate*. IncrementalTruss instead maintains the decomposition under
-// two single-edge mutations:
+// global peel — too much to pay after every anchor a greedy solver (BASE+,
+// GAS) commits, or once per *candidate* of the edge-deletion baseline.
+// IncrementalTruss instead maintains the decomposition under two
+// single-edge mutations:
 //
 //   * ApplyAnchor(x)  — x becomes anchored (infinite support),
 //   * RemoveEdge(x)   — x leaves the maintained subgraph,
@@ -47,7 +47,8 @@
 //   inc.RollbackTo(cp);                          // state byte-identical
 //
 // Instances are single-threaded; they are copyable so per-worker clones
-// can evaluate candidates in parallel (the BASE incremental path).
+// can evaluate candidates in parallel (the edge-deletion baseline's
+// speculative RemoveEdge + rollback).
 
 #ifndef ATR_TRUSS_INCREMENTAL_H_
 #define ATR_TRUSS_INCREMENTAL_H_
@@ -63,6 +64,7 @@
 namespace atr {
 
 class FollowerSearch;
+struct TriangleIndex;
 
 class IncrementalTruss {
  public:
@@ -83,12 +85,18 @@ class IncrementalTruss {
   // Adopts a precomputed decomposition of `g` instead of recomputing.
   // `seed` must be the decomposition ComputeTrussDecomposition(g, anchored)
   // produced for `anchored` (empty = no anchors); edges with trussness
-  // kTrussnessNotComputed are treated as removed.
+  // kTrussnessNotComputed are treated as removed. ApplyAnchor's follower
+  // recount reads `triangles` when it is non-null (it must be
+  // BuildTriangleIndex(g) and outlive the engine and its copies, as the
+  // greedy solvers' per-solve index does); otherwise the first ApplyAnchor
+  // builds an index of its own.
   IncrementalTruss(const Graph& g, TrussDecomposition seed,
-                   std::vector<bool> anchored = {});
+                   std::vector<bool> anchored = {},
+                   const TriangleIndex* triangles = nullptr);
 
   // Copyable so parallel candidate evaluation can clone one engine per
-  // worker; the copy shares nothing with the original. Movable so a
+  // worker; the copy shares nothing with the original but the caller's
+  // read-only triangle index, if one was given. Movable so a
   // factory-constructed engine transfers without the deep copy (scratch
   // state is rebound lazily — every use re-binds before touching it).
   IncrementalTruss(const IncrementalTruss& other);
@@ -250,8 +258,12 @@ class IncrementalTruss {
   uint64_t undo_base_serial_ = 0;  // serial "under" position 0
   Stats stats_;
 
-  // Created (with its own triangle index) by the first ApplyAnchor, so
-  // engines that only insert and remove edges never build an index.
+  // The caller's index shared with the follower recount; null when the
+  // recount owns one.
+  const TriangleIndex* triangles_ = nullptr;
+  // Created by the first ApplyAnchor (building its own triangle index
+  // unless `triangles_` is set), so engines that only insert and remove
+  // edges never build an index.
   std::unique_ptr<FollowerSearch> search_;
 
   // --- re-peel scratch (epoch-stamped; excluded from copies) -------------

@@ -7,11 +7,14 @@
 #include <algorithm>
 #include <deque>
 #include <set>
+#include <string>
 
+#include "graph/triangle_index.h"
 #include "graph/triangles.h"
 #include "tests/paper_fixtures.h"
 #include "tests/test_helpers.h"
 #include "truss/decomposition.h"
+#include "util/parallel_for.h"
 
 namespace atr {
 namespace {
@@ -176,6 +179,70 @@ TEST_P(TreePropertyTest, ParentChainLevelsStrictlyDecrease) {
       k = tree.nodes()[parent].k;
       parent = tree.nodes()[parent].parent;
     }
+  }
+}
+
+void ExpectSameTree(const TrussComponentTree& want,
+                    const TrussComponentTree& got, uint32_t m,
+                    const std::string& label) {
+  ASSERT_EQ(want.nodes().size(), got.nodes().size()) << label;
+  for (size_t i = 0; i < want.nodes().size(); ++i) {
+    const TrussTreeNode& a = want.nodes()[i];
+    const TrussTreeNode& b = got.nodes()[i];
+    EXPECT_EQ(a.k, b.k) << label << " node " << i;
+    EXPECT_EQ(a.id, b.id) << label << " node " << i;
+    EXPECT_EQ(a.parent, b.parent) << label << " node " << i;
+    EXPECT_EQ(a.children, b.children) << label << " node " << i;
+    EXPECT_EQ(a.edges, b.edges) << label << " node " << i;
+  }
+  for (EdgeId e = 0; e < m; ++e) {
+    EXPECT_EQ(want.NodeIndexOf(e), got.NodeIndexOf(e))
+        << label << " edge " << e;
+  }
+  EXPECT_EQ(want.edge_node_ids(), got.edge_node_ids()) << label;
+}
+
+TEST_P(TreePropertyTest, BuildIsIdenticalAtEveryThreadCount) {
+  // Two anchors and one removed edge. Edge chunks fill the level buckets
+  // in parallel; the tree, down to every node's children order, must not
+  // depend on how many chunks there were. `reused` is rebuilt in place
+  // over a different earlier tree.
+  const uint64_t seed = GetParam();
+  const Graph g = MakePropertyGraph(seed);
+  const uint32_t m = g.NumEdges();
+  if (m < 4) return;
+  std::vector<bool> anchored(m, false);
+  anchored[seed % m] = true;
+  anchored[(seed * 13 + 5) % m] = true;
+  EdgeId removed = (seed * 7 + 3) % m;
+  while (anchored[removed]) removed = (removed + 1) % m;
+  std::vector<EdgeId> alive;
+  for (EdgeId e = 0; e < m; ++e) {
+    if (e != removed) alive.push_back(e);
+  }
+  const TrussDecomposition d =
+      ComputeTrussDecompositionOnSubset(g, anchored, alive);
+  const TriangleIndex triangles = BuildTriangleIndex(g);
+
+  TrussComponentTree serial;
+  {
+    ScopedParallelism one(1);
+    serial.Build(g, triangles, d, anchored);
+  }
+  serial.CheckInvariants(g, d, anchored);
+  EXPECT_EQ(serial.NodeIndexOf(removed), kNoTreeNode);
+
+  TrussComponentTree reused;
+  reused.Build(g, triangles, ComputeTrussDecomposition(g), {});
+  for (const int threads : {1, 2, 3, 8}) {
+    ScopedParallelism scope(threads);
+    TrussComponentTree fresh;
+    fresh.Build(g, triangles, d, anchored);
+    reused.Build(g, triangles, d, anchored);
+    const std::string label = "seed " + std::to_string(seed) + " threads " +
+                              std::to_string(threads);
+    ExpectSameTree(serial, fresh, m, label + " fresh");
+    ExpectSameTree(serial, reused, m, label + " reused");
   }
 }
 

@@ -19,6 +19,7 @@
 
 #include "graph/generators/generators.h"
 #include "graph/graph.h"
+#include "graph/triangle_index.h"
 #include "tests/paper_fixtures.h"
 #include "truss/decomposition.h"
 #include "truss/gain.h"
@@ -241,6 +242,63 @@ TEST(IncrementalTruss, CopiesAreIndependent) {
   EXPECT_FALSE(inc.IsAnchored(0));
   EXPECT_EQ(inc.decomposition().trussness,
             ComputeTrussDecomposition(g).trussness);
+}
+
+TEST(IncrementalTruss, SharedTriangleIndexMatchesOwnIndex) {
+  // The greedy solvers hand the engine their per-solve triangle index for
+  // ApplyAnchor's follower recount. It must give the followers, in order,
+  // and the decomposition an engine with its own index gives; so must a
+  // copy, which keeps sharing the index.
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    const Graph g = MakeDifferentialGraph(seed);
+    if (g.NumEdges() == 0) continue;
+    const TriangleIndex triangles = BuildTriangleIndex(g);
+    const TrussDecomposition start = ComputeTrussDecomposition(g);
+    IncrementalTruss own(g, start);
+    IncrementalTruss shared(g, start, {}, &triangles);
+    Rng rng(seed + 17);
+    for (int step = 0; step < 12; ++step) {
+      const EdgeId e = PickMutableEdge(own, rng);
+      if (e == kInvalidEdge) break;
+      if (step % 4 == 3) {
+        own.RemoveEdge(e);
+        shared.RemoveEdge(e);
+      } else {
+        std::vector<EdgeId> own_followers;
+        std::vector<EdgeId> shared_followers;
+        EXPECT_EQ(own.ApplyAnchor(e, &own_followers),
+                  shared.ApplyAnchor(e, &shared_followers))
+            << "seed " << seed << " step " << step;
+        EXPECT_EQ(own_followers, shared_followers)
+            << "seed " << seed << " step " << step;
+      }
+      ASSERT_EQ(own.decomposition().trussness,
+                shared.decomposition().trussness)
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(own.decomposition().layer, shared.decomposition().layer)
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(own.decomposition().max_trussness,
+                shared.decomposition().max_trussness)
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(own.anchored(), shared.anchored()) << "seed " << seed;
+    }
+    IncrementalTruss own_copy(own);
+    IncrementalTruss shared_copy(shared);
+    const EdgeId e = PickMutableEdge(own, rng);
+    if (e == kInvalidEdge) continue;
+    std::vector<EdgeId> own_followers;
+    std::vector<EdgeId> shared_followers;
+    EXPECT_EQ(own_copy.ApplyAnchor(e, &own_followers),
+              shared_copy.ApplyAnchor(e, &shared_followers))
+        << "seed " << seed;
+    EXPECT_EQ(own_followers, shared_followers) << "seed " << seed;
+    EXPECT_EQ(own_copy.decomposition().trussness,
+              shared_copy.decomposition().trussness)
+        << "seed " << seed;
+    EXPECT_EQ(own_copy.decomposition().layer,
+              shared_copy.decomposition().layer)
+        << "seed " << seed;
+  }
 }
 
 TEST(IncrementalTruss, SeededConstructorAdoptsDecomposition) {

@@ -66,7 +66,6 @@ TEST(WireCodec, SubmitRequestRoundTrips) {
   request.options.budget_checkpoints = {2, 5, 7};
   request.options.seed = 99;
   request.options.trials = 17;
-  request.options.use_incremental = true;
 
   StatusOr<SubmitRequest> decoded =
       SubmitRequest::Decode(PayloadOf(request.EncodeFrame(), MsgType::kSubmit));
@@ -78,9 +77,54 @@ TEST(WireCodec, SubmitRequestRoundTrips) {
   EXPECT_EQ(decoded->options.budget_checkpoints, (std::vector<uint32_t>{2, 5, 7}));
   EXPECT_EQ(decoded->options.seed, 99u);
   EXPECT_EQ(decoded->options.trials, 17u);
-  EXPECT_TRUE(decoded->options.use_incremental);
   EXPECT_EQ(decoded->tenant, "");
   EXPECT_EQ(decoded->priority, 0);
+}
+
+// The u8 after `trials` in a Submit is reserved: it once selected a greedy
+// state-maintenance path that no longer exists. Offset of that byte in a
+// plan-less frame: only the tenant string and the priority follow it.
+size_t ReservedSubmitByteAt(const std::vector<uint8_t>& frame,
+                            const SubmitRequest& request) {
+  return frame.size() - (4 + request.tenant.size()) - 4 - 1;
+}
+
+TEST(WireCodec, SubmitReservedByteIsWrittenAsZeroAndIgnored) {
+  SubmitRequest request;
+  request.request_id = 47;
+  request.graph = "social";
+  request.solver = "gas";
+  request.options.budget = 3;
+  request.options.budget_checkpoints = {1, 3};
+  request.tenant = "acme";
+  request.priority = 2;
+  const std::vector<uint8_t> frame = request.EncodeFrame();
+  const size_t reserved_at = ReservedSubmitByteAt(frame, request);
+  EXPECT_EQ(frame[reserved_at], 0);
+
+  // An older client sets the byte to 1: the request decodes to the same
+  // fields, re-encodes with the byte back at 0, and solves identically.
+  std::vector<uint8_t> legacy = frame;
+  legacy[reserved_at] = 1;
+  StatusOr<SubmitRequest> zero =
+      SubmitRequest::Decode(PayloadOf(frame, MsgType::kSubmit));
+  StatusOr<SubmitRequest> one =
+      SubmitRequest::Decode(PayloadOf(legacy, MsgType::kSubmit));
+  ASSERT_TRUE(zero.ok()) << zero.status().message();
+  ASSERT_TRUE(one.ok()) << one.status().message();
+  EXPECT_EQ(one->EncodeFrame(), frame);
+  EXPECT_EQ(one->tenant, "acme");
+  EXPECT_EQ(one->priority, 2);
+
+  AtrEngine engine(ServedGraph());
+  StatusOr<SolveResult> a =
+      engine.Run(zero->solver, zero->options.ToSolverOptions());
+  StatusOr<SolveResult> b =
+      engine.Run(one->solver, one->options.ToSolverOptions());
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(a->anchor_edges, b->anchor_edges);
+  EXPECT_EQ(a->total_gain, b->total_gain);
+  EXPECT_EQ(a->gain_at_checkpoint, b->gain_at_checkpoint);
 }
 
 TEST(WireCodec, SubmitRequestCarriesTenantAndPriority) {
@@ -656,6 +700,48 @@ TEST(ServerIntegration, SlowConsumerIsDisconnected) {
   // The server itself is unharmed.
   AtrClient after = fixture.MakeClient();
   EXPECT_TRUE(after.Ping().ok());
+}
+
+TEST(ServerIntegration, LegacyReservedSubmitByteSolvesLikeZero) {
+  ServerFixture fixture;
+  ASSERT_TRUE(fixture.server().AddGraph("social", ServedGraph()).ok());
+
+  // An older client's Submit with the reserved byte set to 1, hand-rolled
+  // on a plain socket since AtrClient always writes 0.
+  SubmitRequest request;
+  request.request_id = 9;
+  request.graph = "social";
+  request.solver = "gas";
+  request.options.budget = 4;
+  std::vector<uint8_t> frame = request.EncodeFrame();
+  frame[ReservedSubmitByteAt(frame, request)] = 1;
+  const int fd = RawConnect(fixture.server().port());
+  ASSERT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+  FrameParser parser;
+  std::optional<Frame> reply;
+  while (!reply.has_value()) {
+    uint8_t buffer[256];
+    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+    ASSERT_GT(n, 0);
+    parser.Feed(buffer, static_cast<size_t>(n));
+    reply = parser.Next();
+  }
+  ::close(fd);
+  ASSERT_EQ(reply->type, MsgType::kSubmitResponse);
+  StatusOr<SubmitResponse> submitted = SubmitResponse::Decode(reply->payload);
+  ASSERT_TRUE(submitted.ok()) << submitted.status().message();
+
+  AtrClient client = fixture.MakeClient();
+  StatusOr<WireSolveResult> legacy = client.Wait(submitted->job_id);
+  ASSERT_TRUE(legacy.ok()) << legacy.status().message();
+  StatusOr<uint64_t> job = client.Submit("social", "gas", request.options);
+  ASSERT_TRUE(job.ok()) << job.status().message();
+  StatusOr<WireSolveResult> current = client.Wait(*job);
+  ASSERT_TRUE(current.ok()) << current.status().message();
+  EXPECT_EQ(legacy->anchor_edges, current->anchor_edges);
+  EXPECT_EQ(legacy->total_gain, current->total_gain);
+  EXPECT_EQ(legacy->gain_at_checkpoint, current->gain_at_checkpoint);
 }
 
 TEST(ServerIntegration, IdleConnectionIsReaped) {

@@ -20,6 +20,7 @@
 #include "api/engine.h"
 #include "api/service.h"
 #include "graph/generators/generators.h"
+#include "net/wire.h"
 #include "util/scheduler.h"
 #include "util/status.h"
 
@@ -380,6 +381,46 @@ TEST(ServiceBatchFusion, FusedGreedySweepMatchesSerialOracle) {
   EXPECT_EQ(info->decomposition_builds, 1u);
 }
 
+TEST(ServiceBatchFusion, SubmitsDifferingOnlyInReservedWireByteFuse) {
+  AtrService::Options options;
+  options.workers = 1;
+  options.shards = 1;
+  options.max_batch = 8;
+  options.queue_capacity = 64;
+  AtrService service(options);
+  ASSERT_TRUE(service.AddGraph("g", SchedGraph()).ok());
+
+  // Two wire Submits for one GAS job, one from an older client that sets
+  // the reserved byte after `trials` (it once picked a greedy state-
+  // maintenance path and split the batch key). Only the tenant string and
+  // the priority follow that byte in a plan-less frame.
+  net::SubmitRequest request;
+  request.graph = "g";
+  request.solver = "gas";
+  request.options.budget = 3;
+  std::vector<uint8_t> frames[2] = {request.EncodeFrame(),
+                                    request.EncodeFrame()};
+  frames[1][frames[1].size() - 9] = 1;
+  std::vector<SolverOptions> specs;
+  for (const std::vector<uint8_t>& frame : frames) {
+    StatusOr<net::SubmitRequest> decoded = net::SubmitRequest::Decode(
+        std::span<const uint8_t>(frame.data() + 8, frame.size() - 8));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+    specs.push_back(decoded->options.ToSolverOptions());
+  }
+  const std::vector<SolveResult> fused = RunBehindBlocker(service, specs, "gas");
+
+  AtrEngine engine(SchedGraph());
+  StatusOr<SolveResult> oracle = engine.Run("gas", specs[0]);
+  ASSERT_TRUE(oracle.ok());
+  ExpectSameResult(*oracle, fused[0], "reserved byte 0");
+  ExpectSameResult(*oracle, fused[1], "reserved byte 1");
+  const AtrService::SchedulerStats stats = service.Stats();
+  EXPECT_EQ(stats.jobs_fused, 2u);
+  // Blocker + one fused batch.
+  EXPECT_EQ(stats.batches_executed, 2u);
+}
+
 TEST(ServiceBatchFusion, FusedExactJobsShareOneEnumeration) {
   AtrService::Options options;
   options.workers = 1;
@@ -456,7 +497,6 @@ std::vector<JobSpec> AllSolverSpecs() {
   {
     SolverOptions o;
     o.budget = 2;
-    o.use_incremental = true;
     specs.push_back({"base", o});
   }
   {

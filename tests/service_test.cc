@@ -69,7 +69,6 @@ std::vector<JobSpec> MixedSpecs() {
   {
     SolverOptions o;
     o.budget = 2;
-    o.use_incremental = true;
     specs.push_back({"base", o});
   }
   {
