@@ -3,7 +3,7 @@
 // Built-in names:
 //   "base"    — greedy with brute-force gain computation (Algorithm 2)
 //   "base+"   — greedy with upward-route follower search (paper §IV)
-//   "gas"     — greedy with follower search + component-tree reuse (Alg. 6)
+//   "gas"     — greedy with follower search + read-set reuse (Alg. 6)
 //   "exact"   — exhaustive b-subset enumeration (Exp-2)
 //   "rand"    — best of N uniform draws over all edges
 //   "sup"     — best of N draws over the top-20% edges by support

@@ -1,38 +1,52 @@
-// GAS (Algorithm 6): the full greedy solver combining the upward-route
-// follower search (Algorithm 3) with the truss-component tree (Algorithm 4)
-// and cross-round result reuse (Algorithm 5).
+// GAS (Algorithm 6): the greedy solver that combines the upward-route
+// follower search (Algorithm 3) with cross-round result reuse
+// (Algorithm 5).
 //
-// Per round:
-//  1. every candidate edge e keeps a cache F[e][TN.I] of follower counts per
-//     subtree-adjacent tree node; only entries for "dirty" nodes (the ES set
-//     of Algorithm 5) are recomputed, the rest are reused;
-//  2. the best candidate x is committed through the incremental engine
-//     (truss/incremental.h, which updates the decomposition in place), the
-//     component tree is rebuilt, and the dirty-node set for the next round
-//     is derived from the edges whose (trussness, layer) changed plus x's
-//     subtree-adjacency sla(x).
+// Each candidate edge keeps its follower count from its last search and
+// the edges that search processed (popped). Round 1 searches every
+// candidate. Each later round re-searches only the candidates whose
+// search could have read an edge the previous commit wrote, and reuses
+// every other count as is.
 //
-// This ES is a superset of the paper's Algorithm 5 set, built for
-// exactness first. Besides the nodes x's followers leave and join, a
-// commit changes cached counts in three more ways: an edge whose trussness
-// stays can still change layer, which reorders ≺ and so the routes and
-// effective triangles through it; x itself becomes an always-countable
-// partner in every node triangle-adjacent to it at or above t(x), i.e.
-// sla(x); and a node renames, with unchanged members, when its minimum
-// edge (its TN.I) is anchored or moves away. So ES holds the old and new
-// node of every edge whose (t, l) or node id changed, sla(x), and x's old
-// node. Extra dirty nodes cost reuse, never exactness: their counts are
-// recomputed from the committed state.
+// The rule and why it is exact. A commit's written set C is the edges
+// whose (trussness, layer, anchored) state ApplyAnchor wrote: the anchor,
+// its followers, and edges whose layer moved, as
+// IncrementalTruss::ForEachWrite lists them. CountFollowers(x) reads x and
+// its partners (the other two edges of each triangle through x) to collect
+// seeds; for every edge r it pops, it reads r's own state and, of each
+// partner p of r, only whether p is anchored, whether t(p) is below, equal
+// to or above t(r), and l(p) when t(p) = t(r) (route/follower_search.h).
+// So a written edge c that moved from trussness t0 to t1 (anchored counts
+// as +inf) looks different only to popped edges r with t(r) in
+// [min(t0, t1), max(t0, t1)]. After a commit, candidate x is stale when
+//   * x is in C, or an edge of C is now one of x's seeds, or
+//   * one of x's processed edges r is in C, or is a partner of some c in C
+//     with t(r) in c's interval.
+// Every seed is popped, so a seed x lost, or one that stayed but changed,
+// is a processed edge in C and the second case catches it; the first case
+// needs only the seeds x gained. A search that reads the same inputs pops
+// the same edges and returns the same count, so every other cached count
+// equals a fresh search, and by induction over rounds so does its stored
+// processed set. MarkCommitWrites and ReadsCommitWrites
+// (core/greedy_internal.h) are the rule; follower_search_test checks it
+// against fresh searches. The level interval and the seed test keep the
+// rule narrow: marking every partner of C instead re-searches whole search
+// regions on dense graphs.
 //
-// Every per-edge triangle walk of a solve — the candidate sweep's follower
-// searches, the seed and sla(x) walks, the per-round tree rebuild, the
-// engine's follower recount at each commit — reads one full-graph
-// TriangleIndex built when the solve starts. The sweep's workers claim
-// candidate blocks from a shared cursor (CandidateCursor in
-// core/greedy_internal.h) and only the claiming worker touches an edge's
-// cache; the tree rebuild fills its level buckets in parallel too. What
-// stays serial per round is the commit itself and the tree's union-find
-// sweep.
+// This replaces the paper's reuse at truss-component-tree granularity:
+// the rule localizes reuse at candidate granularity, so GAS builds no
+// TrussComponentTree. Its reuse counters report candidates: fully
+// reusable (cached count used) and non-reusable (re-searched); none is
+// partially reusable.
+//
+// Every per-edge triangle walk of a solve — the candidate searches, the
+// commit marking, the engine's follower recount at each commit — reads
+// one full-graph TriangleIndex built when the solve starts. The sweep's
+// workers claim candidate blocks from a shared cursor (CandidateCursor in
+// core/greedy_internal.h); the cached read sets are stored per block, and
+// only the worker that claims a block reads or rewrites them. Each worker
+// keeps one FollowerSearch for the whole solve. What stays serial per
+// round is the commit and its marking.
 //
 // GAS must select exactly the same anchor sequence as BASE and BASE+ (the
 // reuse is exact); the property tests enforce this.

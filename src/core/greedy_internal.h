@@ -1,8 +1,8 @@
 // Shared round-state plumbing of the greedy family (BASE, BASE+, GAS): the
-// candidate filter, the candidate-sweep cursor, and the incremental engine
-// that holds a BASE+ or GAS solve's committed state, seeded from an
-// optional cached decomposition and optional pre-existing anchors (the api
-// layer's mutable sessions).
+// candidate filter, the candidate-sweep cursor, GAS's read-set rule, and
+// the incremental engine that holds a BASE+ or GAS solve's committed
+// state, seeded from an optional cached decomposition and optional
+// pre-existing anchors (the api layer's mutable sessions).
 //
 // BASE+ and GAS commit every anchor through that engine
 // (truss/incremental.h), whose affected-region update is byte-identical to
@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -63,6 +64,63 @@ class CandidateCursor {
   const int64_t m_;
   std::atomic<int64_t> next_{0};
 };
+
+// GAS's read-set rule (core/gas.h explains why it is exact). A commit's
+// written set C is the edges whose state it wrote, as
+// IncrementalTruss::ForEachWrite lists them. A written edge c that moved
+// from trussness t0 to t1 (anchored counts as +inf) looks different only
+// to searches that read c's own state (c is the candidate, a seed, or a
+// popped edge) or that popped a partner r of c with t(r) in
+// [min(t0, t1), max(t0, t1)]. MarkCommitWrites records this in one byte
+// per edge:
+//   kNear    — the edge is in C, or an edge of C is now one of its seeds
+//              (a partner that is neither anchored nor removed and comes
+//              strictly later in ≺): as a candidate, its seed set may
+//              have gained an edge. A seed it lost was popped, so kTouched
+//              catches that;
+//   kTouched — the edge is in C, or is a partner of some c in C with its
+//              trussness in c's interval: a search that popped it read
+//              changed state.
+inline constexpr uint8_t kNear = 1;
+inline constexpr uint8_t kTouched = 2;
+
+// Clears `marks` (one byte per edge) and marks the writes `engine` logged
+// since its last ClearUndoLog(). `triangles` is the solve's
+// BuildTriangleIndex of the engine's graph.
+inline void MarkCommitWrites(const IncrementalTruss& engine,
+                             const TriangleIndex& triangles,
+                             std::vector<uint8_t>* marks) {
+  std::fill(marks->begin(), marks->end(), 0);
+  const TrussDecomposition& now = engine.decomposition();
+  const std::vector<uint32_t>& t = now.trussness;
+  engine.ForEachWrite([&](EdgeId c, uint32_t old_t) {
+    const uint32_t lo = std::min(old_t, t[c]);
+    const uint32_t hi = std::max(old_t, t[c]);
+    const bool seedable = !engine.IsAnchored(c) && engine.IsAlive(c);
+    (*marks)[c] |= kNear | kTouched;
+    triangles.ForEachTriangleOf(c, [&](EdgeId p, EdgeId q) {
+      for (const EdgeId r : {p, q}) {
+        if (seedable && engine.IsAlive(r) && now.StrictlyPrecedes(r, c)) {
+          (*marks)[r] |= kNear;
+        }
+        if (t[r] >= lo && t[r] <= hi) (*marks)[r] |= kTouched;
+      }
+    });
+  });
+}
+
+// Whether candidate `x`, whose last search popped `processed`, must be
+// searched again after the commit `marks` describes. Every other cached
+// count equals what a fresh search would return, and its processed set
+// what a fresh search would pop.
+inline bool ReadsCommitWrites(const std::vector<uint8_t>& marks, EdgeId x,
+                              std::span<const EdgeId> processed) {
+  if ((marks[x] & kNear) != 0) return true;
+  for (const EdgeId r : processed) {
+    if ((marks[r] & kTouched) != 0) return true;
+  }
+  return false;
+}
 
 // The committed (decomposition, anchors) state of a BASE+ or GAS solve.
 // `seed`, when non-null, must be the decomposition of `g` under

@@ -112,13 +112,13 @@ void FollowerSearch::Retract(EdgeId e, bool was_survived, uint32_t level) {
 }
 
 void FollowerSearch::ProcessLevel(uint32_t level,
-                                  const std::vector<uint32_t>* edge_node,
-                                  const std::vector<uint32_t>* allowed_nodes) {
+                                  std::vector<EdgeId>* processed) {
   std::make_heap(heap_.begin(), heap_.end(), std::greater<uint64_t>());
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<uint64_t>());
     const EdgeId e = static_cast<EdgeId>(heap_.back() & 0xffffffffu);
     heap_.pop_back();
+    if (processed != nullptr) processed->push_back(e);
     if (GetStatus(e) != kInHeap) continue;  // eliminated while queued
     const uint32_t threshold = level - 1;   // sup needed inside T_{level+1}
     const uint32_t splus = ComputeSPlus(e, level);
@@ -133,11 +133,6 @@ void FollowerSearch::ProcessLevel(uint32_t level,
           if (p == current_anchor_ || IsAnchoredEdge(p)) continue;
           if (decomp_->trussness[p] != level) continue;
           if (decomp_->layer[p] < decomp_->layer[e]) continue;  // need e ≺ p
-          if (allowed_nodes != nullptr &&
-              !std::binary_search(allowed_nodes->begin(),
-                                  allowed_nodes->end(), (*edge_node)[p])) {
-            continue;
-          }
           if (GetStatus(p) == kUnchecked) {
             SetStatus(p, kInHeap);
             heap_.push_back(HeapKey(decomp_->layer[p], p));
@@ -172,7 +167,8 @@ void FollowerSearch::CollectSeeds(EdgeId x) {
 }
 
 uint32_t FollowerSearch::CountFollowers(EdgeId x,
-                                        std::vector<EdgeId>* followers) {
+                                        std::vector<EdgeId>* followers,
+                                        std::vector<EdgeId>* processed) {
   ATR_CHECK(decomp_ != nullptr);
   ATR_CHECK(x < g_.NumEdges());
   ATR_CHECK_MSG(!IsAnchoredEdge(x), "candidate is already anchored");
@@ -183,6 +179,7 @@ uint32_t FollowerSearch::CountFollowers(EdgeId x,
     return decomp_->trussness[a] < decomp_->trussness[b];
   });
   if (followers != nullptr) followers->clear();
+  if (processed != nullptr) processed->clear();
   uint32_t total = 0;
   size_t i = 0;
   while (i < seeds_.size()) {
@@ -197,7 +194,7 @@ uint32_t FollowerSearch::CountFollowers(EdgeId x,
         heap_.push_back(HeapKey(decomp_->layer[s], s));
       }
     }
-    ProcessLevel(level, nullptr, nullptr);
+    ProcessLevel(level, processed);
     for (EdgeId e : survivors_) {
       if (GetStatus(e) != kSurvived) continue;  // retracted later
       ++total;
@@ -206,68 +203,6 @@ uint32_t FollowerSearch::CountFollowers(EdgeId x,
   }
   current_anchor_ = kInvalidEdge;
   return total;
-}
-
-void FollowerSearch::FollowersByNode(
-    EdgeId x, const std::vector<uint32_t>& edge_node,
-    const std::vector<uint32_t>& allowed_nodes,
-    std::vector<std::pair<uint32_t, uint32_t>>* counts) {
-  ATR_CHECK(decomp_ != nullptr);
-  ATR_CHECK(edge_node.size() == g_.NumEdges());
-  ATR_CHECK_MSG(!IsAnchoredEdge(x), "candidate is already anchored");
-  current_anchor_ = x;
-  CollectSeeds(x);
-  // Batches are per trussness LEVEL, not per node: the candidate's own
-  // triangles can couple two same-level nodes (their edges support each
-  // other through the always-countable hypothetical anchor), so same-level
-  // nodes must be solved as one fixed point. Different levels stay
-  // independent. Seeds whose node is not allowed are skipped, and route
-  // expansion is confined to allowed nodes; the caller guarantees that
-  // coupled nodes are always recomputed together (level groups).
-  std::stable_sort(seeds_.begin(), seeds_.end(), [this](EdgeId a, EdgeId b) {
-    return decomp_->trussness[a] < decomp_->trussness[b];
-  });
-  size_t i = 0;
-  while (i < seeds_.size()) {
-    const uint32_t level = decomp_->trussness[seeds_[i]];
-    ++current_epoch_;
-    heap_.clear();
-    survivors_.clear();
-    bool any_seed = false;
-    while (i < seeds_.size() && decomp_->trussness[seeds_[i]] == level) {
-      const EdgeId s = seeds_[i++];
-      if (!std::binary_search(allowed_nodes.begin(), allowed_nodes.end(),
-                              edge_node[s])) {
-        continue;
-      }
-      if (GetStatus(s) == kUnchecked) {
-        SetStatus(s, kInHeap);
-        heap_.push_back(HeapKey(decomp_->layer[s], s));
-        any_seed = true;
-      }
-    }
-    if (!any_seed) continue;
-    ProcessLevel(level, &edge_node, &allowed_nodes);
-    // Attribute survivors to their nodes.
-    node_count_scratch_.clear();
-    for (EdgeId e : survivors_) {
-      if (GetStatus(e) != kSurvived) continue;
-      node_count_scratch_.emplace_back(edge_node[e], 1u);
-    }
-    std::sort(node_count_scratch_.begin(), node_count_scratch_.end());
-    size_t j = 0;
-    while (j < node_count_scratch_.size()) {
-      const uint32_t node = node_count_scratch_[j].first;
-      uint32_t count = 0;
-      while (j < node_count_scratch_.size() &&
-             node_count_scratch_[j].first == node) {
-        ++count;
-        ++j;
-      }
-      counts->emplace_back(node, count);
-    }
-  }
-  current_anchor_ = kInvalidEdge;
 }
 
 uint32_t FollowerSearch::RouteSize(EdgeId x) {

@@ -22,10 +22,18 @@
 //      eliminated edge lose it and may cascade.
 //
 // Levels are independent because a level-k follower rises to exactly k+1 and
-// is therefore not in T_{k+2}; per-level batches also never interact across
-// truss components (a counted triangle's same-level edges are always in the
-// same k-truss component), which is what makes GAS's per-tree-node caching
-// (FollowersByNode) coherent with the full search.
+// is therefore not in T_{k+2}.
+//
+// What a search reads. CountFollowers(x) reads the state of x and of x's
+// partners (the other two edges of each triangle through x) to collect
+// seeds. For every edge r it pops, it reads r's own (trussness, layer) and,
+// of each partner p of r, only three things: whether p is anchored, whether
+// t(p) is below, equal to or above t(r), and l(p) when t(p) = t(r). The
+// optional `processed` output of CountFollowers lists the popped edges, so
+// a caller holding it knows every input the count depended on: a later
+// state that agrees with the old one on those inputs gives the same count
+// and pops the same edges. GAS's cross-round reuse rests on this contract
+// (core/greedy_internal.h).
 //
 // Every per-edge triangle walk — seed collection, s+ counting, the retract
 // scan, route expansion, RouteSize — reads a full-graph TriangleIndex
@@ -43,7 +51,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -72,20 +79,11 @@ class FollowerSearch {
 
   // Computes F(x): all followers of hypothetically anchoring `x`. When
   // `followers` is non-null it receives the follower edge ids (unsorted but
-  // deterministic). Returns |F(x)|, i.e. TG({x}) by Lemma 1.
-  uint32_t CountFollowers(EdgeId x, std::vector<EdgeId>* followers = nullptr);
-
-  // GAS variant: computes followers restricted to the tree nodes listed in
-  // `allowed_nodes` (sorted node ids). `edge_node` maps every edge to its
-  // tree-node id. Appends (node id, follower count) pairs for each allowed
-  // node that produced at least one follower.
-  //
-  // Exactness contract: same-level nodes can be coupled through the
-  // candidate's own triangles, so the caller must list *all* nodes of a
-  // coupled level group whenever it lists one of them (see gas.cc).
-  void FollowersByNode(EdgeId x, const std::vector<uint32_t>& edge_node,
-                       const std::vector<uint32_t>& allowed_nodes,
-                       std::vector<std::pair<uint32_t, uint32_t>>* counts);
+  // deterministic). When `processed` is non-null it receives every edge the
+  // search popped, each once, in pop order (see "What a search reads"
+  // above). Returns |F(x)|, i.e. TG({x}) by Lemma 1.
+  uint32_t CountFollowers(EdgeId x, std::vector<EdgeId>* followers = nullptr,
+                          std::vector<EdgeId>* processed = nullptr);
 
   // Size of the upward-route candidate set of `x` (Table IV / Tur): the
   // number of distinct edges reachable from the Lemma 2 seeds along
@@ -127,10 +125,9 @@ class FollowerSearch {
   void EliminateAndScan(EdgeId r, bool was_survived, uint32_t level);
 
   // Runs one level batch given seeds already marked kInHeap and pushed onto
-  // heap_. When `allowed_nodes` is non-null, route expansion is confined to
-  // edges whose tree node is listed. Survivors are appended to survivors_.
-  void ProcessLevel(uint32_t level, const std::vector<uint32_t>* edge_node,
-                    const std::vector<uint32_t>* allowed_nodes);
+  // heap_. Survivors are appended to survivors_, and every popped edge to
+  // `processed` when it is non-null.
+  void ProcessLevel(uint32_t level, std::vector<EdgeId>* processed);
 
   // Collects the Lemma 2 condition (i) seeds of x into seeds_.
   void CollectSeeds(EdgeId x);
@@ -159,7 +156,6 @@ class FollowerSearch {
   std::vector<EdgeId> seeds_;
   std::vector<EdgeId> survivors_;
   std::vector<EdgeId> decrement_queue_;
-  std::vector<std::pair<uint32_t, uint32_t>> node_count_scratch_;
 };
 
 }  // namespace atr

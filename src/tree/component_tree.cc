@@ -99,7 +99,6 @@ void TrussComponentTree::Build(const Graph& g, const TriangleIndex& triangles,
   ATR_CHECK(triangles.NumEdges() == m);
   nodes_.clear();
   edge_node_index_.assign(m, kNoTreeNode);
-  edge_node_ids_.assign(m, kNoTreeNode);
 
   const bool has_anchors = !anchored.empty();
   auto is_anchored = [&](EdgeId e) { return has_anchors && anchored[e]; };
@@ -218,10 +217,7 @@ void TrussComponentTree::Build(const Graph& g, const TriangleIndex& triangles,
   }
 
   for (uint32_t idx = 0; idx < nodes_.size(); ++idx) {
-    for (EdgeId e : nodes_[idx].edges) {
-      edge_node_index_[e] = idx;
-      edge_node_ids_[e] = nodes_[idx].id;
-    }
+    for (EdgeId e : nodes_[idx].edges) edge_node_index_[e] = idx;
   }
 }
 

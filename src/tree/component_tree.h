@@ -4,9 +4,13 @@
 // node share one trussness K, and the subgraph induced by the edges in the
 // subtree rooted at a node is a K-truss component (a maximal
 // triangle-connected K-truss). Nodes carry the paper's TN.I identifier — the
-// smallest edge id in TN.E — which is the stable key the GAS reuse caches
-// are indexed by: a node whose edge set is unchanged across greedy rounds
-// keeps its id.
+// smallest edge id in TN.E — so a node whose edge set is unchanged across
+// anchor commits keeps its id.
+//
+// The paper keys GAS's cross-round reuse by tree node; this repository's
+// GAS reuses per candidate instead (core/gas.h) and builds no tree. The
+// tree stays as Algorithm 4 itself: perfbench's per-layer probe
+// (tree.build_ms), bench_micro_kernels and component_tree_test build it.
 //
 // Construction scans a full-graph TriangleIndex (graph/triangle_index.h),
 // visiting each triangle once from its smallest edge id, and buckets it at
@@ -15,9 +19,9 @@
 // members of every truss level), then sweeps levels from k_max downward
 // with a union-find dendrogram: unions at level k merge the classes'
 // previous top nodes as children of the level-k node. The index depends on
-// the topology only, so GAS builds it once per solve and every per-round
-// rebuild reuses it: O((m + #triangles) α) per rebuild, with no oriented
-// adjacency rebuilt or re-intersected.
+// the topology only, so a caller that rebuilds the tree after each commit
+// can build it once and pass it to every rebuild: O((m + #triangles) α)
+// per rebuild, with no oriented adjacency rebuilt or re-intersected.
 //
 // The bucketing is parallel: a count, prefix-sum and fill pass over
 // ParallelForChunked edge chunks writes every level's triangle pairs into
@@ -80,10 +84,6 @@ class TrussComponentTree {
     return idx == kNoTreeNode ? kNoTreeNode : nodes_[idx].id;
   }
 
-  // Per-edge TN.I array (kNoTreeNode entries for anchors); the map
-  // FollowerSearch::FollowersByNode consumes.
-  const std::vector<uint32_t>& edge_node_ids() const { return edge_node_ids_; }
-
   // All edges in the subtree rooted at `node_index` (the K-truss component
   // of that node).
   std::vector<EdgeId> SubtreeEdges(uint32_t node_index) const;
@@ -97,7 +97,6 @@ class TrussComponentTree {
  private:
   std::vector<TrussTreeNode> nodes_;
   std::vector<uint32_t> edge_node_index_;  // EdgeId -> node index
-  std::vector<uint32_t> edge_node_ids_;    // EdgeId -> TN.I
 };
 
 }  // namespace atr

@@ -120,8 +120,9 @@ TrussDecomposition ComputeTrussDecompositionWithPlan(
 // Restricted decomposition over the subgraph formed by `edge_subset`
 // (anchored edges that the caller wants present must be listed too).
 // Edges outside the subset get trussness kTrussnessNotComputed and do not
-// participate in triangles. Used by the GAS local subtree rebuild. Same
-// plan dispatch as ComputeTrussDecomposition.
+// participate in triangles. Used by the incremental engine's from-scratch
+// fallback and by BASE's per-round recompute. Same plan dispatch as
+// ComputeTrussDecomposition.
 TrussDecomposition ComputeTrussDecompositionOnSubset(
     const Graph& g, const std::vector<bool>& anchored,
     const std::vector<EdgeId>& edge_subset);

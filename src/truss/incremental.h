@@ -175,6 +175,17 @@ class IncrementalTruss {
     undo_base_serial_ = next_undo_serial_++;
   }
 
+  // Calls fn(edge, trussness before the write) for every edge-state write
+  // since the last ClearUndoLog(), oldest first: the undo log, read-only.
+  // An edge written twice is reported twice. Anchored and removed edges
+  // read kAnchoredTrussness and kTrussnessNotComputed, as in
+  // decomposition(). GAS reads this after each commit to find what the
+  // commit changed (core/greedy_internal.h).
+  template <typename Fn>
+  void ForEachWrite(Fn&& fn) const {
+    for (const UndoEntry& u : undo_) fn(u.edge, u.trussness);
+  }
+
   struct Stats {
     uint64_t anchors_applied = 0;
     uint64_t edges_removed = 0;

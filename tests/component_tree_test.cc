@@ -99,7 +99,6 @@ TEST(ComponentTree, AnchoredEdgesHaveNoNode) {
   tree.Build(g, d, anchored);
   tree.CheckInvariants(g, d, anchored);
   EXPECT_EQ(tree.NodeIdOf(x), kNoTreeNode);
-  EXPECT_EQ(tree.edge_node_ids()[x], kNoTreeNode);
 }
 
 TEST(ComponentTree, AnchorMediatedTriangleConnectsComponents) {
@@ -198,8 +197,8 @@ void ExpectSameTree(const TrussComponentTree& want,
   for (EdgeId e = 0; e < m; ++e) {
     EXPECT_EQ(want.NodeIndexOf(e), got.NodeIndexOf(e))
         << label << " edge " << e;
+    EXPECT_EQ(want.NodeIdOf(e), got.NodeIdOf(e)) << label << " edge " << e;
   }
-  EXPECT_EQ(want.edge_node_ids(), got.edge_node_ids()) << label;
 }
 
 TEST_P(TreePropertyTest, BuildIsIdenticalAtEveryThreadCount) {

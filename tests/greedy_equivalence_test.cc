@@ -1,9 +1,9 @@
 // The central correctness property of the repository: BASE (brute force),
-// BASE+ (upward-route search) and GAS (route search + tree reuse) are three
-// implementations of the same greedy algorithm and must select identical
-// anchor sequences with identical per-round gains. All solvers run through
-// the unified registry API (api/registry.h) — the same code path benches
-// and services use. Also checks the reported total gain against an
+// BASE+ (upward-route search) and GAS (route search + read-set reuse) are
+// three implementations of the same greedy algorithm and must select
+// identical anchor sequences with identical per-round gains. All solvers run
+// through the unified registry API (api/registry.h) — the same code path
+// benches and services use. Also checks the reported total gain against an
 // independent anchored re-decomposition.
 
 #include <gtest/gtest.h>
@@ -135,10 +135,11 @@ TEST_P(GreedyEquivalenceProperty, MarginalGainsAreFollowerCounts) {
 INSTANTIATE_TEST_SUITE_P(Seeds, GreedyEquivalenceProperty,
                          ::testing::Range<uint64_t>(0, 20));
 
-// Regression for the level-group coupling bug: geometric graphs at this
-// size produce candidates whose seed nodes sit in different same-level
-// truss components coupled only through the candidate edge itself, which
-// per-node (instead of per-level-group) reuse gets wrong.
+// Deep budgets on the profile families: many rounds of reuse on top of
+// earlier commits. Geometric graphs at this size produce candidates whose
+// seeds sit in different same-level truss components coupled only through
+// the candidate edge itself; the web and hierarchy profiles are where GAS's
+// read-set rule marks the most candidates per commit.
 TEST(GreedyEquivalence, GeometricProfileDeepBudget) {
   const Graph g = MakeSocialProfile("gowalla", 0.05, 0);
   ExpectSameSelections(RunVia("base+", g, 10), RunVia("gas", g, 10),
@@ -149,6 +150,33 @@ TEST(GreedyEquivalence, WebProfileDeepBudget) {
   const Graph g = MakeSocialProfile("google", 0.03, 0);
   ExpectSameSelections(RunVia("base+", g, 10), RunVia("gas", g, 10),
                        "BASE+ vs GAS (google stand-in)");
+}
+
+TEST(GreedyEquivalence, HierarchyProfileDeepBudget) {
+  const Graph g = MakeSocialProfile("facebook", 0.03, 0);
+  ExpectSameSelections(RunVia("base+", g, 10), RunVia("gas", g, 10),
+                       "BASE+ vs GAS (facebook stand-in)");
+}
+
+// GAS re-searches a candidate only when its last search read an edge the
+// commit wrote. On this graph a commit writes a few dozen edges, so every
+// round after the first must reuse all but a few percent of its cached
+// counts, and none is partly reused. A rule that marks too much (say,
+// every candidate in the commit's truss component) fails the bound; one
+// that marks too little diverges from BASE+.
+TEST(GreedyEquivalence, GasResearchesFewCandidatesAfterRoundOne) {
+  const Graph g = MakeSocialProfile("pokec", 0.05, 0);
+  const SolveResult gas = RunVia("gas", g, 6);
+  ASSERT_EQ(gas.rounds.size(), 6u);
+  ExpectSameSelections(RunVia("base+", g, 6), gas, "BASE+ vs GAS");
+  EXPECT_EQ(gas.rounds[0].fully_reusable, 0u);
+  for (size_t r = 1; r < gas.rounds.size(); ++r) {
+    const AnchorRound& round = gas.rounds[r];
+    const uint32_t candidates = round.fully_reusable + round.non_reusable;
+    EXPECT_EQ(candidates, gas.rounds[0].non_reusable - r) << "round " << r;
+    EXPECT_LT(round.non_reusable * 20u, candidates) << "round " << r;
+    EXPECT_EQ(round.partially_reusable, 0u) << "round " << r;
+  }
 }
 
 SolveResult RunAtThreads(const char* solver_name, const Graph& g,
@@ -188,10 +216,10 @@ void ExpectIdenticalRuns(const SolveResult& a, const SolveResult& b,
 // asks next, so the worker that evaluates (and, in GAS, caches) an edge
 // changes from run to run. The property graphs above fit in one block;
 // this graph spans dozens, so a claim-loop fault — a block skipped or
-// evaluated twice, a worker's best lost in the fold, a cache entry
-// written by the wrong worker — shows up as a divergence from the
-// one-thread run. The nightly TSan leg runs this test to prove the
-// cursor and the per-edge cache writes race-free.
+// evaluated twice, a worker's best lost in the fold, a block's read sets
+// written by a worker that did not claim it — shows up as a divergence
+// from the one-thread run. The nightly TSan leg runs this test to prove
+// the cursor and the per-block cache writes race-free.
 TEST(GreedyEquivalence, GasThreadSweepOnManyClaimBlocks) {
   const Graph g = MakeSocialProfile("pokec", 0.05, 0);
   ASSERT_GT(g.NumEdges(), 40u * 256);
