@@ -1,33 +1,30 @@
-// Speedup of the round-synchronous parallel truss decomposition
-// (truss/parallel_peel.h) over the serial Algorithm 1 peel on the Fig. 9
-// scalability graphs (patents, pokec stand-ins) — the hot path PR 3
-// parallelizes. Every parallel run is asserted byte-identical to the
-// serial result before its time is reported, so the table can never show
-// a "speedup" that changed the answer.
+// Speed of the truss decomposition (truss/flat_peel.h behind
+// ComputeTrussDecomposition) against the serial Algorithm 1 peel on the
+// Fig. 9 scalability graphs (patents, pokec stand-ins), swept over thread
+// counts. Every run is asserted byte-identical to the serial result before
+// any time is printed, so the table can never show a "speedup" that
+// changed the answer.
 //
-// --plan switches to the DecompositionPlan sweep: every plan
-// (truss/plan.h) at a single thread against the serial oracle, reporting
-// the flat SoA kernels' single-thread advantage (the PR 10 acceptance bar
-// is > 2x for bsp on the Fig. 9 graphs). Rows carry
-// config = "plan:<name>" so scripts/bench_diff.py tracks each plan as its
-// own trajectory.
+// Rows carry config = "plan:serial" (the oracle) or "plan:bsp" (the flat
+// engine) with the thread count, so scripts/bench_diff.py tracks each
+// (engine, threads) pair as its own trajectory. The one-thread rows are
+// the ones BENCH_service.json gates.
 //
 // Knobs:
-//   ATR_BENCH_PAR_THREADS — comma-separated thread counts (default 1,2,4,8)
+//   ATR_BENCH_PAR_THREADS — comma-separated thread counts for the flat
+//                           engine, beyond the one-thread row that always
+//                           runs (default 1,2,4,8)
 //   ATR_BENCH_PAR_REPS    — repetitions per configuration, best is kept
 //                           (default 3)
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "truss/decomposition.h"
-#include "truss/parallel_peel.h"
-#include "truss/plan.h"
 #include "util/env.h"
 #include "util/parallel_for.h"
 #include "util/table_printer.h"
@@ -36,9 +33,10 @@
 namespace atr {
 namespace {
 
+// One thread first, then every other count in ATR_BENCH_PAR_THREADS.
 std::vector<int> ThreadList() {
   const std::string spec = GetEnvString("ATR_BENCH_PAR_THREADS", "1,2,4,8");
-  std::vector<int> threads;
+  std::vector<int> threads = {1};
   int value = 0;
   bool have_digit = false;
   for (const char ch : spec + ",") {
@@ -46,24 +44,25 @@ std::vector<int> ThreadList() {
       value = value * 10 + (ch - '0');
       have_digit = true;
     } else {
-      if (have_digit && value > 0) threads.push_back(value);
+      if (have_digit && value > 1 &&
+          std::find(threads.begin(), threads.end(), value) == threads.end()) {
+        threads.push_back(value);
+      }
       value = 0;
       have_digit = false;
     }
   }
-  if (threads.empty()) threads = {1, 2, 4, 8};
   return threads;
 }
 
 void ExpectIdentical(const TrussDecomposition& serial,
-                     const TrussDecomposition& parallel, const char* dataset,
+                     const TrussDecomposition& flat, const char* dataset,
                      int threads) {
-  if (serial.trussness != parallel.trussness ||
-      serial.layer != parallel.layer ||
-      serial.max_trussness != parallel.max_trussness) {
+  if (serial.trussness != flat.trussness || serial.layer != flat.layer ||
+      serial.max_trussness != flat.max_trussness) {
     std::fprintf(stderr,
-                 "bench: parallel decomposition diverged from serial on %s "
-                 "at %d threads\n",
+                 "bench: decomposition diverged from serial on %s at %d "
+                 "threads\n",
                  dataset, threads);
     std::abort();
   }
@@ -79,6 +78,18 @@ double BestSeconds(int reps, const Fn& fn) {
     if (r == 0 || elapsed < best) best = elapsed;
   }
   return best;
+}
+
+void EmitRow(const char* dataset, const char* config, int threads,
+             uint32_t edges, double seconds, double serial_seconds) {
+  BenchJsonRow("bench_plan_sweep")
+      .Add("dataset", dataset)
+      .Add("config", config)
+      .AddInt("threads", threads)
+      .AddInt("edges", edges)
+      .AddDouble("ms", seconds * 1e3)
+      .AddDouble("speedup_vs_serial", serial_seconds / seconds)
+      .Emit();
 }
 
 void Run() {
@@ -98,94 +109,35 @@ void Run() {
     const double serial_seconds = BestSeconds(
         reps, [&] { serial = ComputeTrussDecompositionSerial(g); });
 
-    TablePrinter table({"Engine", "Threads", "ms", "speedup"});
+    TablePrinter table({"Engine", "Threads", "ms", "vs serial", "vs 1 thread"});
     table.AddRow({"serial", "1",
-                  TablePrinter::FormatDouble(serial_seconds * 1e3, 2),
-                  "1.00"});
-    BenchJsonRow json("bench_parallel_decomposition");
-    json.Add("dataset", name)
-        .Add("engine", "serial")
-        .AddInt("threads", 1)
-        .AddInt("edges", g.NumEdges())
-        .AddDouble("ms", serial_seconds * 1e3)
-        .AddDouble("speedup", 1.0)
-        .Emit();
+                  TablePrinter::FormatDouble(serial_seconds * 1e3, 2), "1.00",
+                  "-"});
+    EmitRow(name, "plan:serial", 1, g.NumEdges(), serial_seconds,
+            serial_seconds);
+
+    double one_thread_seconds = 0.0;
     for (const int t : threads) {
       ScopedParallelism parallelism(t);
-      TrussDecomposition parallel;
-      const double seconds = BestSeconds(
-          reps, [&] { parallel = ComputeTrussDecompositionParallel(g); });
-      ExpectIdentical(serial, parallel, name, t);
-      table.AddRow({"parallel", std::to_string(t),
+      TrussDecomposition flat;
+      const double seconds =
+          BestSeconds(reps, [&] { flat = ComputeTrussDecomposition(g); });
+      ExpectIdentical(serial, flat, name, t);
+      if (t == 1) one_thread_seconds = seconds;
+      table.AddRow({"flat", std::to_string(t),
                     TablePrinter::FormatDouble(seconds * 1e3, 2),
-                    TablePrinter::FormatDouble(serial_seconds / seconds, 2)});
-      json.Add("dataset", name)
-          .Add("engine", "parallel")
-          .AddInt("threads", t)
-          .AddInt("edges", g.NumEdges())
-          .AddDouble("ms", seconds * 1e3)
-          .AddDouble("speedup", serial_seconds / seconds)
-          .Emit();
+                    TablePrinter::FormatDouble(serial_seconds / seconds, 2),
+                    TablePrinter::FormatDouble(one_thread_seconds / seconds,
+                                               2)});
+      EmitRow(name, "plan:bsp", t, g.NumEdges(), seconds, serial_seconds);
     }
     table.Print();
   }
   std::printf(
-      "\nexpected shape: speedup grows with threads up to the physical core "
-      "count; the acceptance bar is >= 3x at 8 threads on the largest "
-      "Fig. 9 graph (pokec) on an 8-core host. Single-core containers "
-      "report ~1x by construction — the byte-identical assertion is the "
-      "hardware-independent signal.\n");
-}
-
-// The --plan sweep: every DecompositionPlan at one thread, byte-identity
-// asserted against the serial oracle before any time is reported.
-void RunPlanSweep() {
-  PrintBenchHeader("bench_plan_sweep", "Fig. 9 hot path, plan kernels");
-  const int reps = static_cast<int>(
-      std::max<int64_t>(1, GetEnvInt64("ATR_BENCH_PAR_REPS", 3)));
-  std::printf("reps per configuration: %d (best kept), 1 thread\n", reps);
-
-  for (const char* name : {"patents", "pokec"}) {
-    const DatasetInstance data = MakeDataset(name, BenchScale());
-    const Graph& g = data.graph;
-    std::printf("\ndataset %s (|V|=%u |E|=%u k_max=%u)\n", name,
-                g.NumVertices(), g.NumEdges(), data.k_max);
-
-    ScopedParallelism parallelism(1);
-    TrussDecomposition serial;
-    const double serial_seconds = BestSeconds(
-        reps, [&] { serial = ComputeTrussDecompositionSerial(g); });
-
-    TablePrinter table({"Plan", "ms", "speedup_vs_serial"});
-    table.AddRow({"serial-oracle",
-                  TablePrinter::FormatDouble(serial_seconds * 1e3, 2),
-                  "1.00"});
-    BenchJsonRow json("bench_plan_sweep");
-    for (const DecompositionPlan& plan :
-         {DecompositionPlan::Serial(), DecompositionPlan::Bsp(),
-          DecompositionPlan::BspCoreThenTruss()}) {
-      TrussDecomposition result;
-      const double seconds = BestSeconds(reps, [&] {
-        result = ComputeTrussDecompositionWithPlan(g, {}, plan);
-      });
-      ExpectIdentical(serial, result, name, 1);
-      table.AddRow({plan.Name(), TablePrinter::FormatDouble(seconds * 1e3, 2),
-                    TablePrinter::FormatDouble(serial_seconds / seconds, 2)});
-      json.Add("dataset", name)
-          .Add("config", "plan:" + plan.Name())
-          .AddInt("threads", 1)
-          .AddInt("edges", g.NumEdges())
-          .AddDouble("ms", seconds * 1e3)
-          .AddDouble("speedup_vs_serial", serial_seconds / seconds)
-          .Emit();
-    }
-    table.Print();
-  }
-  std::printf(
-      "\nexpected shape: the flat bsp kernels beat the serial bucket peel "
-      "at one thread (acceptance bar > 2x on the Fig. 9 graphs); "
-      "bsp-core-truss adds the k-core prefilter, which pays on graphs with "
-      "a large triangle-free fringe.\n");
+      "\nexpected shape: the flat engine beats the serial bucket peel at one "
+      "thread (> 2x on the Fig. 9 graphs). Its triangle sweep is serial and "
+      "only the peel rounds fan out, so extra threads buy little until the "
+      "sweep is parallel.\n");
 }
 
 }  // namespace
@@ -193,14 +145,6 @@ void RunPlanSweep() {
 
 int main(int argc, char** argv) {
   atr::ParseBenchFlags(argc, argv);
-  bool plan_sweep = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--plan") == 0) plan_sweep = true;
-  }
-  if (plan_sweep) {
-    atr::RunPlanSweep();
-  } else {
-    atr::Run();
-  }
+  atr::Run();
   return 0;
 }

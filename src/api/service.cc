@@ -9,7 +9,6 @@
 #include "api/registry.h"
 #include "core/exact.h"
 #include "truss/incremental.h"
-#include "truss/plan.h"
 #include "util/mutex.h"
 #include "util/parallel_for.h"
 #include "util/thread_annotations.h"
@@ -556,7 +555,6 @@ StatusOr<JobHandle> AtrService::SubmitInternal(const std::string& graph_name,
   state->graph_name = graph_name;
   state->solver_name = solver_name;
   state->options = options;
-  if (submit.plan.has_value()) state->options.plan = *submit.plan;
   state->solver = std::move(*solver);
   state->on_done = std::move(done);
   // Pin the version that is current NOW: a queued job is unaffected by
@@ -571,12 +569,11 @@ StatusOr<JobHandle> AtrService::SubmitInternal(const std::string& graph_name,
   if (FusableSolver(solver_name) && FusableOptions(options)) {
     // The pinned GraphVersion's address identifies graph + version with no
     // ABA risk (every queued member's snapshot closure keeps it alive), so
-    // jobs only fuse when they would walk the same immutable snapshot with
-    // the same engine configuration.
+    // jobs only fuse when they would walk the same immutable snapshot at
+    // the same thread count.
     job.batch_key = solver_name + "|" +
                     std::to_string(reinterpret_cast<uintptr_t>(version.get())) +
-                    "|t" + std::to_string(options.threads) + "|p" +
-                    state->options.plan.CacheKey();
+                    "|t" + std::to_string(options.threads);
   }
   job.payload = state;
 
@@ -686,11 +683,6 @@ void AtrService::RunJob(const std::shared_ptr<internal::JobState>& state) {
     state->state = JobHandle::State::kRunning;
   }
 
-  // The job's plan governs the snapshot's lazy decomposition build too —
-  // it happens on this worker thread, inside state->snapshot(), before
-  // the solver adapter installs its own scope.
-  ScopedDecompositionPlan plan_scope(state->options.plan);
-
   // Fork the per-job read path: a private context primed with the shared
   // immutable snapshot. The solver mutates only this context (counters)
   // and its own stack — the snapshot is never written.
@@ -739,9 +731,6 @@ void AtrService::RunJob(const std::shared_ptr<internal::JobState>& state) {
 // are byte-identical.
 void AtrService::RunFusedGreedy(
     const std::vector<std::shared_ptr<internal::JobState>>& members) {
-  // The batch key includes the plan's cache key, so every member shares
-  // one plan; it governs the snapshot's lazy decomposition build below.
-  ScopedDecompositionPlan plan_scope(members.front()->options.plan);
   const GraphSnapshot snapshot = members.front()->snapshot();
 
   // Per-member validation must match the solo path: a member with an
@@ -767,7 +756,6 @@ void AtrService::RunFusedGreedy(
   SolverOptions fused;
   fused.budget = max_budget;
   fused.threads = live.front()->options.threads;
-  fused.plan = live.front()->options.plan;
   // The batch's native cancel granularity: after each round, members that
   // already have their budget covered record progress, and the walk stops
   // only when EVERY member wants out (one live member keeps it running —
@@ -835,8 +823,6 @@ void AtrService::RunFusedGreedy(
 // checkpoints, so results match a solo run bit for bit).
 void AtrService::RunFusedExact(
     const std::vector<std::shared_ptr<internal::JobState>>& members) {
-  // One plan per batch (see RunFusedGreedy).
-  ScopedDecompositionPlan plan_scope(members.front()->options.plan);
   const GraphSnapshot snapshot = members.front()->snapshot();
 
   std::vector<std::shared_ptr<internal::JobState>> live;

@@ -35,7 +35,7 @@
 // round-robin so a flooding tenant cannot starve a light one.
 //
 // Batch fusion: compatible queued jobs — same graph version, same solver
-// (greedy family or exact), same threads and plan, and no
+// (greedy family or exact), same threads, and no
 // caller-owned progress/cancel/wall-clock hooks — coalesce into one
 // solver run. One greedy walk at the max budget serves every member as a
 // prefix; one exact enumeration per distinct checkpoint budget serves all
@@ -178,12 +178,6 @@ class AtrService {
   struct SubmitOptions {
     std::string tenant;
     int priority = 0;
-    // When set, overrides SolverOptions::plan for this job — the wire
-    // layer's submit-scoped decomposition-plan selection (protocol rev 3).
-    // The effective plan governs the snapshot's lazy decomposition build
-    // and partitions the fusion batch key, so jobs with different plans
-    // never fuse.
-    std::optional<DecompositionPlan> plan;
   };
 
   AtrService() : AtrService(Options()) {}

@@ -78,13 +78,6 @@ struct SolverOptions {
   // never depend on this setting); 0 keeps the process-wide default
   // (ATR_THREADS env, else hardware concurrency).
   int threads = 0;
-  // Decomposition kernel selection (truss/plan.h). The solver adapters
-  // install this as the thread's ambient plan for the whole Solve call, so
-  // the lazy SolverContext::Decomposition build and every nested subset
-  // recompute inside the objective engines dispatch through it. Every plan
-  // is byte-identical to the serial oracle, so — like `threads` — this
-  // never changes a result.
-  DecompositionPlan plan = DecompositionPlan::Default();
   // Called after every round/checkpoint; returning false cancels the run
   // (result is the prefix selected so far, stopped_early set).
   std::function<bool(const SolveProgress&)> progress;

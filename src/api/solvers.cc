@@ -17,7 +17,6 @@
 #include "core/exact.h"
 #include "core/gas.h"
 #include "core/random_baselines.h"
-#include "truss/plan.h"
 #include "util/parallel_for.h"
 #include "util/timer.h"
 
@@ -103,7 +102,6 @@ class GreedySolver : public Solver {
     if (!status.ok()) return status;
 
     ScopedParallelism parallelism(options.threads);
-    ScopedDecompositionPlan plan_scope(options.plan);
     GreedyControl control = MakeRoundControl(name_, options);
 
     // Round 1 of every greedy equals the cached decomposition — the
@@ -167,7 +165,6 @@ class ExactSolver : public Solver {
     if (!status.ok()) return status;
 
     ScopedParallelism parallelism(options.threads);
-    ScopedDecompositionPlan plan_scope(options.plan);
     // Fetch the shared decomposition before the timer so `seconds` means
     // the same thing for every adapter: solve time on warm shared state.
     const TrussDecomposition& base = context.Decomposition();
@@ -222,7 +219,6 @@ class RandomSolver : public Solver {
     if (!status.ok()) return status;
 
     ScopedParallelism parallelism(options.threads);
-    ScopedDecompositionPlan plan_scope(options.plan);
     // Trials are not rounds: only the cancel flag and wall-clock limit
     // apply (checked between trials on every worker).
     GreedyControl control;
@@ -276,7 +272,6 @@ class AktSolver : public Solver {
     if (!status.ok()) return status;
 
     ScopedParallelism parallelism(options.threads);
-    ScopedDecompositionPlan plan_scope(options.plan);
     const GreedyControl control = MakeRoundControl(Name(), options);
 
     const TrussDecomposition& base = context.Decomposition();

@@ -7,12 +7,10 @@
 // intersection compares raw 64-bit words and reads the closing edge ids
 // from the low halves without a FindEdge binary search per probe.
 //
-// A view is built once per graph snapshot — the shared-decomposition build
-// path (ComputeSharedTrussDecomposition, which the service layer invokes
+// A view is built once per decomposition call — the service layer's
+// shared-decomposition build (ComputeSharedTrussDecomposition, invoked
 // exactly once per published GraphVersion) constructs one view and every
-// phase of the peel reuses it. Benches and repeated-decomposition callers
-// can amortize further through the overloads in truss/flat_peel.h that
-// accept a prebuilt view.
+// phase of the peel reuses it.
 
 #ifndef ATR_GRAPH_FLAT_VIEW_H_
 #define ATR_GRAPH_FLAT_VIEW_H_

@@ -88,9 +88,9 @@ double SetTriangleCutoffForTest(double cutoff);
 // walk (O(min d · log max d)) — merge wins on comparable degrees, the walk
 // on hub edges; internal::TriangleCutoff() weighs the two cost models.
 // Same callback contract and the same ascending-common-neighbor order.
-// This is the kernel of the parallel support init and the parallel peel's
-// frontier rounds, where each edge is queried independently from CSR and
-// per-edge cost dominates.
+// This is the kernel of ComputeSupportParallel's per-edge counts, where
+// each edge is queried independently from CSR and per-edge cost
+// dominates.
 template <typename Fn>
 void ForEachTriangleOfEdgeAdaptive(const Graph& g, EdgeId e, Fn&& fn) {
   const EdgeEndpoints ends = g.Edge(e);
@@ -132,7 +132,7 @@ uint32_t EdgeSupport(const Graph& g, EdgeId e);
 // whole-graph sweep — this queries one edge independently and only reads
 // the immutable CSR plus `within`, so callers may evaluate disjoint edges
 // concurrently. This is the parallel-friendly triangle primitive behind
-// ComputeSupportParallel and the parallel truss peel.
+// ComputeSupportParallel.
 uint32_t EdgeSupportWithin(const Graph& g, EdgeId e,
                            const std::vector<bool>& within);
 

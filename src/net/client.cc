@@ -8,6 +8,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 namespace atr {
@@ -183,8 +184,7 @@ StatusOr<AtrService::GraphInfo> AtrClient::Info(const std::string& graph) {
 
 StatusOr<uint64_t> AtrClient::SendSubmit(
     const std::string& graph, const std::string& solver,
-    const WireSolverOptions& options, const std::string& tenant, int priority,
-    const std::optional<DecompositionPlan>& plan) {
+    const WireSolverOptions& options, const std::string& tenant, int priority) {
   SubmitRequest request;
   request.request_id = NextRequestId();
   request.graph = graph;
@@ -192,7 +192,6 @@ StatusOr<uint64_t> AtrClient::SendSubmit(
   request.options = options;
   request.tenant = tenant;
   request.priority = priority;
-  request.plan = plan;
   if (Status s = SendBytes(request.EncodeFrame()); !s.ok()) return s;
   return request.request_id;
 }
@@ -207,10 +206,9 @@ StatusOr<uint64_t> AtrClient::ReceiveSubmit(uint64_t request_id) {
 
 StatusOr<uint64_t> AtrClient::Submit(
     const std::string& graph, const std::string& solver,
-    const WireSolverOptions& options, const std::string& tenant, int priority,
-    const std::optional<DecompositionPlan>& plan) {
+    const WireSolverOptions& options, const std::string& tenant, int priority) {
   StatusOr<uint64_t> request_id =
-      SendSubmit(graph, solver, options, tenant, priority, plan);
+      SendSubmit(graph, solver, options, tenant, priority);
   if (!request_id.ok()) return request_id.status();
   return ReceiveSubmit(*request_id);
 }

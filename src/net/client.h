@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,14 +78,11 @@ class AtrClient {
   StatusOr<AtrService::GraphInfo> Info(const std::string& graph);
   // Enqueues a solve; the returned job id feeds Wait / Cancel. `tenant`
   // names the fair-share queue the job lands in ("" = the default
-  // tenant); higher `priority` runs first within the tenant. `plan`
-  // selects the server-side decomposition kernel (truss/plan.h); nullopt
-  // keeps the server default.
+  // tenant); higher `priority` runs first within the tenant.
   StatusOr<uint64_t> Submit(
       const std::string& graph, const std::string& solver,
       const WireSolverOptions& options, const std::string& tenant = "",
-      int priority = 0,
-      const std::optional<DecompositionPlan>& plan = std::nullopt);
+      int priority = 0);
   // Blocks until the job finishes server-side and returns its result.
   StatusOr<WireSolveResult> Wait(uint64_t job_id);
   // true = the job was cancelled before running; false = too late.
@@ -105,8 +101,7 @@ class AtrClient {
   StatusOr<uint64_t> SendSubmit(
       const std::string& graph, const std::string& solver,
       const WireSolverOptions& options, const std::string& tenant = "",
-      int priority = 0,
-      const std::optional<DecompositionPlan>& plan = std::nullopt);
+      int priority = 0);
   StatusOr<uint64_t> ReceiveSubmit(uint64_t request_id);
   StatusOr<uint64_t> SendWait(uint64_t job_id);
   StatusOr<WireSolveResult> ReceiveWait(uint64_t request_id);

@@ -557,7 +557,6 @@ void AtrServer::HandleSubmit(Connection& conn, const SubmitRequest& request) {
   AtrService::SubmitOptions submit_options;
   submit_options.tenant = request.tenant;
   submit_options.priority = request.priority;
-  submit_options.plan = request.plan;
   StatusOr<JobHandle> handle =
       service_->TrySubmit(request.graph, request.solver,
                           request.options.ToSolverOptions(), submit_options,

@@ -302,14 +302,6 @@ std::vector<uint8_t> SubmitRequest::EncodeFrame() const {
   w.WriteU8(0);
   w.WriteString(tenant);
   w.WriteU32(static_cast<uint32_t>(priority));
-  // Revision-3 trailing fields; a request without an explicit plan stays
-  // byte-identical to a revision-2 frame.
-  if (plan.has_value()) {
-    w.WriteU8(static_cast<uint8_t>(plan->algorithm));
-    w.WriteU32(plan->chunk_size);
-    w.WriteU32(plan->fanout_cutoff);
-    w.WriteU8(plan->prefilter ? 1 : 0);
-  }
   return FinishFrame(MsgType::kSubmit, w);
 }
 
@@ -335,23 +327,17 @@ StatusOr<SubmitRequest> SubmitRequest::Decode(
     }
     out.priority = static_cast<int32_t>(raw_priority);
   }
-  // Plan selection arrived in revision 3; a payload ending at the rev-2
-  // fields leaves the plan unset (server default). Unknown algorithm ids
-  // are rejected — untrusted-bytes boundary, never aborts.
+  // The revision-3 trailer (see SubmitRequest) is read, checked and
+  // ignored — untrusted-bytes boundary, never aborts. Algorithm ids above
+  // 2 never named a kernel and stay rejected.
   if (r.remaining() > 0) {
     uint8_t algorithm = 0;
-    uint8_t prefilter = 0;
-    DecompositionPlan plan;
-    if (!r.ReadU8(&algorithm) || !r.ReadU32(&plan.chunk_size) ||
-        !r.ReadU32(&plan.fanout_cutoff) || !r.ReadU8(&prefilter)) {
+    uint32_t ignored32 = 0;
+    uint8_t ignored8 = 0;
+    if (!r.ReadU8(&algorithm) || !r.ReadU32(&ignored32) ||
+        !r.ReadU32(&ignored32) || !r.ReadU8(&ignored8) || algorithm > 2) {
       return DecodeError("SubmitRequest");
     }
-    if (algorithm > static_cast<uint8_t>(PeelAlgorithm::kBspCoreThenTruss)) {
-      return DecodeError("SubmitRequest");
-    }
-    plan.algorithm = static_cast<PeelAlgorithm>(algorithm);
-    plan.prefilter = prefilter != 0;
-    out.plan = plan;
   }
   if (Status s = FinishDecode(r, "SubmitRequest"); !s.ok()) return s;
   return out;

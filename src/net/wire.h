@@ -196,13 +196,11 @@ struct SubmitRequest {
   // tenant ("") at priority 0.
   std::string tenant;
   int32_t priority = 0;
-  // Decomposition plan selection (protocol revision 3): u8 algorithm id,
-  // u32 chunk_size, u32 fanout_cutoff, u8 prefilter, trailing after the
-  // rev-2 fields and only encoded when set. Absent — any frame ending at
-  // priority or earlier — means "server default" (nullopt). Unknown
-  // algorithm ids are a decode error, not a fallback: silently running a
-  // different kernel than a newer client asked for would be misleading.
-  std::optional<DecompositionPlan> plan;
+  // Protocol revision 3 appended a 10-byte trailer after `priority` that
+  // once selected the server's decomposition kernel: u8 algorithm id
+  // (0-2), u32, u32, u8. The decoder still reads and bounds-checks it —
+  // a cut trailer or an algorithm id above 2 is rejected — then ignores
+  // it; the encoder never writes it.
 
   std::vector<uint8_t> EncodeFrame() const;
   static StatusOr<SubmitRequest> Decode(std::span<const uint8_t> payload);

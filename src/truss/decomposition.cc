@@ -3,15 +3,12 @@
 #include <algorithm>
 
 #include "graph/triangles.h"
-#include "truss/flat_peel.h"
-#include "truss/plan.h"
 #include "util/macros.h"
-#include "util/parallel_for.h"
 
 namespace atr {
 namespace {
 
-// Shared peeling engine. `alive` marks edges participating in the
+// The serial Algorithm 1 peel. `alive` marks edges participating in the
 // decomposition (already excludes out-of-subset edges); anchored edges are
 // alive forever.
 TrussDecomposition Peel(const Graph& g, const std::vector<bool>& anchored,
@@ -116,49 +113,10 @@ TrussDecomposition Peel(const Graph& g, const std::vector<bool>& anchored,
 
 }  // namespace
 
-TrussDecomposition ComputeTrussDecompositionWithPlan(
-    const Graph& g, const std::vector<bool>& anchored,
-    const DecompositionPlan& plan) {
-  if (plan.algorithm == PeelAlgorithm::kSerial) {
-    return ComputeTrussDecompositionSerial(g, anchored);
-  }
-  return ComputeTrussDecompositionFlat(g, anchored, plan);
-}
-
-TrussDecomposition ComputeTrussDecomposition(
-    const Graph& g, const std::vector<bool>& anchored) {
-  return ComputeTrussDecompositionWithPlan(g, anchored,
-                                           DecompositionPlan::Ambient());
-}
-
-SharedTrussDecomposition ComputeSharedTrussDecompositionWithPlan(
-    const Graph& g, const std::vector<bool>& anchored,
-    const DecompositionPlan& plan) {
-  return std::make_shared<const TrussDecomposition>(
-      ComputeTrussDecompositionWithPlan(g, anchored, plan));
-}
-
 SharedTrussDecomposition ComputeSharedTrussDecomposition(
     const Graph& g, const std::vector<bool>& anchored) {
-  return ComputeSharedTrussDecompositionWithPlan(g, anchored,
-                                                 DecompositionPlan::Ambient());
-}
-
-TrussDecomposition ComputeTrussDecompositionOnSubsetWithPlan(
-    const Graph& g, const std::vector<bool>& anchored,
-    const std::vector<EdgeId>& edge_subset, const DecompositionPlan& plan) {
-  if (plan.algorithm == PeelAlgorithm::kSerial) {
-    return ComputeTrussDecompositionOnSubsetSerial(g, anchored, edge_subset);
-  }
-  return ComputeTrussDecompositionOnSubsetFlat(g, anchored, edge_subset,
-                                               plan);
-}
-
-TrussDecomposition ComputeTrussDecompositionOnSubset(
-    const Graph& g, const std::vector<bool>& anchored,
-    const std::vector<EdgeId>& edge_subset) {
-  return ComputeTrussDecompositionOnSubsetWithPlan(
-      g, anchored, edge_subset, DecompositionPlan::Ambient());
+  return std::make_shared<const TrussDecomposition>(
+      ComputeTrussDecomposition(g, anchored));
 }
 
 TrussDecomposition ComputeTrussDecompositionSerial(

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "truss/plan.h"
 #include "util/binary_io.h"
 #include "util/status.h"
 
@@ -92,47 +91,34 @@ struct TrussDecomposition {
 // mutable checkouts copy-on-write from it instead of locking it.
 using SharedTrussDecomposition = std::shared_ptr<const TrussDecomposition>;
 
-// ComputeTrussDecomposition wrapped in a shared snapshot handle. The
-// plan-less overload uses DecompositionPlan::Ambient().
+// ComputeTrussDecomposition wrapped in a shared snapshot handle.
 SharedTrussDecomposition ComputeSharedTrussDecomposition(
     const Graph& g, const std::vector<bool>& anchored = {});
-SharedTrussDecomposition ComputeSharedTrussDecompositionWithPlan(
-    const Graph& g, const std::vector<bool>& anchored,
-    const DecompositionPlan& plan);
 
 // Full-graph decomposition. `anchored` is either empty (no anchors) or a
 // size-m mask; anchored edges are retained throughout peeling.
 //
-// Every entry point dispatches through a DecompositionPlan (truss/plan.h):
-// kSerial routes to the reference peel below, kBsp / kBspCoreThenTruss to
-// the flat SoA engine (truss/flat_peel.h). All engines are byte-identical
-// in trussness, layer, and max_trussness at any thread count, so callers
-// never observe the choice. The plan-less overloads use
-// DecompositionPlan::Ambient() — the innermost ScopedDecompositionPlan on
-// this thread (installed by the solver adapters from SolverOptions::plan),
-// else the ATR_PLAN process default.
+// Implemented by the flat SoA peel (truss/flat_peel.h), whose peel rounds
+// fan out across the calling thread's ScopedParallelism / ATR_THREADS
+// workers. Trussness, layer and max_trussness are byte-identical to the
+// serial oracle below at any thread count, so callers never observe the
+// worker count.
 TrussDecomposition ComputeTrussDecomposition(
     const Graph& g, const std::vector<bool>& anchored = {});
-TrussDecomposition ComputeTrussDecompositionWithPlan(
-    const Graph& g, const std::vector<bool>& anchored,
-    const DecompositionPlan& plan);
 
 // Restricted decomposition over the subgraph formed by `edge_subset`
 // (anchored edges that the caller wants present must be listed too).
 // Edges outside the subset get trussness kTrussnessNotComputed and do not
 // participate in triangles. Used by the incremental engine's from-scratch
-// fallback and by BASE's per-round recompute. Same plan dispatch as
+// fallback and by BASE's per-round recompute. Same engine as
 // ComputeTrussDecomposition.
 TrussDecomposition ComputeTrussDecompositionOnSubset(
     const Graph& g, const std::vector<bool>& anchored,
     const std::vector<EdgeId>& edge_subset);
-TrussDecomposition ComputeTrussDecompositionOnSubsetWithPlan(
-    const Graph& g, const std::vector<bool>& anchored,
-    const std::vector<EdgeId>& edge_subset, const DecompositionPlan& plan);
 
 // The serial Algorithm 1 peel, always single-threaded. This is the
-// reference engine the parallel peel is differentially tested against;
-// production callers should use the dispatching entry points above.
+// reference oracle the flat peel is differentially tested against;
+// production callers should use the entry points above.
 TrussDecomposition ComputeTrussDecompositionSerial(
     const Graph& g, const std::vector<bool>& anchored = {});
 TrussDecomposition ComputeTrussDecompositionOnSubsetSerial(

@@ -2,30 +2,22 @@
 
 #include <algorithm>
 
+#include "graph/flat_view.h"
 #include "graph/triangle_index.h"
-#include "truss/core_decompose.h"
-#include "truss/parallel_peel.h"
+#include "truss/decomposition.h"
 #include "util/macros.h"
 #include "util/parallel_for.h"
 
 namespace atr {
 namespace {
 
-// An explicit chunk_size of 1 on a million-edge frontier would allocate a
-// million decrement buffers; cap the chunk count at a worker-independent
-// constant so the partition stays deterministic but bounded.
-constexpr int64_t kMaxExplicitChunks = 4096;
+size_t g_min_parallel_frontier = 256;
 
 // The peel proper. `alive` already excludes out-of-subset edges;
-// `full_graph` is true when every edge is alive. Mirrors PeelParallel
-// phase-for-phase and round-for-round (same frontier membership, same
-// triangle-ownership rule, same chunk-ordered fold), so the byte-identity
-// argument of truss/parallel_peel.h carries over; only the bucket
-// mechanics and the memory layout differ.
-TrussDecomposition PeelFlat(const Graph& g, const FlatGraphView& view,
+// `full_graph` is true when every edge is alive.
+TrussDecomposition PeelFlat(const FlatGraphView& view,
                             const std::vector<bool>& anchored,
-                            std::vector<uint8_t> alive, bool full_graph,
-                            const DecompositionPlan& plan) {
+                            std::vector<uint8_t> alive, bool full_graph) {
   const uint32_t m = view.num_edges;
   TrussDecomposition out;
   out.trussness.assign(m, kTrussnessNotComputed);
@@ -33,31 +25,6 @@ TrussDecomposition PeelFlat(const Graph& g, const FlatGraphView& view,
 
   const bool has_anchors = !anchored.empty();
   auto is_anchored = [&](EdgeId e) { return has_anchors && anchored[e]; };
-
-  // Optional k-core prefilter: a triangle lies inside the 2-core of the
-  // alive subgraph, so an alive edge with an endpoint of core number < 2
-  // closes no alive triangle — its support is 0 and the serial oracle
-  // peels it in phase 2 round 1 (support-0 removals trigger no decrements,
-  // so later rounds are unaffected). Assign that forced result up front
-  // and drop the edge from the triangle phase entirely.
-  if (plan.PrefilterEnabled() && m > 0) {
-    const CoreDecomposition cores = ComputeCoreDecomposition(
-        g, full_graph ? std::vector<uint8_t>() : alive);
-    for (EdgeId e = 0; e < m; ++e) {
-      if (!alive[e] || is_anchored(e)) continue;
-      const uint64_t ends = view.edge_ends[e];
-      if (cores.core[FlatHi(ends)] < 2 || cores.core[FlatLo(ends)] < 2) {
-        out.trussness[e] = 2;
-        out.layer[e] = 1;
-        alive[e] = 0;
-        full_graph = false;
-      }
-    }
-  }
-
-  const size_t fanout_cutoff = plan.fanout_cutoff > 0
-                                   ? plan.fanout_cutoff
-                                   : internal::ParallelPeelMinFrontier();
 
   // One oriented sweep yields both the support array and the alive-subset
   // triangle index the rounds below consume: every round touches exactly
@@ -69,9 +36,9 @@ TrussDecomposition PeelFlat(const Graph& g, const FlatGraphView& view,
   // Bin-sort bucket structure over the peelable (alive, non-anchored)
   // edges: `sorted` ascending by support, pos[e] its slot, bin_start[s]
   // the first slot of support-s edges. Unlike the lazily validated bucket
-  // queue of the serial/parallel engines, a decrement moves its edge in
-  // O(1) (swap with its bin's front), so no stale entries exist and no
-  // phase ever re-scans buckets.
+  // queue of the serial engine, a decrement moves its edge in O(1) (swap
+  // with its bin's front), so no stale entries exist and no phase ever
+  // re-scans buckets.
   uint32_t remaining = 0;
   uint32_t max_support = 0;
   for (EdgeId e = 0; e < m; ++e) {
@@ -156,23 +123,12 @@ TrussDecomposition PeelFlat(const Graph& g, const FlatGraphView& view,
       peak = std::max(peak, k);
       for (const EdgeId e : frontier) in_frontier[e] = 1;
 
-      // Enumerate the dying edges' triangles; same ownership rule and
-      // per-chunk decrement buffers as PeelParallel. chunk_size > 0 pins
-      // the partition independent of the worker count; 0 splits across
-      // the effective workers.
+      // Enumerate the dying edges' triangles. No shared state is written
+      // except out.trussness/out.layer at the (disjoint) frontier indices
+      // and the per-chunk decrement buffers.
       const int64_t n = static_cast<int64_t>(frontier.size());
-      const bool fan_out = frontier.size() >= fanout_cutoff;
-      int chunks = 1;
-      int64_t chunk_len = n;
-      if (fan_out) {
-        if (plan.chunk_size > 0) {
-          chunk_len = std::max<int64_t>(
-              plan.chunk_size, (n + kMaxExplicitChunks - 1) / kMaxExplicitChunks);
-          chunks = static_cast<int>((n + chunk_len - 1) / chunk_len);
-        } else {
-          chunks = std::max(1, ParallelChunkCount(n));
-        }
-      }
+      const bool fan_out = frontier.size() >= g_min_parallel_frontier;
+      const int chunks = fan_out ? std::max(1, ParallelChunkCount(n)) : 1;
       if (static_cast<int>(chunk_decrements.size()) < chunks) {
         chunk_decrements.resize(chunks);
       }
@@ -192,7 +148,9 @@ TrussDecomposition PeelFlat(const Graph& g, const FlatGraphView& view,
             // exists for this round iff it existed at round start.
             if (!alive[e1] || !alive[e2]) continue;
             // Triangle ownership: the smallest in-frontier edge applies
-            // the decrements (see PeelParallel).
+            // the decrements, so a triangle losing several edges in one
+            // round decrements each survivor exactly once — the same net
+            // effect the serial peel's first-death-scans rule produces.
             if ((in_frontier[e1] && e1 < e) || (in_frontier[e2] && e2 < e)) {
               continue;
             }
@@ -201,18 +159,10 @@ TrussDecomposition PeelFlat(const Graph& g, const FlatGraphView& view,
           }
         }
       };
-      if (!fan_out) {
-        process(0, 0, n);
-      } else if (plan.chunk_size > 0) {
-        ParallelFor(chunks, [&](int64_t cb, int64_t ce) {
-          for (int64_t c = cb; c < ce; ++c) {
-            const int64_t begin = c * chunk_len;
-            const int64_t end = std::min(n, begin + chunk_len);
-            process(static_cast<int>(c), begin, end);
-          }
-        });
-      } else {
+      if (fan_out) {
         ParallelForChunked(n, process);
+      } else {
+        process(0, 0, n);
       }
 
       // Fold on one thread in chunk index order. Once an edge is queued
@@ -252,29 +202,18 @@ TrussDecomposition PeelFlat(const Graph& g, const FlatGraphView& view,
 
 }  // namespace
 
-TrussDecomposition ComputeTrussDecompositionFlat(
-    const Graph& g, const FlatGraphView& view,
-    const std::vector<bool>& anchored, const DecompositionPlan& plan) {
+TrussDecomposition ComputeTrussDecomposition(
+    const Graph& g, const std::vector<bool>& anchored) {
   ATR_CHECK(anchored.empty() || anchored.size() == g.NumEdges());
-  ATR_CHECK(view.num_edges == g.NumEdges());
   std::vector<uint8_t> alive(g.NumEdges(), 1);
-  return PeelFlat(g, view, anchored, std::move(alive), /*full_graph=*/true,
-                  plan);
+  return PeelFlat(FlatGraphView::Build(g), anchored, std::move(alive),
+                  /*full_graph=*/true);
 }
 
-TrussDecomposition ComputeTrussDecompositionFlat(
+TrussDecomposition ComputeTrussDecompositionOnSubset(
     const Graph& g, const std::vector<bool>& anchored,
-    const DecompositionPlan& plan) {
-  return ComputeTrussDecompositionFlat(g, FlatGraphView::Build(g), anchored,
-                                       plan);
-}
-
-TrussDecomposition ComputeTrussDecompositionOnSubsetFlat(
-    const Graph& g, const FlatGraphView& view,
-    const std::vector<bool>& anchored,
-    const std::vector<EdgeId>& edge_subset, const DecompositionPlan& plan) {
+    const std::vector<EdgeId>& edge_subset) {
   ATR_CHECK(anchored.empty() || anchored.size() == g.NumEdges());
-  ATR_CHECK(view.num_edges == g.NumEdges());
   std::vector<uint8_t> alive(g.NumEdges(), 0);
   size_t alive_count = 0;
   for (const EdgeId e : edge_subset) {
@@ -282,15 +221,18 @@ TrussDecomposition ComputeTrussDecompositionOnSubsetFlat(
     if (!alive[e]) ++alive_count;
     alive[e] = 1;
   }
-  return PeelFlat(g, view, anchored, std::move(alive),
-                  /*full_graph=*/alive_count == g.NumEdges(), plan);
+  return PeelFlat(FlatGraphView::Build(g), anchored, std::move(alive),
+                  /*full_graph=*/alive_count == g.NumEdges());
 }
 
-TrussDecomposition ComputeTrussDecompositionOnSubsetFlat(
-    const Graph& g, const std::vector<bool>& anchored,
-    const std::vector<EdgeId>& edge_subset, const DecompositionPlan& plan) {
-  return ComputeTrussDecompositionOnSubsetFlat(g, FlatGraphView::Build(g),
-                                               anchored, edge_subset, plan);
+namespace internal {
+
+size_t SetParallelPeelMinFrontierForTest(size_t min_frontier) {
+  const size_t previous = g_min_parallel_frontier;
+  g_min_parallel_frontier = min_frontier;
+  return previous;
 }
+
+}  // namespace internal
 
 }  // namespace atr

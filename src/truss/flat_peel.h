@@ -1,11 +1,23 @@
-// Flat SoA truss peel — the kBsp / kBspCoreThenTruss engines.
+// Flat SoA truss peel — the engine behind ComputeTrussDecomposition and
+// ComputeTrussDecompositionOnSubset (truss/decomposition.h).
 //
-// Same round-synchronous batch-peel semantics as truss/parallel_peel.h
-// (Definition 5 deletion layers, byte-identical to the serial oracle at
-// any worker count), rebuilt on MaxTruss-style flat buffers:
+// Round-synchronous batch peel (Definition 5 deletion layers): round r of
+// phase k removes every surviving edge whose support dropped to <= k-2
+// after the removals of rounds 1..r-1. Within one round no removed edge
+// observes another's removal, so each round's frontier fans out across
+// ParallelFor chunks that record support decrements into per-chunk
+// buffers, folded on one thread in chunk index order. Decrements are
+// commutative counts, frontier membership depends only on the folded
+// supports, and (k, round) assignment is position-independent within a
+// round, so trussness, layer and max_trussness are byte-identical to the
+// serial Algorithm 1 peel (ComputeTrussDecompositionSerial) at any worker
+// count. tests/parallel_decomposition_test.cc asserts this across a thread
+// sweep on hundreds of seeded graphs.
+//
+// The buffers are MaxTruss-style flat arrays:
 //
 //  * oriented half-edges packed into zipped uint64_t arrays
-//    (graph/flat_view.h) — one forward oriented sweep intersects raw
+//    (graph/flat_view.h) — one serial forward oriented sweep intersects raw
 //    words (no FindEdge binary searches) and builds the alive-subset
 //    TriangleIndex (graph/triangle_index.h): per edge, its triangles'
 //    other two edge ids zipped into uint64_t pairs. Peel rounds then touch
@@ -18,52 +30,23 @@
 //    bucket structure (sorted / pos / bin_start): a support decrement is
 //    an O(1) swap with its bin's front, and each phase's frontier is a
 //    contiguous slice — no per-round bucket re-scan like the serial
-//    engine's scan of buckets[0..threshold];
-//  * optional k-core prefilter (truss/core_decompose.h): edges outside
-//    the 2-core of the alive subgraph close no alive triangle, so they are
-//    retired with their forced result (trussness 2, layer 1 — exactly what
-//    the oracle assigns) before any support is counted.
-//
-// Plan knobs (truss/plan.h): chunk_size fixes the fan-out chunk length,
-// fanout_cutoff overrides the minimum frontier that fans out. Both change
-// scheduling only; results are invariant.
+//    engine's scan of buckets[0..threshold].
 
 #ifndef ATR_TRUSS_FLAT_PEEL_H_
 #define ATR_TRUSS_FLAT_PEEL_H_
 
-#include <vector>
-
-#include "graph/flat_view.h"
-#include "graph/graph.h"
-#include "truss/decomposition.h"
-#include "truss/plan.h"
+#include <cstddef>
 
 namespace atr {
+namespace internal {
 
-// Flat-engine counterpart of ComputeTrussDecompositionSerial. Builds a
-// FlatGraphView internally; callers that decompose the same snapshot
-// repeatedly should build one view and use the overload below.
-TrussDecomposition ComputeTrussDecompositionFlat(
-    const Graph& g, const std::vector<bool>& anchored,
-    const DecompositionPlan& plan);
+// Frontier size below which a peel round runs inline: spawning workers
+// for a handful of edges costs more than the work itself. The
+// differential tests lower it to 1 to force the fan-out path on small
+// graphs. Returns the previous value.
+size_t SetParallelPeelMinFrontierForTest(size_t min_frontier);
 
-// As above with a prebuilt view; `view` must be FlatGraphView::Build(g)
-// of this exact graph.
-TrussDecomposition ComputeTrussDecompositionFlat(
-    const Graph& g, const FlatGraphView& view,
-    const std::vector<bool>& anchored, const DecompositionPlan& plan);
-
-// Flat-engine counterpart of ComputeTrussDecompositionOnSubsetSerial:
-// edges outside `edge_subset` keep kTrussnessNotComputed.
-TrussDecomposition ComputeTrussDecompositionOnSubsetFlat(
-    const Graph& g, const std::vector<bool>& anchored,
-    const std::vector<EdgeId>& edge_subset, const DecompositionPlan& plan);
-
-TrussDecomposition ComputeTrussDecompositionOnSubsetFlat(
-    const Graph& g, const FlatGraphView& view,
-    const std::vector<bool>& anchored,
-    const std::vector<EdgeId>& edge_subset, const DecompositionPlan& plan);
-
+}  // namespace internal
 }  // namespace atr
 
 #endif  // ATR_TRUSS_FLAT_PEEL_H_

@@ -346,8 +346,8 @@ bool IncrementalTruss::ExpandRegion() {
 }
 
 void IncrementalTruss::FullRebuild() {
-  // Dispatches to the round-synchronous parallel peel when the calling
-  // thread has workers available; either engine commits identical state.
+  // The flat peel fans its rounds out across the calling thread's
+  // workers; the committed state is identical at any worker count.
   const TrussDecomposition fresh =
       ComputeTrussDecompositionOnSubset(*g_, anchored_, AliveEdges());
   for (EdgeId e = 0; e < g_->NumEdges(); ++e) {

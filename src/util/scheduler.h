@@ -1,13 +1,13 @@
 // FairScheduler — multi-tenant batch scheduler for job-level concurrency
 // (the sharded AtrService's submit path).
 //
-// Where TaskQueue is one FIFO, FairScheduler keeps one FIFO *per tenant
-// per priority* and dispatches across tenants with weighted deficit
-// round-robin (WDRR): each tenant in the ready ring gets a deficit of
-// quantum x weight jobs per visit, so a tenant flooding the queue cannot
-// starve a light one — the light tenant's next job dispatches after at
-// most one DRR cycle, not after the flood drains. Within a tenant, higher
-// priority buckets drain first and each bucket is FIFO.
+// FairScheduler keeps one FIFO *per tenant per priority* and dispatches
+// across tenants with weighted deficit round-robin (WDRR): each tenant in
+// the ready ring gets a deficit of quantum x weight jobs per visit, so a
+// tenant flooding the queue cannot starve a light one — the light
+// tenant's next job dispatches after at most one DRR cycle, not after the
+// flood drains. Within a tenant, higher priority buckets drain first and
+// each bucket is FIFO.
 //
 // Batch fusion: a job may carry a `batch_key` naming the work it could
 // share with compatible jobs (same graph version + solver family). When a
@@ -18,11 +18,11 @@
 // jobs *within* a tenant's priority bucket. Jobs with an empty batch_key
 // always run alone.
 //
-// Capacity and backpressure mirror TaskQueue: Submit blocks while the
-// total pending count is at capacity, TrySubmit fails fast with
-// kResourceExhausted, and both reject with kFailedPrecondition after
-// Shutdown. Worker threads install a ScopedParallelism override so inner
-// ParallelFor fan-out shares one machine budget with job concurrency.
+// Capacity and backpressure: Submit blocks while the total pending count
+// is at capacity, TrySubmit fails fast with kResourceExhausted, and both
+// reject with kFailedPrecondition after Shutdown. Worker threads install
+// a ScopedParallelism override so inner ParallelFor fan-out shares one
+// machine budget with job concurrency.
 //
 //   FairScheduler sched({.workers = 4}, [](std::vector<FairScheduler::Job> b) {
 //     ... run the batch; b.size() == 1 unless batch keys matched ...

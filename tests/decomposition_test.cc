@@ -13,7 +13,6 @@
 #include "graph/triangles.h"
 #include "tests/paper_fixtures.h"
 #include "tests/test_helpers.h"
-#include "truss/core_decompose.h"
 
 namespace atr {
 namespace {
@@ -299,92 +298,6 @@ TEST(HullSizes, CountsPerLevel) {
   EXPECT_EQ(hulls[3], 4u);
   EXPECT_EQ(hulls[4], 18u);
   EXPECT_EQ(hulls[5], 10u);
-}
-
-// --- k-core decomposition (truss/core_decompose.h) ------------------------
-
-// Reference peel: remove vertices of (masked) degree <= k until none
-// remain, assigning core = k at removal time.
-std::vector<uint32_t> BruteForceCores(const Graph& g,
-                                      const std::vector<uint8_t>& alive) {
-  const uint32_t n = g.NumVertices();
-  std::vector<uint32_t> deg(n, 0);
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    if (!alive.empty() && !alive[e]) continue;
-    ++deg[g.Edge(e).u];
-    ++deg[g.Edge(e).v];
-  }
-  std::vector<uint8_t> removed(n, 0);
-  std::vector<uint32_t> core(n, 0);
-  uint32_t left = n;
-  for (uint32_t k = 0; left > 0; ++k) {
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (VertexId v = 0; v < n; ++v) {
-        if (removed[v] || deg[v] > k) continue;
-        removed[v] = 1;
-        core[v] = k;
-        --left;
-        changed = true;
-        for (const AdjEntry& a : g.Neighbors(v)) {
-          if (removed[a.neighbor]) continue;
-          if (!alive.empty() && !alive[a.edge]) continue;
-          --deg[a.neighbor];
-        }
-      }
-    }
-  }
-  return core;
-}
-
-TEST(CoreDecomposition, KnownShapes) {
-  // Triangle with a pendant: triangle vertices core 2, pendant core 1.
-  GraphBuilder b(4);
-  b.AddEdge(0, 1);
-  b.AddEdge(1, 2);
-  b.AddEdge(0, 2);
-  b.AddEdge(2, 3);
-  const CoreDecomposition tri = ComputeCoreDecomposition(b.Build());
-  EXPECT_EQ(tri.core[0], 2u);
-  EXPECT_EQ(tri.core[1], 2u);
-  EXPECT_EQ(tri.core[2], 2u);
-  EXPECT_EQ(tri.core[3], 1u);
-  EXPECT_EQ(tri.max_core, 2u);
-
-  // K5: every vertex core 4. An isolated vertex stays core 0.
-  GraphBuilder k5(6);
-  for (VertexId u = 0; u < 5; ++u) {
-    for (VertexId v = u + 1; v < 5; ++v) k5.AddEdge(u, v);
-  }
-  const CoreDecomposition clique = ComputeCoreDecomposition(k5.Build());
-  for (VertexId v = 0; v < 5; ++v) EXPECT_EQ(clique.core[v], 4u);
-  EXPECT_EQ(clique.core[5], 0u);
-  EXPECT_EQ(clique.max_core, 4u);
-}
-
-TEST(CoreDecomposition, MatchesBruteForceOnRandomGraphs) {
-  for (uint64_t seed = 0; seed < 12; ++seed) {
-    const Graph g = seed % 2 == 0
-                        ? ErdosRenyiGraph(30 + seed, 70 + seed * 11, seed)
-                        : HolmeKimGraph(35, 3, 0.4, seed);
-    const std::vector<uint32_t> expected = BruteForceCores(g, {});
-    const CoreDecomposition got = ComputeCoreDecomposition(g);
-    ASSERT_EQ(got.core, expected) << "seed " << seed;
-    const uint32_t max_core =
-        g.NumVertices() == 0
-            ? 0
-            : *std::max_element(expected.begin(), expected.end());
-    EXPECT_EQ(got.max_core, max_core) << "seed " << seed;
-
-    // Masked variant: drop a deterministic third of the edges; masked-out
-    // edges must contribute to no vertex's degree.
-    std::vector<uint8_t> alive(g.NumEdges(), 1);
-    for (EdgeId e = 0; e < g.NumEdges(); e += 3) alive[e] = 0;
-    const std::vector<uint32_t> masked_expected = BruteForceCores(g, alive);
-    const CoreDecomposition masked = ComputeCoreDecomposition(g, alive);
-    ASSERT_EQ(masked.core, masked_expected) << "seed " << seed << " masked";
-  }
 }
 
 }  // namespace

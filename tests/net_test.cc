@@ -83,10 +83,29 @@ TEST(WireCodec, SubmitRequestRoundTrips) {
 
 // The u8 after `trials` in a Submit is reserved: it once selected a greedy
 // state-maintenance path that no longer exists. Offset of that byte in a
-// plan-less frame: only the tenant string and the priority follow it.
+// frame the encoder wrote: only the tenant string and the priority follow
+// it.
 size_t ReservedSubmitByteAt(const std::vector<uint8_t>& frame,
                             const SubmitRequest& request) {
   return frame.size() - (4 + request.tenant.size()) - 4 - 1;
+}
+
+// Appends the 10-byte revision-3 trailer — u8 algorithm id, u32, u32, u8 —
+// that once selected the server's decomposition kernel, and patches the
+// frame's little-endian length field to match.
+std::vector<uint8_t> WithPlanTrailer(std::vector<uint8_t> frame,
+                                     uint8_t algorithm) {
+  ByteWriter trailer;
+  trailer.WriteU8(algorithm);
+  trailer.WriteU32(512);
+  trailer.WriteU32(1024);
+  trailer.WriteU8(1);
+  frame.insert(frame.end(), trailer.buffer().begin(), trailer.buffer().end());
+  const uint32_t payload_len = static_cast<uint32_t>(frame.size() - 8);
+  for (int i = 0; i < 4; ++i) {
+    frame[i] = static_cast<uint8_t>(payload_len >> (8 * i));
+  }
+  return frame;
 }
 
 TEST(WireCodec, SubmitReservedByteIsWrittenAsZeroAndIgnored) {
@@ -143,81 +162,44 @@ TEST(WireCodec, SubmitRequestCarriesTenantAndPriority) {
   EXPECT_EQ(decoded->priority, -3);
 }
 
-TEST(WireCodec, SubmitRequestCarriesPlan) {
+TEST(WireCodec, LegacyPlanTrailerIsReadAndIgnored) {
   SubmitRequest request;
   request.request_id = 44;
   request.graph = "social";
   request.solver = "gas";
   request.options.budget = 2;
   request.tenant = "acme";
-  request.priority = 1;
-  DecompositionPlan plan = DecompositionPlan::BspCoreThenTruss();
-  plan.chunk_size = 512;
-  plan.fanout_cutoff = 1024;
-  plan.prefilter = true;
-  request.plan = plan;
-
-  StatusOr<SubmitRequest> decoded =
-      SubmitRequest::Decode(PayloadOf(request.EncodeFrame(), MsgType::kSubmit));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
-  ASSERT_TRUE(decoded->plan.has_value());
-  EXPECT_EQ(decoded->plan->algorithm, PeelAlgorithm::kBspCoreThenTruss);
-  EXPECT_EQ(decoded->plan->chunk_size, 512u);
-  EXPECT_EQ(decoded->plan->fanout_cutoff, 1024u);
-  EXPECT_TRUE(decoded->plan->prefilter);
-  EXPECT_EQ(decoded->tenant, "acme");
-
-  // Without an explicit plan the frame stays byte-identical to revision 2
-  // and decodes to "unset" (server default), never to some plan value.
-  request.plan.reset();
-  StatusOr<SubmitRequest> plain =
-      SubmitRequest::Decode(PayloadOf(request.EncodeFrame(), MsgType::kSubmit));
-  ASSERT_TRUE(plain.ok());
-  EXPECT_FALSE(plain->plan.has_value());
-}
-
-TEST(WireCodec, SubmitRequestRev2PrefixDecodesWithoutPlan) {
-  // A revision-2 client's frame is exactly a revision-3 frame minus the
-  // 10-byte plan trailer; the server must decode it with the plan unset
-  // while keeping the rev-2 fields.
-  SubmitRequest request;
-  request.request_id = 45;
-  request.graph = "g";
-  request.solver = "gas";
-  request.tenant = "acme";
   request.priority = -2;
-  request.plan = DecompositionPlan::Bsp();
   const std::vector<uint8_t> frame = request.EncodeFrame();
-  const std::span<const uint8_t> payload(frame.data() + 8, frame.size() - 8);
 
-  StatusOr<SubmitRequest> rev2 =
-      SubmitRequest::Decode(payload.subspan(0, payload.size() - 10));
-  ASSERT_TRUE(rev2.ok()) << rev2.status().message();
-  EXPECT_FALSE(rev2->plan.has_value());
-  EXPECT_EQ(rev2->tenant, "acme");
-  EXPECT_EQ(rev2->priority, -2);
+  // A revision-3 client's frame is the frame the encoder writes plus the
+  // trailer. Every algorithm id it could name decodes to the same request
+  // and re-encodes to the trailer-less frame.
+  for (const uint8_t algorithm : {0, 1, 2}) {
+    SCOPED_TRACE("algorithm id " + std::to_string(algorithm));
+    const std::vector<uint8_t> legacy = WithPlanTrailer(frame, algorithm);
+    StatusOr<SubmitRequest> decoded =
+        SubmitRequest::Decode(PayloadOf(legacy, MsgType::kSubmit));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+    EXPECT_EQ(decoded->EncodeFrame(), frame);
+    EXPECT_EQ(decoded->tenant, "acme");
+    EXPECT_EQ(decoded->priority, -2);
 
-  // Every other strict prefix of the trailer is a malformed frame.
-  for (size_t cut = 1; cut < 10; ++cut) {
-    EXPECT_FALSE(
-        SubmitRequest::Decode(payload.subspan(0, payload.size() - cut)).ok())
-        << "trailer cut " << cut;
+    // Every strict prefix of the trailer is a malformed frame.
+    const std::span<const uint8_t> payload(legacy.data() + 8,
+                                           legacy.size() - 8);
+    for (size_t cut = 1; cut < 10; ++cut) {
+      EXPECT_FALSE(
+          SubmitRequest::Decode(payload.subspan(0, payload.size() - cut)).ok())
+          << "trailer cut " << cut;
+    }
   }
-}
 
-TEST(WireCodec, SubmitRequestRejectsUnknownPlanAlgorithm) {
-  SubmitRequest request;
-  request.request_id = 46;
-  request.graph = "g";
-  request.solver = "gas";
-  request.plan = DecompositionPlan::Serial();
-  std::vector<uint8_t> frame = request.EncodeFrame();
-  // The algorithm id leads the 10-byte plan trailer at the payload tail.
-  const size_t algorithm_at = frame.size() - 10;
+  // Ids above 2 named no kernel: still rejected, as before.
   for (const uint8_t bogus : {3, 7, 255}) {
-    frame[algorithm_at] = bogus;
-    const std::span<const uint8_t> payload(frame.data() + 8, frame.size() - 8);
-    EXPECT_FALSE(SubmitRequest::Decode(payload).ok())
+    const std::vector<uint8_t> legacy = WithPlanTrailer(frame, bogus);
+    EXPECT_FALSE(
+        SubmitRequest::Decode(PayloadOf(legacy, MsgType::kSubmit)).ok())
         << "algorithm id " << static_cast<int>(bogus);
   }
 }
@@ -702,12 +684,37 @@ TEST(ServerIntegration, SlowConsumerIsDisconnected) {
   EXPECT_TRUE(after.Ping().ok());
 }
 
+// Sends one hand-rolled Submit frame on a fresh raw connection and returns
+// the job id the server answers with.
+StatusOr<uint64_t> RawSubmit(uint16_t port, const std::vector<uint8_t>& frame) {
+  const int fd = RawConnect(port);
+  const bool sent = ::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL) ==
+                    static_cast<ssize_t>(frame.size());
+  FrameParser parser;
+  std::optional<Frame> reply;
+  while (sent && !reply.has_value()) {
+    uint8_t buffer[256];
+    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+    if (n <= 0) break;
+    parser.Feed(buffer, static_cast<size_t>(n));
+    reply = parser.Next();
+  }
+  ::close(fd);
+  if (!reply.has_value() || reply->type != MsgType::kSubmitResponse) {
+    return Status::Internal("RawSubmit: no SubmitResponse");
+  }
+  StatusOr<SubmitResponse> submitted = SubmitResponse::Decode(reply->payload);
+  if (!submitted.ok()) return submitted.status();
+  return submitted->job_id;
+}
+
 TEST(ServerIntegration, LegacyReservedSubmitByteSolvesLikeZero) {
   ServerFixture fixture;
   ASSERT_TRUE(fixture.server().AddGraph("social", ServedGraph()).ok());
 
-  // An older client's Submit with the reserved byte set to 1, hand-rolled
-  // on a plain socket since AtrClient always writes 0.
+  // An older client's Submit with the reserved byte set to 1 and the
+  // revision-3 plan trailer appended, hand-rolled on a plain socket since
+  // AtrClient writes neither.
   SubmitRequest request;
   request.request_id = 9;
   request.graph = "social";
@@ -715,25 +722,12 @@ TEST(ServerIntegration, LegacyReservedSubmitByteSolvesLikeZero) {
   request.options.budget = 4;
   std::vector<uint8_t> frame = request.EncodeFrame();
   frame[ReservedSubmitByteAt(frame, request)] = 1;
-  const int fd = RawConnect(fixture.server().port());
-  ASSERT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(frame.size()));
-  FrameParser parser;
-  std::optional<Frame> reply;
-  while (!reply.has_value()) {
-    uint8_t buffer[256];
-    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-    ASSERT_GT(n, 0);
-    parser.Feed(buffer, static_cast<size_t>(n));
-    reply = parser.Next();
-  }
-  ::close(fd);
-  ASSERT_EQ(reply->type, MsgType::kSubmitResponse);
-  StatusOr<SubmitResponse> submitted = SubmitResponse::Decode(reply->payload);
-  ASSERT_TRUE(submitted.ok()) << submitted.status().message();
+  StatusOr<uint64_t> legacy_job =
+      RawSubmit(fixture.server().port(), WithPlanTrailer(frame, 2));
+  ASSERT_TRUE(legacy_job.ok()) << legacy_job.status().message();
 
   AtrClient client = fixture.MakeClient();
-  StatusOr<WireSolveResult> legacy = client.Wait(submitted->job_id);
+  StatusOr<WireSolveResult> legacy = client.Wait(*legacy_job);
   ASSERT_TRUE(legacy.ok()) << legacy.status().message();
   StatusOr<uint64_t> job = client.Submit("social", "gas", request.options);
   ASSERT_TRUE(job.ok()) << job.status().message();
@@ -742,6 +736,66 @@ TEST(ServerIntegration, LegacyReservedSubmitByteSolvesLikeZero) {
   EXPECT_EQ(legacy->anchor_edges, current->anchor_edges);
   EXPECT_EQ(legacy->total_gain, current->total_gain);
   EXPECT_EQ(legacy->gain_at_checkpoint, current->gain_at_checkpoint);
+}
+
+TEST(ServerIntegration, PlanTrailerDoesNotSplitAFusionBatch) {
+  AtrServer::Options options;
+  options.workers = 1;
+  ServerFixture fixture(options);
+  ASSERT_TRUE(fixture.server().AddGraph("social", ServedGraph()).ok());
+
+  // Park the lone worker in a job's progress callback (a job with a
+  // progress hook never fuses), so both wire Submits below queue together.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  SolverOptions blocker;
+  blocker.budget = 2;
+  blocker.progress = [&](const SolveProgress&) {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return release; });
+    return true;
+  };
+  AtrService& service = fixture.server().service();
+  StatusOr<JobHandle> running = service.Submit("social", "gas", blocker);
+  ASSERT_TRUE(running.ok());
+  while (running->state() == JobHandle::State::kQueued) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // The same GAS Submit twice, once with the revision-3 trailer naming a
+  // non-default kernel. The trailer is ignored, so the two share a batch.
+  SubmitRequest request;
+  request.request_id = 5;
+  request.graph = "social";
+  request.solver = "gas";
+  request.options.budget = 3;
+  const std::vector<uint8_t> frame = request.EncodeFrame();
+  StatusOr<uint64_t> plain = RawSubmit(fixture.server().port(), frame);
+  ASSERT_TRUE(plain.ok()) << plain.status().message();
+  StatusOr<uint64_t> trailed =
+      RawSubmit(fixture.server().port(), WithPlanTrailer(frame, 2));
+  ASSERT_TRUE(trailed.ok()) << trailed.status().message();
+
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  ASSERT_TRUE(running->Wait().ok());
+
+  AtrClient client = fixture.MakeClient();
+  StatusOr<WireSolveResult> plain_result = client.Wait(*plain);
+  ASSERT_TRUE(plain_result.ok()) << plain_result.status().message();
+  StatusOr<WireSolveResult> trailed_result = client.Wait(*trailed);
+  ASSERT_TRUE(trailed_result.ok()) << trailed_result.status().message();
+  EXPECT_EQ(plain_result->anchor_edges, trailed_result->anchor_edges);
+  EXPECT_EQ(plain_result->total_gain, trailed_result->total_gain);
+  EXPECT_EQ(plain_result->gain_at_checkpoint,
+            trailed_result->gain_at_checkpoint);
+  // Results are published before the worker counts the batch.
+  service.Drain();
+  EXPECT_EQ(service.Stats().jobs_fused, 2u);
 }
 
 TEST(ServerIntegration, IdleConnectionIsReaped) {
@@ -793,34 +847,6 @@ TEST(ServerIntegration, TenantAndPrioritySubmitOverTcp) {
   // Tenancy routes scheduling, never results.
   EXPECT_EQ(tenant_result->anchor_edges, plain_result->anchor_edges);
   EXPECT_EQ(tenant_result->total_gain, plain_result->total_gain);
-}
-
-TEST(ServerIntegration, PlanSubmitOverTcp) {
-  // The plan rides the wire to the worker thread; every plan is
-  // byte-identical in decomposition output, so solve results must match
-  // the plan-less submit exactly.
-  ServerFixture fixture;
-  ASSERT_TRUE(fixture.server().AddGraph("social", ServedGraph()).ok());
-  AtrClient client = fixture.MakeClient();
-
-  WireSolverOptions options;
-  options.budget = 3;
-  StatusOr<uint64_t> plain = client.Submit("social", "gas", options);
-  ASSERT_TRUE(plain.ok());
-  StatusOr<WireSolveResult> plain_result = client.Wait(*plain);
-  ASSERT_TRUE(plain_result.ok());
-
-  for (const DecompositionPlan& plan :
-       {DecompositionPlan::Serial(), DecompositionPlan::Bsp(),
-        DecompositionPlan::BspCoreThenTruss()}) {
-    StatusOr<uint64_t> job = client.Submit("social", "gas", options,
-                                           /*tenant=*/"", /*priority=*/0, plan);
-    ASSERT_TRUE(job.ok()) << plan.Name();
-    StatusOr<WireSolveResult> result = client.Wait(*job);
-    ASSERT_TRUE(result.ok()) << plan.Name();
-    EXPECT_EQ(result->anchor_edges, plain_result->anchor_edges) << plan.Name();
-    EXPECT_EQ(result->total_gain, plain_result->total_gain) << plan.Name();
-  }
 }
 
 TEST(ClientDeadline, SilentServerYieldsDeadlineExceeded) {

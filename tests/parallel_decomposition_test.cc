@@ -1,16 +1,14 @@
-// Thread-sweep differential suite for the round-synchronous parallel truss
-// decomposition (truss/parallel_peel.h) and the flat SoA peel engines
-// behind DecompositionPlan (truss/plan.h, truss/flat_peel.h): on 100+
-// seeded random graphs (Erdős–Rényi and power-law families), with and
-// without anchored-edge sets and edge subsets, assert that every engine —
-// and the dispatching ComputeTrussDecomposition entry points, under every
-// plan — produce trussness, layer, and max_trussness vectors
-// byte-identical to the serial Algorithm 1 peel for every thread count in
-// {1, 2, 3, 4, 8, 16} (the plan matrix sweeps {1, 2, 8} per plan).
+// Thread-sweep differential suite for the flat SoA truss peel
+// (truss/flat_peel.h) behind ComputeTrussDecomposition and
+// ComputeTrussDecompositionOnSubset: on 100+ seeded random graphs
+// (Erdős–Rényi and power-law families), with and without anchored-edge
+// sets and edge subsets, assert that the entry points produce trussness,
+// layer, and max_trussness vectors byte-identical to the serial
+// Algorithm 1 peel for every thread count in {1, 2, 3, 4, 8, 16}.
 //
-// The parallel fan-out cutoff is lowered to 1 for the sweep so even the
-// small differential graphs exercise real multi-chunk rounds; a separate
-// test runs larger graphs at the production cutoff so both the inline and
+// The fan-out cutoff is lowered to 1 for the sweep so even the small
+// differential graphs exercise real multi-chunk rounds; separate tests
+// run larger graphs at the production cutoff so both the inline and
 // fan-out paths are covered at realistic frontier sizes.
 //
 // Stress knobs (the CI nightly job turns these up, including under TSan):
@@ -25,14 +23,11 @@
 #include <utility>
 #include <vector>
 
-#include "graph/flat_view.h"
 #include "graph/generators/generators.h"
 #include "graph/graph.h"
 #include "tests/paper_fixtures.h"
 #include "truss/decomposition.h"
 #include "truss/flat_peel.h"
-#include "truss/parallel_peel.h"
-#include "truss/plan.h"
 #include "util/env.h"
 #include "util/parallel_for.h"
 
@@ -113,8 +108,8 @@ void ExpectIdentical(const TrussDecomposition& expected,
       << threads;
 }
 
-// One graph: serial oracle once, then the parallel engine and the
-// dispatching entry point at every sweep thread count.
+// One graph: serial oracle once, then the entry point at every sweep
+// thread count.
 void RunEpisode(uint64_t seed) {
   const Graph g = MakeDifferentialGraph(seed);
   if (g.NumEdges() == 0) return;
@@ -128,25 +123,20 @@ void RunEpisode(uint64_t seed) {
 
   for (const int threads : kThreadSweep) {
     ScopedParallelism parallelism(threads);
-    const TrussDecomposition parallel =
-        subset.empty()
-            ? ComputeTrussDecompositionParallel(g, anchored)
-            : ComputeTrussDecompositionOnSubsetParallel(g, anchored, subset);
-    ASSERT_NO_FATAL_FAILURE(
-        ExpectIdentical(oracle, parallel, seed, threads, "parallel"));
-    const TrussDecomposition dispatched =
+    const TrussDecomposition got =
         subset.empty()
             ? ComputeTrussDecomposition(g, anchored)
             : ComputeTrussDecompositionOnSubset(g, anchored, subset);
     ASSERT_NO_FATAL_FAILURE(
-        ExpectIdentical(oracle, dispatched, seed, threads, "dispatch"));
+        ExpectIdentical(oracle, got, seed, threads, "flat"));
   }
 }
 
 TEST(ParallelDecompositionDifferential, ThreadSweepMatchesSerialOracle) {
   // 120 graphs at the default multiplier: 60 ER + 60 power-law, each
-  // decomposed at 6 thread counts through both entry points. The fan-out
-  // cutoff of 1 forces multi-chunk rounds even on these small graphs.
+  // decomposed at 6 thread counts (full-graph or subset entry point by
+  // seed). The fan-out cutoff of 1 forces multi-chunk rounds even on these
+  // small graphs.
   ScopedPeelCutoff cutoff(1);
   const uint64_t episodes = 120 * StressIters();
   const uint64_t base = StressSeed() * 1000003ULL;
@@ -166,12 +156,11 @@ TEST(ParallelDecompositionDifferential, LargeGraphsAtProductionCutoff) {
   };
   for (const auto& [seed, g] : graphs) {
     const TrussDecomposition oracle = ComputeTrussDecompositionSerial(g);
-    for (const int threads : {2, 4, 16}) {
+    for (const int threads : {1, 2, 4, 8, 16}) {
       ScopedParallelism parallelism(threads);
-      const TrussDecomposition parallel =
-          ComputeTrussDecompositionParallel(g);
+      const TrussDecomposition got = ComputeTrussDecomposition(g);
       ASSERT_NO_FATAL_FAILURE(
-          ExpectIdentical(oracle, parallel, seed, threads, "large"));
+          ExpectIdentical(oracle, got, seed, threads, "large"));
     }
   }
 }
@@ -184,10 +173,9 @@ TEST(ParallelDecompositionDifferential, AnchoredLargeGraphAgrees) {
       ComputeTrussDecompositionSerial(g, anchored);
   for (const int threads : {3, 8}) {
     ScopedParallelism parallelism(threads);
-    const TrussDecomposition parallel =
-        ComputeTrussDecompositionParallel(g, anchored);
+    const TrussDecomposition got = ComputeTrussDecomposition(g, anchored);
     ASSERT_NO_FATAL_FAILURE(
-        ExpectIdentical(oracle, parallel, 42, threads, "anchored-large"));
+        ExpectIdentical(oracle, got, 42, threads, "anchored-large"));
   }
 }
 
@@ -197,203 +185,34 @@ TEST(ParallelDecomposition, Fig3MatchesSerialAtEveryThreadCount) {
   const TrussDecomposition oracle = ComputeTrussDecompositionSerial(g);
   for (const int threads : kThreadSweep) {
     ScopedParallelism parallelism(threads);
-    const TrussDecomposition parallel = ComputeTrussDecompositionParallel(g);
-    ASSERT_NO_FATAL_FAILURE(
-        ExpectIdentical(oracle, parallel, 0, threads, "fig3"));
-  }
-}
-
-// The plan sweep: every algorithm plus knob variants that pin the
-// partition (chunk_size) or force / suppress the fan-out (fanout_cutoff).
-std::vector<std::pair<const char*, DecompositionPlan>> PlanMatrix() {
-  DecompositionPlan bsp_chunk1 = DecompositionPlan::Bsp();
-  bsp_chunk1.chunk_size = 1;
-  DecompositionPlan bsp_chunk3 = DecompositionPlan::Bsp();
-  bsp_chunk3.chunk_size = 3;
-  DecompositionPlan bsp_inline = DecompositionPlan::Bsp();
-  bsp_inline.fanout_cutoff = 1u << 30;  // every round runs inline
-  DecompositionPlan core_chunk2 = DecompositionPlan::BspCoreThenTruss();
-  core_chunk2.chunk_size = 2;
-  return {{"serial", DecompositionPlan::Serial()},
-          {"bsp", DecompositionPlan::Bsp()},
-          {"bsp-core-truss", DecompositionPlan::BspCoreThenTruss()},
-          {"bsp/c1", bsp_chunk1},
-          {"bsp/c3", bsp_chunk3},
-          {"bsp/inline", bsp_inline},
-          {"bsp-core-truss/c2", core_chunk2}};
-}
-
-constexpr int kPlanThreadSweep[] = {1, 2, 8};
-
-// One graph through the whole plan matrix: serial oracle once, then
-// every (plan, thread count) pair through the WithPlan entry points.
-void RunPlanEpisode(uint64_t seed) {
-  const Graph g = MakeDifferentialGraph(seed);
-  if (g.NumEdges() == 0) return;
-  const std::vector<bool> anchored = MakeAnchors(g, seed);
-  const std::vector<EdgeId> subset = MakeSubset(g, anchored, seed);
-
-  const TrussDecomposition oracle =
-      subset.empty()
-          ? ComputeTrussDecompositionSerial(g, anchored)
-          : ComputeTrussDecompositionOnSubsetSerial(g, anchored, subset);
-
-  for (const auto& [label, plan] : PlanMatrix()) {
-    for (const int threads : kPlanThreadSweep) {
-      ScopedParallelism parallelism(threads);
-      const TrussDecomposition got =
-          subset.empty()
-              ? ComputeTrussDecompositionWithPlan(g, anchored, plan)
-              : ComputeTrussDecompositionOnSubsetWithPlan(g, anchored, subset,
-                                                          plan);
-      ASSERT_NO_FATAL_FAILURE(
-          ExpectIdentical(oracle, got, seed, threads, label));
-    }
-  }
-}
-
-TEST(PlanDifferential, PlanMatrixMatchesSerialOracle) {
-  // 60 graphs at the default multiplier, each decomposed under 7 plans at
-  // 3 thread counts (anchored + subset variants folded in by seed). The
-  // fan-out cutoff of 1 forces real multi-chunk rounds for the plans that
-  // don't override fanout_cutoff themselves.
-  ScopedPeelCutoff cutoff(1);
-  const uint64_t episodes = 60 * StressIters();
-  const uint64_t base = StressSeed() * 1000003ULL;
-  for (uint64_t i = 0; i < episodes; ++i) {
-    ASSERT_NO_FATAL_FAILURE(RunPlanEpisode(base + i)) << "episode " << i;
-  }
-}
-
-TEST(PlanDifferential, AmbientScopeGovernsPlanLessEntryPoints) {
-  // ScopedDecompositionPlan is how SolverOptions::plan reaches the
-  // plan-less call sites; the dispatch must honor the innermost scope.
-  ScopedPeelCutoff cutoff(1);
-  const Graph g = MakeDifferentialGraph(7 + StressSeed());
-  const TrussDecomposition oracle = ComputeTrussDecompositionSerial(g);
-  for (const auto& [label, plan] : PlanMatrix()) {
-    ScopedDecompositionPlan scope(plan);
-    ASSERT_EQ(DecompositionPlan::Ambient(), plan) << label;
-    ScopedParallelism parallelism(4);
     const TrussDecomposition got = ComputeTrussDecomposition(g);
-    ASSERT_NO_FATAL_FAILURE(ExpectIdentical(oracle, got, 7, 4, label));
-  }
-  // Scopes nest: the innermost wins, and unwinding restores the outer.
-  ScopedDecompositionPlan outer(DecompositionPlan::Serial());
-  {
-    ScopedDecompositionPlan inner(DecompositionPlan::BspCoreThenTruss());
-    EXPECT_EQ(DecompositionPlan::Ambient(),
-              DecompositionPlan::BspCoreThenTruss());
-  }
-  EXPECT_EQ(DecompositionPlan::Ambient(), DecompositionPlan::Serial());
-}
-
-TEST(PlanDifferential, LargeGraphsAtProductionCutoff) {
-  // Frontiers exceed the production fan-out cutoff, so the flat engine's
-  // real chunked rounds run with realistic chunk boundaries under every
-  // non-serial plan.
-  const uint64_t base = StressSeed() * 104729ULL;
-  const std::pair<uint64_t, Graph> graphs[] = {
-      {base + 1, ErdosRenyiGraph(600, 6000, base + 1)},
-      {base + 2, HolmeKimGraph(1500, 4, 0.6, base + 2)},
-  };
-  for (const auto& [seed, g] : graphs) {
-    const TrussDecomposition oracle = ComputeTrussDecompositionSerial(g);
-    for (const DecompositionPlan& plan :
-         {DecompositionPlan::Bsp(), DecompositionPlan::BspCoreThenTruss()}) {
-      for (const int threads : {1, 8}) {
-        ScopedParallelism parallelism(threads);
-        const TrussDecomposition got =
-            ComputeTrussDecompositionWithPlan(g, {}, plan);
-        ASSERT_NO_FATAL_FAILURE(ExpectIdentical(oracle, got, seed, threads,
-                                                plan.Name().c_str()));
-      }
-    }
+    ASSERT_NO_FATAL_FAILURE(ExpectIdentical(oracle, got, 0, threads, "fig3"));
   }
 }
 
-TEST(PlanDifferential, SharedFlatViewReusedAcrossCalls) {
-  // The service snapshot path builds one FlatGraphView per graph version
-  // and reuses it for every decomposition; the view-taking overloads must
-  // agree with the build-per-call ones.
+TEST(ParallelDecomposition, EmptyEdgelessAndAllAnchoredGraphs) {
   ScopedPeelCutoff cutoff(1);
-  const Graph g = MakeDifferentialGraph(11 + StressSeed());
-  const std::vector<bool> anchored = MakeAnchors(g, 11);
-  const std::vector<EdgeId> subset = MakeSubset(g, anchored, 11);
-  const FlatGraphView view = FlatGraphView::Build(g);
-
-  const TrussDecomposition full_oracle =
-      ComputeTrussDecompositionSerial(g, anchored);
-  const TrussDecomposition subset_oracle =
-      ComputeTrussDecompositionOnSubsetSerial(g, anchored, subset);
-  for (const DecompositionPlan& plan :
-       {DecompositionPlan::Bsp(), DecompositionPlan::BspCoreThenTruss()}) {
-    ScopedParallelism parallelism(3);
-    const TrussDecomposition full =
-        ComputeTrussDecompositionFlat(g, view, anchored, plan);
-    ASSERT_NO_FATAL_FAILURE(
-        ExpectIdentical(full_oracle, full, 11, 3, "shared-view"));
-    const TrussDecomposition sub =
-        ComputeTrussDecompositionOnSubsetFlat(g, view, anchored, subset, plan);
-    ASSERT_NO_FATAL_FAILURE(
-        ExpectIdentical(subset_oracle, sub, 11, 3, "shared-view-subset"));
-  }
-}
-
-TEST(PlanDifferential, FlatEngineEdgeCases) {
-  ScopedParallelism parallelism(8);
-  for (const DecompositionPlan& plan :
-       {DecompositionPlan::Bsp(), DecompositionPlan::BspCoreThenTruss()}) {
-    const Graph empty = GraphBuilder(3).Build();
-    const TrussDecomposition d = ComputeTrussDecompositionFlat(empty, {}, plan);
-    EXPECT_EQ(d.trussness.size(), 0u);
-    EXPECT_EQ(d.max_trussness, 2u);
-
-    GraphBuilder b(2);
-    b.AddEdge(0, 1);
-    const Graph single = b.Build();
-    const TrussDecomposition s =
-        ComputeTrussDecompositionFlat(single, {}, plan);
-    EXPECT_EQ(s.trussness[0], 2u);
-    EXPECT_EQ(s.layer[0], 1u);
-
-    // All edges anchored: nothing peels, max_trussness stays the floor.
-    const Graph fig3 = MakeFig3Graph();
-    const std::vector<bool> all(fig3.NumEdges(), true);
-    const TrussDecomposition a =
-        ComputeTrussDecompositionFlat(fig3, all, plan);
-    for (EdgeId e = 0; e < fig3.NumEdges(); ++e) {
-      EXPECT_EQ(a.trussness[e], kAnchoredTrussness) << "edge " << e;
-    }
-    EXPECT_EQ(a.max_trussness, 2u);
-  }
-}
-
-TEST(PlanDifferential, PlanNamesRoundTrip) {
-  for (const DecompositionPlan& plan :
-       {DecompositionPlan::Serial(), DecompositionPlan::Bsp(),
-        DecompositionPlan::BspCoreThenTruss()}) {
-    const StatusOr<DecompositionPlan> parsed =
-        DecompositionPlanFromName(plan.Name());
-    ASSERT_TRUE(parsed.ok()) << plan.Name();
-    EXPECT_EQ(parsed->algorithm, plan.algorithm);
-  }
-  EXPECT_FALSE(DecompositionPlanFromName("turbo").ok());
-}
-
-TEST(ParallelDecomposition, EmptyAndEdgelessGraphs) {
   ScopedParallelism parallelism(8);
   const Graph empty = GraphBuilder(3).Build();
-  const TrussDecomposition d = ComputeTrussDecompositionParallel(empty);
+  const TrussDecomposition d = ComputeTrussDecomposition(empty);
   EXPECT_EQ(d.trussness.size(), 0u);
   EXPECT_EQ(d.max_trussness, 2u);
 
   GraphBuilder b(2);
   b.AddEdge(0, 1);
   const Graph single = b.Build();
-  const TrussDecomposition s = ComputeTrussDecompositionParallel(single);
+  const TrussDecomposition s = ComputeTrussDecomposition(single);
   EXPECT_EQ(s.trussness[0], 2u);
   EXPECT_EQ(s.layer[0], 1u);
+
+  // All edges anchored: nothing peels, max_trussness stays the floor.
+  const Graph fig3 = MakeFig3Graph();
+  const std::vector<bool> all(fig3.NumEdges(), true);
+  const TrussDecomposition a = ComputeTrussDecomposition(fig3, all);
+  for (EdgeId e = 0; e < fig3.NumEdges(); ++e) {
+    EXPECT_EQ(a.trussness[e], kAnchoredTrussness) << "edge " << e;
+  }
+  EXPECT_EQ(a.max_trussness, 2u);
 }
 
 }  // namespace

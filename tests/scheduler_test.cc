@@ -21,6 +21,7 @@
 #include "api/service.h"
 #include "graph/generators/generators.h"
 #include "net/wire.h"
+#include "util/parallel_for.h"
 #include "util/scheduler.h"
 #include "util/status.h"
 
@@ -234,6 +235,34 @@ TEST(FairSchedulerShutdown, RejectsSubmitsAfterShutdown) {
   EXPECT_EQ(h.Order(), (std::vector<int>{1}));
 }
 
+TEST(FairSchedulerParallelism, WorkersSplitTheConstructingThreadsBudget) {
+  // A pool built under an 8-thread budget splits it across its workers:
+  // inner ParallelFor calls inside jobs must not multiply into 8 * 4.
+  ScopedParallelism budget(8);
+  std::atomic<int> seen{0};
+  std::atomic<int> overridden{0};
+  FairScheduler scheduler(
+      {.workers = 4}, [](std::vector<FairScheduler::Job> batch) {
+        for (FairScheduler::Job& job : batch) {
+          static_cast<TestJob*>(job.payload.get())->body();
+        }
+      });
+  auto plain = std::make_shared<TestJob>();
+  plain->body = [&seen] { seen.store(ParallelWorkerCount()); };
+  ASSERT_TRUE(scheduler.Submit({"", 0, "", plain}).ok());
+
+  // An explicit per-job override (SolverOptions::threads) still wins.
+  auto pinned = std::make_shared<TestJob>();
+  pinned->body = [&overridden] {
+    ScopedParallelism mine(5);
+    overridden.store(ParallelWorkerCount());
+  };
+  ASSERT_TRUE(scheduler.Submit({"", 0, "", pinned}).ok());
+  scheduler.WaitIdle();
+  EXPECT_EQ(seen.load(), 2);
+  EXPECT_EQ(overridden.load(), 5);
+}
+
 TEST(FairSchedulerFusion, MatchingKeysFuseAcrossTenantsAndBuckets) {
   SchedulerHarness h({.capacity = 64, .max_batch = 8});
   h.Block();
@@ -342,6 +371,9 @@ std::vector<SolveResult> RunBehindBlocker(AtrService& service,
     EXPECT_TRUE(result.ok()) << result.status().message();
     results.push_back(result.ok() ? *result : SolveResult{});
   }
+  // A job's result is published before its worker counts the batch, so
+  // callers reading Stats() must wait for the worker to finish.
+  service.Drain();
   return results;
 }
 
@@ -393,7 +425,7 @@ TEST(ServiceBatchFusion, SubmitsDifferingOnlyInReservedWireByteFuse) {
   // Two wire Submits for one GAS job, one from an older client that sets
   // the reserved byte after `trials` (it once picked a greedy state-
   // maintenance path and split the batch key). Only the tenant string and
-  // the priority follow that byte in a plan-less frame.
+  // the priority follow that byte.
   net::SubmitRequest request;
   request.graph = "g";
   request.solver = "gas";

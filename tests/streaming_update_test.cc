@@ -5,9 +5,9 @@
 // trussness, layer, and max_trussness — is byte-identical to a
 // from-scratch ComputeTrussDecompositionOnSubset over the same anchors and
 // alive edges. Episodes run at thread counts {1, 8} (the oracle and the
-// engine's full-rebuild fallback dispatch through the parallel peel, so
-// the streaming path is exercised against both engines), with the fan-out
-// cutoff lowered so the parallel engine engages on these small graphs.
+// engine's full-rebuild fallback run the flat peel, inline at one thread
+// and fanned out at eight), with the fan-out cutoff lowered so the
+// fan-out engages on these small graphs.
 //
 // The Graph::ApplyEdits carry differential replays what
 // AtrService::UpdateGraph does — retire removed edges on the old topology,
@@ -32,7 +32,7 @@
 #include "tests/paper_fixtures.h"
 #include "truss/decomposition.h"
 #include "truss/incremental.h"
-#include "truss/parallel_peel.h"
+#include "truss/flat_peel.h"
 #include "util/env.h"
 #include "util/parallel_for.h"
 #include "util/prng.h"
@@ -199,13 +199,12 @@ void RunEpisode(uint64_t seed) {
   ASSERT_NO_FATAL_FAILURE(ExpectByteIdentical(inc, seed, steps));
 }
 
-// The issue's required thread counts: the oracle and the engine's
-// full-rebuild fallback dispatch serial at 1 worker and through the
-// round-synchronous parallel peel at 8.
+// Thread counts {1, 8}: the oracle and the engine's full-rebuild
+// fallback run the flat peel inline at 1 worker and fanned out at 8.
 void RunSweep(uint64_t episodes, uint64_t base, int threads) {
   ScopedParallelism parallelism(threads);
   // Force the fan-out path on these sub-cutoff graphs when sweeping with
-  // workers; the single-thread leg keeps the production cutoff (serial).
+  // workers; the single-thread leg keeps the production cutoff (inline).
   std::optional<ScopedPeelCutoff> cutoff;
   if (threads > 1) cutoff.emplace(1);
   for (uint64_t i = 0; i < episodes; ++i) {

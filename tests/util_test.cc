@@ -1,12 +1,11 @@
 // Tests for the utility substrate: PRNG, status, env knobs, parallel loop,
-// table rendering, and the bounded task-queue worker pool.
+// table rendering, and the wall timer.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdlib>
 #include <mutex>
 #include <set>
@@ -17,7 +16,6 @@
 #include "util/prng.h"
 #include "util/status.h"
 #include "util/table_printer.h"
-#include "util/task_queue.h"
 #include "util/timer.h"
 
 namespace atr {
@@ -279,134 +277,6 @@ TEST(WallTimer, IsMonotone) {
   const double second = timer.ElapsedSeconds();
   EXPECT_GE(second, first);
   EXPECT_GE(first, 0.0);
-}
-
-TEST(TaskQueue, RunsEveryTaskAndWaitsIdle) {
-  TaskQueue::Options options;
-  options.workers = 3;
-  TaskQueue queue(options);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(
-        queue.Submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); })
-            .ok());
-  }
-  queue.WaitIdle();
-  EXPECT_EQ(ran.load(), 50);
-  EXPECT_EQ(queue.tasks_executed(), 50u);
-  EXPECT_EQ(queue.workers(), 3);
-}
-
-TEST(TaskQueue, SingleWorkerPreservesSubmissionOrder) {
-  TaskQueue::Options options;
-  options.workers = 1;
-  TaskQueue queue(options);
-  std::vector<int> order;
-  for (int i = 0; i < 20; ++i) {
-    // One worker: no race on `order`.
-    ASSERT_TRUE(queue.Submit([&order, i] { order.push_back(i); }).ok());
-  }
-  queue.WaitIdle();
-  ASSERT_EQ(order.size(), 20u);
-  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
-}
-
-TEST(TaskQueue, TrySubmitFailsOnlyWhileFull) {
-  TaskQueue::Options options;
-  options.workers = 1;
-  options.capacity = 1;
-  TaskQueue queue(options);
-
-  // Park the worker so the queue backs up deterministically.
-  std::mutex gate_mu;
-  std::condition_variable gate_cv;
-  bool parked = false;
-  bool release = false;
-  ASSERT_TRUE(queue
-                  .Submit([&] {
-                    std::unique_lock<std::mutex> lock(gate_mu);
-                    parked = true;
-                    gate_cv.notify_all();
-                    gate_cv.wait(lock, [&] { return release; });
-                  })
-                  .ok());
-  {
-    std::unique_lock<std::mutex> lock(gate_mu);
-    gate_cv.wait(lock, [&] { return parked; });
-  }
-
-  std::atomic<int> ran{0};
-  auto count = [&ran] { ran.fetch_add(1, std::memory_order_relaxed); };
-  EXPECT_TRUE(queue.TrySubmit(count).ok());  // fills the single pending slot
-  EXPECT_EQ(queue.TrySubmit(count).code(),   // at capacity
-            StatusCode::kResourceExhausted);
-  {
-    std::lock_guard<std::mutex> lock(gate_mu);
-    release = true;
-    gate_cv.notify_all();
-  }
-  queue.WaitIdle();
-  EXPECT_TRUE(queue.TrySubmit(count).ok());  // space again
-  queue.WaitIdle();
-  EXPECT_EQ(ran.load(), 2);
-}
-
-TEST(TaskQueue, SubmitAfterShutdownRejectsWithFailedPrecondition) {
-  TaskQueue::Options options;
-  options.workers = 1;
-  TaskQueue queue(options);
-  std::atomic<int> ran{0};
-  auto count = [&ran] { ran.fetch_add(1, std::memory_order_relaxed); };
-  EXPECT_TRUE(queue.Submit(count).ok());
-  queue.Shutdown();
-
-  // The pool will never drain a new task: both entry points must reject
-  // instead of silently dropping (or deadlocking a blocked producer).
-  EXPECT_EQ(queue.Submit(count).code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(queue.TrySubmit(count).code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(ran.load(), 1);  // the pre-shutdown task ran, nothing else
-}
-
-TEST(TaskQueue, ComposesWithScopedParallelism) {
-  // A pool built under an 8-thread budget splits it across its workers:
-  // inner ParallelFor calls inside tasks must not multiply into 8 * 4.
-  ScopedParallelism budget(8);
-  TaskQueue::Options options;
-  options.workers = 4;
-  TaskQueue queue(options);
-  EXPECT_EQ(queue.threads_per_task(), 2);
-
-  std::atomic<int> seen{0};
-  ASSERT_TRUE(queue.Submit([&seen] { seen.store(ParallelWorkerCount()); }).ok());
-  queue.WaitIdle();
-  EXPECT_EQ(seen.load(), 2);
-
-  // An explicit per-task override (SolverOptions::threads) still wins.
-  std::atomic<int> overridden{0};
-  ASSERT_TRUE(queue
-                  .Submit([&overridden] {
-                    ScopedParallelism mine(5);
-                    overridden.store(ParallelWorkerCount());
-                  })
-                  .ok());
-  queue.WaitIdle();
-  EXPECT_EQ(overridden.load(), 5);
-}
-
-TEST(TaskQueue, ShutdownDrainsPendingTasks) {
-  std::atomic<int> ran{0};
-  {
-    TaskQueue::Options options;
-    options.workers = 2;
-    TaskQueue queue(options);
-    for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(
-          queue.Submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); })
-              .ok());
-    }
-    // Destructor shuts down: every submitted task still runs.
-  }
-  EXPECT_EQ(ran.load(), 10);
 }
 
 }  // namespace

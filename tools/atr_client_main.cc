@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,7 +28,6 @@ int Usage(const char* argv0) {
                "commands:\n"
                "  ping | list | info GRAPH | compact GRAPH | shutdown\n"
                "  solve GRAPH SOLVER BUDGET [--seed N] [--trials N]\n"
-               "        [--plan serial|bsp|bsp-core-truss]\n"
                "  update GRAPH [--add U,V ...] [--remove U,V ...]\n",
                argv0);
   return 2;
@@ -120,25 +118,17 @@ int main(int argc, char** argv) {
     const std::string solver = argv[i++];
     atr::net::WireSolverOptions options;
     options.budget = static_cast<uint32_t>(std::atoi(argv[i++]));
-    std::optional<atr::DecompositionPlan> plan;
     for (; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--seed" && i + 1 < argc) {
         options.seed = static_cast<uint64_t>(std::atoll(argv[++i]));
       } else if (arg == "--trials" && i + 1 < argc) {
         options.trials = static_cast<uint32_t>(std::atoi(argv[++i]));
-      } else if (arg == "--plan" && i + 1 < argc) {
-        atr::StatusOr<atr::DecompositionPlan> parsed =
-            atr::DecompositionPlanFromName(argv[++i]);
-        if (!parsed.ok()) return Fail(parsed.status(), 0);
-        plan = *parsed;
       } else {
         return Usage(argv[0]);
       }
     }
-    atr::StatusOr<uint64_t> job =
-        client.Submit(graph, solver, options, /*tenant=*/"", /*priority=*/0,
-                      plan);
+    atr::StatusOr<uint64_t> job = client.Submit(graph, solver, options);
     if (!job.ok()) return Fail(job.status(), client.last_retry_after_ms());
     atr::StatusOr<atr::net::WireSolveResult> result = client.Wait(*job);
     if (!result.ok()) return Fail(result.status(), client.last_retry_after_ms());
