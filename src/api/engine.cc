@@ -13,11 +13,13 @@ AtrEngine::AtrEngine(const Graph& graph, TrussDecomposition decomposition)
 }
 
 AtrEngine::AtrEngine(std::shared_ptr<const Graph> graph,
-                     SharedTrussDecomposition decomposition)
+                     SharedTrussDecomposition decomposition,
+                     std::shared_ptr<LazyTriangleIndex> triangles)
     : shared_graph_(std::move(graph)),
       graph_(shared_graph_.get()),
       context_(*shared_graph_) {
   context_.PrimeDecomposition(std::move(decomposition));
+  if (triangles != nullptr) context_.PrimeTriangles(std::move(triangles));
 }
 
 StatusOr<SolveResult> AtrEngine::Run(const std::string& solver,

@@ -1,8 +1,8 @@
 // AtrEngine — session facade over one graph.
 //
 // An engine owns a Graph plus the lazily-computed, cached anchor-free
-// truss decomposition (a SolverContext), and runs any registered solver
-// against that shared state:
+// truss decomposition and triangle index (a SolverContext), and runs any
+// registered solver against that shared state:
 //
 //   AtrEngine engine(std::move(graph));
 //   StatusOr<SolveResult> gas = engine.Run("gas", options);
@@ -64,9 +64,12 @@ class AtrEngine {
   // decomposition — nothing is copied until the first mutable-session
   // commit, which copy-on-writes the decomposition into the session's
   // incremental engine. Readers of the originating snapshot are never
-  // blocked or affected.
+  // blocked or affected. `triangles`, when non-null, is the snapshot's
+  // triangle index holder, shared with the service's jobs; otherwise the
+  // engine keeps its own.
   AtrEngine(std::shared_ptr<const Graph> graph,
-            SharedTrussDecomposition decomposition);
+            SharedTrussDecomposition decomposition,
+            std::shared_ptr<LazyTriangleIndex> triangles = nullptr);
 
   // Engines hold a self-referencing context; copying/moving is disabled.
   AtrEngine(const AtrEngine&) = delete;
@@ -132,6 +135,11 @@ class AtrEngine {
   }
   uint32_t decomposition_reuses() const {
     return context_.decomposition_reuses();
+  }
+  // 1 once this engine's first BASE+ or GAS run built the triangle index;
+  // 0 before that, and for a checkout whose holder was built elsewhere.
+  uint32_t triangle_index_builds() const {
+    return context_.triangle_index_builds();
   }
 
  private:

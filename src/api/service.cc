@@ -156,12 +156,16 @@ SolveProgress JobHandle::Progress() const {
 // eagerly and the once flag is consumed at construction. `built` is set
 // with release order after `decomposition` is published and read with
 // acquire by Info(), so an observed true implies a readable snapshot.
+// Every version starts with an unbuilt triangle index holder, whichever
+// path made it: the write path never builds an index.
 struct AtrService::GraphVersion {
   std::shared_ptr<const Graph> graph;
   uint64_t version = 1;
   std::once_flag once;
   SharedTrussDecomposition decomposition;
   std::atomic<bool> built{false};
+  const std::shared_ptr<LazyTriangleIndex> triangles =
+      std::make_shared<LazyTriangleIndex>();
 
   // Marks this version born built (UpdateGraph publications and restored
   // snapshots): the once flag is consumed here so SnapshotOf never counts
@@ -342,7 +346,8 @@ GraphSnapshot AtrService::SnapshotOf(CatalogEntry& entry,
     entry.builds.fetch_add(1, std::memory_order_relaxed);
     version.built.store(true, std::memory_order_release);
   });
-  return GraphSnapshot{version.graph, version.decomposition, version.version};
+  return GraphSnapshot{version.graph, version.decomposition,
+                       version.triangles, version.version};
 }
 
 StatusOr<GraphSnapshot> AtrService::Snapshot(const std::string& name) {
@@ -440,7 +445,8 @@ StatusOr<GraphSnapshot> AtrService::UpdateGraph(const std::string& name,
     entry->delta_updates.fetch_add(1, std::memory_order_relaxed);
     entry->delta_chain.fetch_add(1, std::memory_order_relaxed);
   }
-  return GraphSnapshot{next->graph, next->decomposition, next->version};
+  return GraphSnapshot{next->graph, next->decomposition, next->triangles,
+                       next->version};
 }
 
 StatusOr<AtrService::GraphInfo> AtrService::Info(
@@ -640,7 +646,8 @@ StatusOr<std::unique_ptr<AtrEngine>> AtrService::CheckoutSession(
   std::shared_ptr<GraphVersion> version = entry->Current();
   GraphSnapshot snapshot = SnapshotOf(*entry, *version);
   return std::make_unique<AtrEngine>(std::move(snapshot.graph),
-                                     std::move(snapshot.decomposition));
+                                     std::move(snapshot.decomposition),
+                                     std::move(snapshot.triangles));
 }
 
 void AtrService::RunBatch(std::vector<FairScheduler::Job> batch) {
@@ -685,10 +692,13 @@ void AtrService::RunJob(const std::shared_ptr<internal::JobState>& state) {
 
   // Fork the per-job read path: a private context primed with the shared
   // immutable snapshot. The solver mutates only this context (counters)
-  // and its own stack — the snapshot is never written.
+  // and its own stack — the snapshot is never written. The version's
+  // triangle index holder is shared too; the first job whose solver reads
+  // the index builds it.
   const GraphSnapshot snapshot = state->snapshot();
   SolverContext context(*snapshot.graph);
   context.PrimeDecomposition(snapshot.decomposition);
+  context.PrimeTriangles(snapshot.triangles);
 
   // Rewire the control surface onto the job: the solver polls the job's
   // cancel flag (JobHandle::Cancel at native round/trial granularity), and
@@ -752,6 +762,7 @@ void AtrService::RunFusedGreedy(
 
   SolverContext context(*snapshot.graph);
   context.PrimeDecomposition(snapshot.decomposition);
+  context.PrimeTriangles(snapshot.triangles);
 
   SolverOptions fused;
   fused.budget = max_budget;

@@ -17,7 +17,9 @@
 // One decomposition per graph, ever: the first job against a graph builds
 // its anchor-free truss decomposition (std::call_once), every later job —
 // no matter how many run concurrently — forks a cheap per-job SolverContext
-// primed with the same immutable SharedTrussDecomposition snapshot. Results
+// primed with the same immutable SharedTrussDecomposition snapshot. The
+// full-graph triangle index that BASE+ and GAS walk is held the same way,
+// one per graph version, built by the first job that reads it. Results
 // are byte-identical to a serial AtrEngine::Run because solver results
 // never depend on scheduling or thread count (see docs/API.md, threading
 // and determinism).
@@ -86,12 +88,17 @@
 
 namespace atr {
 
-// Immutable per-graph state served to jobs. Both pointers are read-only
-// snapshots; holding a GraphSnapshot keeps them alive across RemoveGraph
-// and across any number of later UpdateGraph versions.
+// Immutable per-graph state served to jobs. The graph and decomposition
+// are read-only snapshots; holding a GraphSnapshot keeps them and the
+// triangle index holder alive across RemoveGraph and across any number of
+// later UpdateGraph versions.
 struct GraphSnapshot {
   std::shared_ptr<const Graph> graph;
   SharedTrussDecomposition decomposition;
+  // The version's triangle index holder. Taking a snapshot never builds
+  // the index: the first job whose solver reads it does (BASE+ and GAS),
+  // on its worker, and every later job on the version reuses it.
+  std::shared_ptr<LazyTriangleIndex> triangles;
   // 1 for the AddGraph snapshot, bumped by every successful UpdateGraph.
   uint64_t version = 1;
 };

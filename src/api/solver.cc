@@ -40,6 +40,20 @@ void SolverContext::BindSession(const TrussDecomposition* decomposition,
 
 uint32_t SolverContext::MaxTrussness() { return Decomposition().max_trussness; }
 
+const TriangleIndex& SolverContext::Triangles() {
+  if (triangles_ == nullptr) triangles_ = std::make_shared<LazyTriangleIndex>();
+  bool built = false;
+  const TriangleIndex& index = triangles_->Get(*graph_, &built);
+  if (built) ++triangle_index_builds_;
+  return index;
+}
+
+void SolverContext::PrimeTriangles(
+    std::shared_ptr<LazyTriangleIndex> triangles) {
+  ATR_CHECK(triangles != nullptr);
+  triangles_ = std::move(triangles);
+}
+
 void SolverContext::PrimeDecomposition(TrussDecomposition decomposition) {
   decomposition_ =
       std::make_shared<const TrussDecomposition>(std::move(decomposition));

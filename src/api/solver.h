@@ -17,10 +17,11 @@
 // bounded with ::wall_clock_limit_seconds.
 //
 // SolverContext carries the lazily-computed, cached anchor-free truss
-// decomposition of a graph. AtrEngine (api/engine.h) keeps one context
-// alive across Run() calls so cross-solver comparisons and budget sweeps
-// (the paper's Fig. 5/6/8, Table III/V experiments) share that state
-// instead of recomputing it per call.
+// decomposition of a graph and its full-graph triangle index. AtrEngine
+// (api/engine.h) keeps one context alive across Run() calls so
+// cross-solver comparisons and budget sweeps (the paper's Fig. 5/6/8,
+// Table III/V experiments) share that state instead of recomputing it per
+// call.
 
 #ifndef ATR_API_SOLVER_H_
 #define ATR_API_SOLVER_H_
@@ -34,6 +35,7 @@
 
 #include "core/atr_problem.h"
 #include "graph/graph.h"
+#include "graph/triangle_index.h"
 #include "truss/decomposition.h"
 #include "util/status.h"
 
@@ -120,17 +122,21 @@ struct SolveResult {
 };
 
 // Shared per-graph state handed to solvers: the graph plus its
-// lazily-computed, cached anchor-free truss decomposition. The context
-// never recomputes: the first accessor call builds, every later call
-// reuses (instrumented via decomposition_builds / decomposition_reuses,
-// which the cache tests assert on).
+// lazily-computed, cached anchor-free truss decomposition and full-graph
+// triangle index. The context never recomputes: the first accessor call
+// builds, every later call reuses (instrumented via decomposition_builds /
+// decomposition_reuses and triangle_index_builds, which the cache tests
+// assert on).
 //
 // The cached decomposition is held through a SharedTrussDecomposition
 // handle, so contexts can be forked cheaply from one immutable snapshot:
 // the service layer (api/service.h) computes a graph's decomposition once
 // and primes a fresh per-job context with the shared handle for every
-// concurrent solve. A context itself is single-job state (the counters and
-// lazy build are unsynchronized) — share the snapshot, not the context.
+// concurrent solve. The triangle index is shared the same way, through a
+// LazyTriangleIndex holder that one version owns and its jobs' contexts
+// adopt. A context itself is single-job state (the counters and lazy
+// decomposition build are unsynchronized) — share the snapshot, not the
+// context.
 //
 // The referenced Graph must outlive the context.
 class SolverContext {
@@ -172,18 +178,34 @@ class SolverContext {
   // bound (solvers then start from an anchor-free graph).
   const std::vector<bool>* session_anchors() const { return session_anchors_; }
 
+  // Full-graph triangle index of the graph, read by BASE+ and GAS; built
+  // through the context's holder on first call. The topology never
+  // changes, so the index serves a bound session as well. Without a
+  // primed holder the context makes its own.
+  const TriangleIndex& Triangles();
+
+  // Adopts a shared holder (the service's per-version one); whichever
+  // context sharing it calls Triangles() first builds the index. Call
+  // before the first Triangles().
+  void PrimeTriangles(std::shared_ptr<LazyTriangleIndex> triangles);
+
   // Cache instrumentation: how many times the decomposition was computed
-  // (at most 1) vs. served from cache.
+  // (at most 1) vs. served from cache, and how many times this context's
+  // Triangles() built the index (at most 1; 0 when a context sharing its
+  // holder built it).
   uint32_t decomposition_builds() const { return decomposition_builds_; }
   uint32_t decomposition_reuses() const { return decomposition_reuses_; }
+  uint32_t triangle_index_builds() const { return triangle_index_builds_; }
 
  private:
   const Graph* graph_;
   SharedTrussDecomposition decomposition_;
+  std::shared_ptr<LazyTriangleIndex> triangles_;
   const TrussDecomposition* session_decomposition_ = nullptr;
   const std::vector<bool>* session_anchors_ = nullptr;
   uint32_t decomposition_builds_ = 0;
   uint32_t decomposition_reuses_ = 0;
+  uint32_t triangle_index_builds_ = 0;
 };
 
 // Validates the fields of `options` every solver agrees on: budget within

@@ -109,6 +109,11 @@ class GreedySolver : public Solver {
     // state, whose committed anchors the run then builds on.
     const TrussDecomposition& seed = context.Decomposition();
     const std::vector<bool>* initial_anchors = context.session_anchors();
+    // BASE+ and GAS walk the context's triangle index, which like the
+    // decomposition is built once and then reused, so it is fetched before
+    // the timer too. BASE walks none.
+    const TriangleIndex* triangles =
+        kind_ == Kind::kBase ? nullptr : &context.Triangles();
     WallTimer timer;
     AnchorResult run;
     switch (kind_) {
@@ -117,11 +122,12 @@ class GreedySolver : public Solver {
                             initial_anchors);
         break;
       case Kind::kBasePlus:
-        run = RunBasePlus(g, options.budget, &control, &seed,
+        run = RunBasePlus(g, *triangles, options.budget, &control, &seed,
                           initial_anchors);
         break;
       case Kind::kGas:
-        run = RunGas(g, options.budget, &control, &seed, initial_anchors);
+        run = RunGas(g, *triangles, options.budget, &control, &seed,
+                     initial_anchors);
         break;
     }
 

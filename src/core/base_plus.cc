@@ -11,8 +11,8 @@
 
 namespace atr {
 
-AnchorResult RunBasePlus(const Graph& g, uint32_t budget,
-                         const GreedyControl* control,
+AnchorResult RunBasePlus(const Graph& g, const TriangleIndex& triangles,
+                         uint32_t budget, const GreedyControl* control,
                          const TrussDecomposition* seed_decomposition,
                          const std::vector<bool>* initial_anchors) {
   const uint32_t m = g.NumEdges();
@@ -21,9 +21,6 @@ AnchorResult RunBasePlus(const Graph& g, uint32_t budget,
   budget = std::min<uint32_t>(budget, m);
 
   WallTimer timer;
-  // One full-graph triangle index for the whole solve, shared read-only by
-  // every worker's search and by the engine's follower recount.
-  const TriangleIndex triangles = BuildTriangleIndex(g);
   // The committed (decomposition, anchors) state, updated in place by each
   // commit; the workers' searches read it between commits.
   IncrementalTruss engine =

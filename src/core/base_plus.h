@@ -12,15 +12,18 @@
 
 #include "core/atr_problem.h"
 #include "graph/graph.h"
+#include "graph/triangle_index.h"
 #include "truss/decomposition.h"
 
 namespace atr {
 
 // Runs BASE+ with the given budget. Candidate evaluation is parallelized
-// across edges with one FollowerSearch instance per worker, all sharing
-// one triangle index built per solve; workers claim candidate blocks
-// dynamically and their bests fold under BetterCandidate's total order
-// (deterministic at every thread count). `control` may carry a per-round
+// across edges with one FollowerSearch instance per worker; the searches
+// and the engine's commits all read `triangles`, which must be
+// BuildTriangleIndex(g) (the api layer passes the graph version's cached
+// one). Workers claim candidate blocks dynamically and their bests fold
+// under BetterCandidate's total order (deterministic at every thread
+// count). `control` may carry a per-round
 // progress callback, a cancellation flag, and a wall-clock limit.
 // `seed_decomposition`, when non-null, must be the decomposition of `g`
 // under `initial_anchors` (no anchors when null) and replaces the round-1
@@ -28,7 +31,8 @@ namespace atr {
 // kTrussnessNotComputed are treated as removed. `initial_anchors` edges are
 // never candidates and gains are measured on top of them.
 AnchorResult RunBasePlus(
-    const Graph& g, uint32_t budget, const GreedyControl* control = nullptr,
+    const Graph& g, const TriangleIndex& triangles, uint32_t budget,
+    const GreedyControl* control = nullptr,
     const TrussDecomposition* seed_decomposition = nullptr,
     const std::vector<bool>* initial_anchors = nullptr);
 

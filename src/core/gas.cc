@@ -31,8 +31,8 @@ struct BlockReads {
 
 }  // namespace
 
-AnchorResult RunGas(const Graph& g, uint32_t budget,
-                    const GreedyControl* control,
+AnchorResult RunGas(const Graph& g, const TriangleIndex& triangles,
+                    uint32_t budget, const GreedyControl* control,
                     const TrussDecomposition* seed_decomposition,
                     const std::vector<bool>* initial_anchors) {
   const uint32_t m = g.NumEdges();
@@ -41,10 +41,6 @@ AnchorResult RunGas(const Graph& g, uint32_t budget,
   budget = std::min<uint32_t>(budget, m);
 
   WallTimer timer;
-  // The topology never changes during a solve, so one full-graph triangle
-  // index serves every walk of every round: the candidate searches, the
-  // commit marking, and the engine's follower recount at each commit.
-  const TriangleIndex triangles = BuildTriangleIndex(g);
   // The committed (decomposition, anchors) state, updated in place by each
   // commit; the sweeps read it between commits.
   IncrementalTruss engine =

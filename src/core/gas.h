@@ -40,8 +40,10 @@
 // partially reusable.
 //
 // Every per-edge triangle walk of a solve — the candidate searches, the
-// commit marking, the engine's follower recount at each commit — reads
-// one full-graph TriangleIndex built when the solve starts. The sweep's
+// commit marking, the engine's region re-peel and follower recount at each
+// commit — reads one full-graph TriangleIndex that the caller passes in.
+// The api layer builds it once per graph version and hands the same index
+// to every solve on that version (api/solver.h). The sweep's
 // workers claim candidate blocks from a shared cursor (CandidateCursor in
 // core/greedy_internal.h); the cached read sets are stored per block, and
 // only the worker that claims a block reads or rewrites them. Each worker
@@ -58,19 +60,21 @@
 
 #include "core/atr_problem.h"
 #include "graph/graph.h"
+#include "graph/triangle_index.h"
 #include "truss/decomposition.h"
 
 namespace atr {
 
-// Runs GAS with the given budget. `control` may carry a per-round progress
+// Runs GAS with the given budget. `triangles` must be BuildTriangleIndex(g);
+// the solve only reads it. `control` may carry a per-round progress
 // callback, a cancellation flag, and a wall-clock limit.
 // `seed_decomposition`, when non-null, must be the decomposition of `g`
 // under `initial_anchors` (no anchors when null) and replaces the round-1
 // computation (the api layer passes its cached copy); edges it reports as
 // kTrussnessNotComputed are treated as removed. `initial_anchors` edges
 // are never candidates and gains are measured on top of them.
-AnchorResult RunGas(const Graph& g, uint32_t budget,
-                    const GreedyControl* control = nullptr,
+AnchorResult RunGas(const Graph& g, const TriangleIndex& triangles,
+                    uint32_t budget, const GreedyControl* control = nullptr,
                     const TrussDecomposition* seed_decomposition = nullptr,
                     const std::vector<bool>* initial_anchors = nullptr);
 

@@ -85,8 +85,8 @@ inline constexpr uint8_t kNear = 1;
 inline constexpr uint8_t kTouched = 2;
 
 // Clears `marks` (one byte per edge) and marks the writes `engine` logged
-// since its last ClearUndoLog(). `triangles` is the solve's
-// BuildTriangleIndex of the engine's graph.
+// since its last ClearUndoLog(). `triangles` is BuildTriangleIndex of the
+// engine's graph, the index the solve was given.
 inline void MarkCommitWrites(const IncrementalTruss& engine,
                              const TriangleIndex& triangles,
                              std::vector<uint8_t>* marks) {
@@ -125,9 +125,9 @@ inline bool ReadsCommitWrites(const std::vector<uint8_t>& marks, EdgeId x,
 // The committed (decomposition, anchors) state of a BASE+ or GAS solve.
 // `seed`, when non-null, must be the decomposition of `g` under
 // `initial_anchors` (no anchors when null); edges it reports as
-// kTrussnessNotComputed are treated as removed. ApplyAnchor's follower
-// recount reads `triangles`, the solve's BuildTriangleIndex(g), which must
-// outlive the engine.
+// kTrussnessNotComputed are treated as removed. Every commit walks
+// `triangles`, the solve's BuildTriangleIndex(g), which must outlive the
+// engine: the region seeding and re-peel as well as the follower recount.
 inline IncrementalTruss MakeGreedyEngine(
     const Graph& g, const TriangleIndex& triangles,
     const TrussDecomposition* seed,

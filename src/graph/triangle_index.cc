@@ -1,5 +1,7 @@
 #include "graph/triangle_index.h"
 
+#include "util/macros.h"
+
 namespace atr {
 
 TriangleIndex BuildTriangleIndex(const FlatGraphView& view,
@@ -63,6 +65,19 @@ TriangleIndex BuildTriangleIndex(const Graph& g) {
   std::vector<uint32_t> support(g.NumEdges(), 0);
   return BuildTriangleIndex(FlatGraphView::Build(g), {}, /*full_graph=*/true,
                             support);
+}
+
+const TriangleIndex& LazyTriangleIndex::Get(const Graph& g, bool* built_here) {
+  bool built_now = false;
+  std::call_once(once_, [&] {
+    index_ = BuildTriangleIndex(g);
+    built_now = true;
+    built_.store(true, std::memory_order_release);
+  });
+  ATR_CHECK_MSG(index_.NumEdges() == g.NumEdges(),
+                "LazyTriangleIndex: Get() called with another graph");
+  if (built_here != nullptr) *built_here = built_now;
+  return index_;
 }
 
 }  // namespace atr

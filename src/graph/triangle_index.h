@@ -6,8 +6,9 @@
 // afterwards the triangles of an edge are one contiguous scan, O(1) per
 // triangle, where ForEachTriangleOfEdge pays O(min d · log max d) per
 // edge. The flat peel (truss/flat_peel.h) builds an alive-subset index per
-// decomposition; the solvers build one full-graph index per solve and
-// share it read-only across their workers.
+// decomposition. The full-graph index is built at most once per graph
+// version through a LazyTriangleIndex, and every greedy solve on that
+// version shares it read-only across its workers and its commits.
 //
 // Pair orientation and the order within a list are deterministic but
 // differ from ForEachTriangleOfEdge's; every consumer treats the two
@@ -16,7 +17,9 @@
 #ifndef ATR_GRAPH_TRIANGLE_INDEX_H_
 #define ATR_GRAPH_TRIANGLE_INDEX_H_
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "graph/flat_view.h"
@@ -54,6 +57,27 @@ TriangleIndex BuildTriangleIndex(const FlatGraphView& view,
 // Full-graph index of `g` — every triangle of the topology, whatever a
 // decomposition later reports about its edges.
 TriangleIndex BuildTriangleIndex(const Graph& g);
+
+// One graph's full-graph index, built by the first Get() and shared by
+// every later or concurrent one: what SharedTrussDecomposition is to the
+// decomposition. A SolverContext holds one (api/solver.h), and the service
+// keeps one per graph version and primes every job's context with it
+// (api/service.h). Get() is thread-safe; concurrent first callers block
+// until the one build finishes.
+class LazyTriangleIndex {
+ public:
+  // BuildTriangleIndex(g). Every call must pass the same graph. Sets
+  // `*built_here` to whether this call did the build.
+  const TriangleIndex& Get(const Graph& g, bool* built_here = nullptr);
+
+  // Whether a Get() has finished the build. Reading it never builds.
+  bool built() const { return built_.load(std::memory_order_acquire); }
+
+ private:
+  std::once_flag once_;
+  TriangleIndex index_;
+  std::atomic<bool> built_{false};
+};
 
 }  // namespace atr
 

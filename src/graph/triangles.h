@@ -7,10 +7,11 @@
 //    truss-component tree.
 //  * ForEachTriangleOfEdge enumerates the triangles containing one specific
 //    edge in O(min(d(u), d(v)) * log max(d(u), d(v))) straight from the
-//    CSR, with no prebuilt structure: the serial oracle peel, incremental
-//    maintenance and AKT query it edge by edge. Callers that walk the
-//    triangles of many edges against one topology (the follower search,
-//    GAS, the component tree) build a TriangleIndex once instead
+//    CSR, with no prebuilt structure: the serial oracle peel, AKT, and
+//    incremental maintenance engines given no index query it edge by
+//    edge. Callers that walk the triangles of many edges against one
+//    topology (the follower search, the greedy solvers and their commits,
+//    the component tree) read a TriangleIndex instead
 //    (graph/triangle_index.h) and scan its per-edge lists.
 
 #ifndef ATR_GRAPH_TRIANGLES_H_

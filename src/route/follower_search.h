@@ -39,7 +39,8 @@
 // scan, route expansion, RouteSize — reads a full-graph TriangleIndex
 // (graph/triangle_index.h): the triangles of an edge are one contiguous
 // scan instead of an adjacency walk with a FindEdge binary search per
-// neighbor. Solvers build one index per solve and share it read-only
+// neighbor. The greedy solvers are given the graph version's one index
+// (built at most once per version, api/solver.h) and share it read-only
 // across their per-worker searches; a search constructed from the graph
 // alone builds and owns its index. All scratch state is epoch-stamped, so
 // one FollowerSearch instance can be reused across the m candidate

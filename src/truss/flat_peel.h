@@ -24,8 +24,9 @@
 //    exactly the stored pairs of their dying edges — O(1) per triangle
 //    visit — instead of re-intersecting the endpoints' adjacency lists,
 //    which on hub-heavy graphs costs orders of magnitude more than the
-//    triangle count. This index lives only for the call; the solvers
-//    build their own full-graph index once per solve;
+//    triangle count. This index lives only for the call; the greedy
+//    solvers read a full-graph index built at most once per graph
+//    version;
 //  * edge support / edge id in flat SoA arrays ordered by a bin-sort
 //    bucket structure (sorted / pos / bin_start): a support decrement is
 //    an O(1) swap with its bin's front, and each phase's frontier is a

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "graph/triangle_index.h"
 #include "graph/triangles.h"
 #include "route/follower_search.h"
 #include "util/macros.h"
@@ -37,6 +38,10 @@ IncrementalTruss::IncrementalTruss(const Graph& g, TrussDecomposition seed,
                                    std::vector<bool> anchored,
                                    const TriangleIndex* triangles)
     : g_(&g), triangles_(triangles) {
+  // Every walk indexes `offsets` by edge id: an index of another graph
+  // would read out of bounds long before any result looked wrong.
+  ATR_CHECK_MSG(triangles == nullptr || triangles->NumEdges() == g.NumEdges(),
+                "IncrementalTruss: triangle index is not of this graph");
   AdoptSeed(std::move(seed), std::move(anchored));
 }
 
@@ -55,6 +60,16 @@ IncrementalTruss::IncrementalTruss(const IncrementalTruss& other)
 }
 
 IncrementalTruss::~IncrementalTruss() = default;
+
+template <typename Fn>
+void IncrementalTruss::ForEachTriangle(EdgeId e, Fn&& fn) const {
+  if (triangles_ != nullptr) {
+    triangles_->ForEachTriangleOf(e, fn);
+  } else {
+    ForEachTriangleOfEdge(*g_, e,
+                          [&](VertexId, EdgeId p, EdgeId q) { fn(p, q); });
+  }
+}
 
 void IncrementalTruss::AdoptSeed(TrussDecomposition seed,
                                  std::vector<bool> anchored) {
@@ -185,7 +200,7 @@ void IncrementalTruss::SimulateRegion() {
   uint32_t max_sup = 0;
   for (const EdgeId e : region_) {
     sim_support_[e] = 0;
-    ForEachTriangleOfEdge(*g_, e, [&](VertexId, EdgeId p, EdgeId q) {
+    ForEachTriangle(e, [&](EdgeId p, EdgeId q) {
       if (decomp_.trussness[p] == kTrussnessNotComputed ||
           decomp_.trussness[q] == kTrussnessNotComputed) {
         return;
@@ -221,7 +236,7 @@ void IncrementalTruss::SimulateRegion() {
   // their removal time instead of a support).
   auto scan_removal = [&](EdgeId x, uint32_t phase, uint32_t round,
                           uint32_t threshold) {
-    ForEachTriangleOfEdge(*g_, x, [&](VertexId, EdgeId p, EdgeId q) {
+    ForEachTriangle(x, [&](EdgeId p, EdgeId q) {
       if (!PresentNow(p, phase, round) || !PresentNow(q, phase, round)) {
         return;
       }
@@ -332,7 +347,7 @@ bool IncrementalTruss::ExpandRegion() {
     const bool shrinking = t2 < t1 || (t2 == t1 && l2 < l1);
     const uint32_t lo = std::min(t1, t2);
     const uint32_t hi = std::max(t1, t2);
-    ForEachTriangleOfEdge(*g_, e, [&](VertexId, EdgeId p, EdgeId q) {
+    ForEachTriangle(e, [&](EdgeId p, EdgeId q) {
       for (const EdgeId w : {p, q}) {
         if (region_epoch_[w] == region_pass_ || anchored_[w]) continue;
         const uint32_t tw = decomp_.trussness[w];
@@ -414,7 +429,7 @@ uint32_t IncrementalTruss::ApplyAnchor(EdgeId e,
   // each follower's immediate layer-suspects; ExpandRegion() catches
   // anything further out.
   for (const EdgeId f : follower_scratch_) AddToRegion(f);
-  ForEachTriangleOfEdge(*g_, e, [&](VertexId, EdgeId p, EdgeId q) {
+  ForEachTriangle(e, [&](EdgeId p, EdgeId q) {
     for (const EdgeId w : {p, q}) {
       if (anchored_[w] || !IsAlive(w)) continue;
       if (decomp_.trussness[w] >= old_t) AddToRegion(w);
@@ -422,7 +437,7 @@ uint32_t IncrementalTruss::ApplyAnchor(EdgeId e,
   });
   for (const EdgeId f : follower_scratch_) {
     const uint32_t tf = decomp_.trussness[f];
-    ForEachTriangleOfEdge(*g_, f, [&](VertexId, EdgeId p, EdgeId q) {
+    ForEachTriangle(f, [&](EdgeId p, EdgeId q) {
       for (const EdgeId w : {p, q}) {
         if (anchored_[w] || !IsAlive(w)) continue;
         const uint32_t tw = decomp_.trussness[w];
@@ -500,7 +515,7 @@ uint32_t IncrementalTruss::InsertEdge(EdgeId e) {
   AddToRegion(e);
   // Every partner of a now-standing triangle through `e` gains support at
   // all phases up to e's settled removal time, which can lift any of them.
-  ForEachTriangleOfEdge(*g_, e, [&](VertexId, EdgeId p, EdgeId q) {
+  ForEachTriangle(e, [&](EdgeId p, EdgeId q) {
     if (!IsAlive(p) || !IsAlive(q)) return;
     AddToRegion(p);
     AddToRegion(q);
@@ -549,7 +564,7 @@ uint64_t IncrementalTruss::RemoveEdge(EdgeId e) {
   // Every partner of a standing triangle through `e` loses support at all
   // phases up to e's old removal time, which can pull any of them down;
   // seed them all (gather before the edge dies).
-  ForEachTriangleOfEdge(*g_, e, [&](VertexId, EdgeId p, EdgeId q) {
+  ForEachTriangle(e, [&](EdgeId p, EdgeId q) {
     if (!IsAlive(p) || !IsAlive(q)) return;
     AddToRegion(p);
     AddToRegion(q);

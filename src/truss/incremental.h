@@ -85,11 +85,13 @@ class IncrementalTruss {
   // Adopts a precomputed decomposition of `g` instead of recomputing.
   // `seed` must be the decomposition ComputeTrussDecomposition(g, anchored)
   // produced for `anchored` (empty = no anchors); edges with trussness
-  // kTrussnessNotComputed are treated as removed. ApplyAnchor's follower
-  // recount reads `triangles` when it is non-null (it must be
-  // BuildTriangleIndex(g) and outlive the engine and its copies, as the
-  // greedy solvers' per-solve index does); otherwise the first ApplyAnchor
-  // builds an index of its own.
+  // kTrussnessNotComputed are treated as removed. When `triangles` is
+  // non-null, every triangle walk of every mutation reads it — the region
+  // seeding and re-peel as well as ApplyAnchor's follower recount. It must
+  // be BuildTriangleIndex(g) (its edge count is checked here) and outlive
+  // the engine and its copies, as a greedy solve's index does. Without
+  // one, the walks use ForEachTriangleOfEdge and the first ApplyAnchor
+  // builds an index for its recount.
   IncrementalTruss(const Graph& g, TrussDecomposition seed,
                    std::vector<bool> anchored = {},
                    const TriangleIndex* triangles = nullptr);
@@ -231,6 +233,13 @@ class IncrementalTruss {
   void CommitEdgeState(EdgeId e, uint32_t trussness, uint32_t layer,
                        bool anchored);
 
+  // Calls fn(p, q) once per triangle {e, p, q} of the topology, from
+  // `triangles_` when the engine has one. The two walks list the pairs in
+  // different orders and orientations; every caller treats a triangle's
+  // partners symmetrically and an edge's triangles as a set.
+  template <typename Fn>
+  void ForEachTriangle(EdgeId e, Fn&& fn) const;
+
   bool InRegion(EdgeId e) const { return region_epoch_[e] == region_pass_; }
   void AddToRegion(EdgeId e);
 
@@ -269,8 +278,8 @@ class IncrementalTruss {
   uint64_t undo_base_serial_ = 0;  // serial "under" position 0
   Stats stats_;
 
-  // The caller's index shared with the follower recount; null when the
-  // recount owns one.
+  // The caller's index, read by every walk and by the follower recount;
+  // null when the engine walks adjacency lists and the recount owns one.
   const TriangleIndex* triangles_ = nullptr;
   // Created by the first ApplyAnchor (building its own triangle index
   // unless `triangles_` is set), so engines that only insert and remove

@@ -155,7 +155,7 @@ TEST(Api, GasThroughRegistryMatchesDirectCall) {
   SolverOptions options;
   options.budget = 3;
   const SolveResult via_api = MustSolve("gas", g, options);
-  const AnchorResult direct = RunGas(g, 3);
+  const AnchorResult direct = RunGas(g, BuildTriangleIndex(g), 3);
   EXPECT_EQ(via_api.anchor_edges, direct.anchors);
   EXPECT_EQ(via_api.total_gain, direct.total_gain);
   ASSERT_EQ(via_api.rounds.size(), direct.rounds.size());
@@ -223,7 +223,8 @@ TEST(Api, ProgressCallbackCanCancelAfterFirstRound) {
   EXPECT_TRUE(gas.stopped_early);
   EXPECT_EQ(gas.anchor_edges.size(), 1u);
   // The single selected anchor is still the greedy's first choice.
-  EXPECT_EQ(gas.anchor_edges[0], RunGas(g, 1).anchors[0]);
+  EXPECT_EQ(gas.anchor_edges[0],
+            RunGas(g, BuildTriangleIndex(g), 1).anchors[0]);
 }
 
 TEST(Api, CancelFlagStopsBeforeAnyRound) {
@@ -255,6 +256,35 @@ TEST(Engine, DecompositionIsComputedOnceAcrossSolvers) {
   engine.Decomposition();
   EXPECT_EQ(engine.decomposition_builds(), 1u);
   EXPECT_GE(engine.decomposition_reuses(), 5u);
+}
+
+TEST(Engine, TriangleIndexIsBuiltOnceAcrossGreedySolves) {
+  const Graph g = MakeFig3Graph();
+  AtrEngine engine(MakeFig3Graph());
+  SolverOptions options;
+  options.budget = 3;
+  // Solvers that walk no index leave it unbuilt.
+  ASSERT_TRUE(engine.Run("rand", options).ok());
+  ASSERT_TRUE(engine.Run("akt:3", options).ok());
+  ASSERT_TRUE(engine.Run("exact", options).ok());
+  EXPECT_EQ(engine.triangle_index_builds(), 0u);
+
+  // The first greedy solve builds it; later ones, a sweep included, reuse
+  // it and select what a direct call on a fresh index selects.
+  const AnchorResult direct = RunGas(g, BuildTriangleIndex(g), 3);
+  StatusOr<SolveResult> gas = engine.Run("gas", options);
+  ASSERT_TRUE(gas.ok()) << gas.status().message();
+  EXPECT_EQ(engine.triangle_index_builds(), 1u);
+  StatusOr<SolveResult> base_plus = engine.Run("base+", options);
+  ASSERT_TRUE(base_plus.ok()) << base_plus.status().message();
+  StatusOr<SolveResult> sweep = engine.RunSweep("gas", {1, 2, 3});
+  ASSERT_TRUE(sweep.ok()) << sweep.status().message();
+  EXPECT_EQ(engine.triangle_index_builds(), 1u);
+  EXPECT_EQ(engine.decomposition_builds(), 1u);
+  EXPECT_EQ(gas->anchor_edges, direct.anchors);
+  EXPECT_EQ(base_plus->anchor_edges, direct.anchors);
+  EXPECT_EQ(sweep->anchor_edges, direct.anchors);
+  EXPECT_EQ(gas->total_gain, direct.total_gain);
 }
 
 TEST(Api, AktHonorsCancellationBetweenRounds) {

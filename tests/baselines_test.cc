@@ -27,7 +27,7 @@ TEST(Exact, MatchesGreedyOnFig3ForBudgetOne) {
   // With b = 1 greedy is optimal by definition of the greedy step.
   const Graph g = MakeFig3Graph();
   const ExactResult exact = RunExact(g, 1);
-  const AnchorResult gas = RunGas(g, 1);
+  const AnchorResult gas = RunGas(g, BuildTriangleIndex(g), 1);
   EXPECT_EQ(exact.gain, gas.total_gain);
   EXPECT_EQ(exact.subsets_evaluated, g.NumEdges());
 }
@@ -35,7 +35,7 @@ TEST(Exact, MatchesGreedyOnFig3ForBudgetOne) {
 TEST(Exact, BudgetTwoDominatesGreedy) {
   const Graph g = MakeFig3Graph();
   const ExactResult exact = RunExact(g, 2);
-  const AnchorResult gas = RunGas(g, 2);
+  const AnchorResult gas = RunGas(g, BuildTriangleIndex(g), 2);
   EXPECT_GE(exact.gain, gas.total_gain);
   // C(32, 2) subsets.
   EXPECT_EQ(exact.subsets_evaluated, 32u * 31u / 2u);
@@ -261,7 +261,7 @@ TEST(EdgeDeletion, IsWeakerThanGasOnClusteredGraphs) {
   // The case-study claim: deletion-critical edges are poor anchors.
   const Graph g = MakePropertyGraph(2);
   const EdgeDeletionResult deletion = RunEdgeDeletionBaseline(g, 3);
-  const AnchorResult gas = RunGas(g, 3);
+  const AnchorResult gas = RunGas(g, BuildTriangleIndex(g), 3);
   EXPECT_GE(gas.total_gain, deletion.total_gain);
 }
 

@@ -92,7 +92,8 @@ TEST(MaxCoverageGadget, ExactBudgetOneSolvesMaxCoverage) {
 TEST(MaxCoverageGadget, GreedyBudgetTwoCoversAllElements) {
   // Greedy coverage: T2 (3 elements) then T3 (adds e4) = 4 = optimum.
   const MaxCoverageGadget gadget = MakePaperInstance();
-  const AnchorResult gas = RunGas(gadget.graph, 2);
+  const AnchorResult gas =
+      RunGas(gadget.graph, BuildTriangleIndex(gadget.graph), 2);
   EXPECT_EQ(gas.total_gain, 4u);
   EXPECT_EQ(gas.anchors[0], gadget.set_edges[1]);
   EXPECT_EQ(gas.anchors[1], gadget.set_edges[2]);

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -102,10 +103,16 @@ EdgeId PickMutableEdge(const IncrementalTruss& inc, Rng& rng) {
 
 // One randomized episode: interleaved anchors/removals with a full oracle
 // comparison after every step, plus one mid-episode rollback round-trip.
-void RunEpisode(uint64_t seed) {
+// `use_index` gives the engine BuildTriangleIndex(g), so every walk reads
+// the index instead of the adjacency lists.
+void RunEpisode(uint64_t seed, bool use_index) {
   const Graph g = MakeDifferentialGraph(seed);
   if (g.NumEdges() == 0) return;
-  IncrementalTruss inc(g);
+  const TriangleIndex triangles = BuildTriangleIndex(g);
+  IncrementalTruss inc = use_index
+                             ? IncrementalTruss(g, ComputeTrussDecomposition(g),
+                                                {}, &triangles)
+                             : IncrementalTruss(g);
   ExpectByteIdentical(inc, seed, -1);
 
   Rng rng(seed * 0x9e3779b97f4a7c15ULL + 1);
@@ -150,11 +157,16 @@ void RunEpisode(uint64_t seed) {
 }
 
 TEST(IncrementalDifferential, RandomizedInterleavedOpsMatchOracle) {
-  // ~200 graphs at the default multiplier: 100 ER + 100 power-law.
+  // ~200 graphs at the default multiplier: 100 ER + 100 power-law, each
+  // run on an engine that walks adjacency lists and on one that walks a
+  // triangle index.
   const uint64_t episodes = 200 * StressIters();
   const uint64_t base = StressSeed() * 1000003ULL;
   for (uint64_t i = 0; i < episodes; ++i) {
-    ASSERT_NO_FATAL_FAILURE(RunEpisode(base + i)) << "episode " << i;
+    for (const bool use_index : {false, true}) {
+      ASSERT_NO_FATAL_FAILURE(RunEpisode(base + i, use_index))
+          << "episode " << i << (use_index ? " (index)" : "");
+    }
   }
 }
 
@@ -244,11 +256,27 @@ TEST(IncrementalTruss, CopiesAreIndependent) {
             ComputeTrussDecomposition(g).trussness);
 }
 
+// Equal region sizes, expansion passes and rebuilds: the index walk must
+// visit the same regions as the adjacency walk, not only reach the same
+// decomposition.
+void ExpectSameWork(const IncrementalTruss& own,
+                    const IncrementalTruss& shared, uint64_t seed) {
+  EXPECT_EQ(own.stats().region_edges_total, shared.stats().region_edges_total)
+      << "seed " << seed;
+  EXPECT_EQ(own.stats().expansion_passes, shared.stats().expansion_passes)
+      << "seed " << seed;
+  EXPECT_EQ(own.stats().full_rebuilds, shared.stats().full_rebuilds)
+      << "seed " << seed;
+  EXPECT_EQ(own.stats().follower_mismatches, 0u) << "seed " << seed;
+  EXPECT_EQ(shared.stats().follower_mismatches, 0u) << "seed " << seed;
+}
+
 TEST(IncrementalTruss, SharedTriangleIndexMatchesOwnIndex) {
-  // The greedy solvers hand the engine their per-solve triangle index for
-  // ApplyAnchor's follower recount. It must give the followers, in order,
-  // and the decomposition an engine with its own index gives; so must a
-  // copy, which keeps sharing the index.
+  // The greedy solvers hand the engine their graph's triangle index, which
+  // every walk of every mutation then reads. Anchoring, removing and
+  // re-inserting must give the followers, in order, the decomposition and
+  // the region work an engine without an index gives; so must a copy,
+  // which keeps sharing the index.
   for (uint64_t seed = 0; seed < 40; ++seed) {
     const Graph g = MakeDifferentialGraph(seed);
     if (g.NumEdges() == 0) continue;
@@ -257,12 +285,19 @@ TEST(IncrementalTruss, SharedTriangleIndexMatchesOwnIndex) {
     IncrementalTruss own(g, start);
     IncrementalTruss shared(g, start, {}, &triangles);
     Rng rng(seed + 17);
-    for (int step = 0; step < 12; ++step) {
+    std::vector<EdgeId> removed;
+    for (int step = 0; step < 16; ++step) {
       const EdgeId e = PickMutableEdge(own, rng);
       if (e == kInvalidEdge) break;
       if (step % 4 == 3) {
         own.RemoveEdge(e);
         shared.RemoveEdge(e);
+        removed.push_back(e);
+      } else if (step % 8 == 6 && !removed.empty()) {
+        const EdgeId back = removed[rng.NextBounded(removed.size())];
+        removed.erase(std::find(removed.begin(), removed.end(), back));
+        EXPECT_EQ(own.InsertEdge(back), shared.InsertEdge(back))
+            << "seed " << seed << " step " << step;
       } else {
         std::vector<EdgeId> own_followers;
         std::vector<EdgeId> shared_followers;
@@ -282,6 +317,7 @@ TEST(IncrementalTruss, SharedTriangleIndexMatchesOwnIndex) {
           << "seed " << seed << " step " << step;
       ASSERT_EQ(own.anchored(), shared.anchored()) << "seed " << seed;
     }
+    ExpectSameWork(own, shared, seed);
     IncrementalTruss own_copy(own);
     IncrementalTruss shared_copy(shared);
     const EdgeId e = PickMutableEdge(own, rng);
@@ -298,7 +334,21 @@ TEST(IncrementalTruss, SharedTriangleIndexMatchesOwnIndex) {
     EXPECT_EQ(own_copy.decomposition().layer,
               shared_copy.decomposition().layer)
         << "seed " << seed;
+    ExpectSameWork(own_copy, shared_copy, seed);
   }
+}
+
+TEST(IncrementalTrussDeath, RejectsTriangleIndexOfAnotherGraph) {
+  // Every walk indexes the caller's index by edge id, so an index of a
+  // different graph must fail the constructor, not read out of bounds on
+  // the first RemoveEdge or InsertEdge.
+  const Graph g = MakeFig3Graph();
+  const Graph other = MakeDifferentialGraph(3);
+  ASSERT_NE(other.NumEdges(), g.NumEdges());
+  const TriangleIndex wrong = BuildTriangleIndex(other);
+  EXPECT_DEATH(
+      { IncrementalTruss inc(g, ComputeTrussDecomposition(g), {}, &wrong); },
+      "triangle index is not of this graph");
 }
 
 TEST(IncrementalTruss, SeededConstructorAdoptsDecomposition) {

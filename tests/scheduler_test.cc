@@ -338,12 +338,13 @@ void ExpectSameResult(const SolveResult& expected, const SolveResult& actual,
   }
 }
 
-// Parks the single service worker inside a NON-fusable job (a progress
-// callback makes a job ineligible for fusion), queues `specs` behind it,
-// releases, and returns the per-spec results.
-std::vector<SolveResult> RunBehindBlocker(AtrService& service,
-                                          const std::vector<SolverOptions>& specs,
-                                          const std::string& solver) {
+// Parks the single service worker inside a NON-fusable job on
+// `blocker_graph` (a progress callback makes a job ineligible for fusion),
+// queues `specs` against "g" behind it, releases, and returns the per-spec
+// results.
+std::vector<SolveResult> RunBehindBlocker(
+    AtrService& service, const std::vector<SolverOptions>& specs,
+    const std::string& solver, const std::string& blocker_graph = "g") {
   Latch entered, gate;
   SolverOptions blocker;
   blocker.budget = 1;
@@ -352,7 +353,8 @@ std::vector<SolveResult> RunBehindBlocker(AtrService& service,
     gate.Wait();
     return true;
   };
-  StatusOr<JobHandle> blocker_job = service.Submit("g", "gas", blocker);
+  StatusOr<JobHandle> blocker_job =
+      service.Submit(blocker_graph, "gas", blocker);
   EXPECT_TRUE(blocker_job.ok()) << blocker_job.status().message();
   entered.Wait();
 
@@ -411,6 +413,43 @@ TEST(ServiceBatchFusion, FusedGreedySweepMatchesSerialOracle) {
   StatusOr<AtrService::GraphInfo> info = service.Info("g");
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->decomposition_builds, 1u);
+}
+
+TEST(ServiceBatchFusion, FusedGreedyBatchesShareTheVersionsTriangleIndex) {
+  AtrService::Options options;
+  options.workers = 1;
+  options.shards = 1;
+  options.max_batch = 8;
+  options.queue_capacity = 64;
+  AtrService service(options);
+  ASSERT_TRUE(service.AddGraph("g", SchedGraph()).ok());
+  ASSERT_TRUE(service.AddGraph("other", SchedGraph(12)).ok());
+  StatusOr<GraphSnapshot> snapshot = service.Snapshot("g");
+  ASSERT_TRUE(snapshot.ok());
+
+  // The blockers park the worker on "other", so only the fused batches
+  // run on "g": its index can be built only through their contexts.
+  std::vector<SolverOptions> specs(3);
+  specs[0].budget = 1;
+  specs[1].budget = 3;
+  specs[2].budget = 2;
+  const std::vector<SolveResult> gas =
+      RunBehindBlocker(service, specs, "gas", "other");
+  EXPECT_TRUE(snapshot->triangles->built());
+  const std::vector<SolveResult> base_plus =
+      RunBehindBlocker(service, specs, "base+", "other");
+  EXPECT_EQ(service.Stats().jobs_fused, 6u);
+
+  AtrEngine engine(SchedGraph());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    StatusOr<SolveResult> gas_oracle = engine.Run("gas", specs[i]);
+    ASSERT_TRUE(gas_oracle.ok());
+    ExpectSameResult(*gas_oracle, gas[i], "gas spec " + std::to_string(i));
+    StatusOr<SolveResult> base_plus_oracle = engine.Run("base+", specs[i]);
+    ASSERT_TRUE(base_plus_oracle.ok());
+    ExpectSameResult(*base_plus_oracle, base_plus[i],
+                     "base+ spec " + std::to_string(i));
+  }
 }
 
 TEST(ServiceBatchFusion, SubmitsDifferingOnlyInReservedWireByteFuse) {

@@ -583,6 +583,36 @@ TEST(ServiceSessions, CheckoutSurvivesGraphRemoval) {
             StatusCode::kNotFound);
 }
 
+TEST(ServiceSessions, CheckoutSolvesReadTheVersionsTriangleIndex) {
+  AtrService service;
+  ASSERT_TRUE(service.AddGraph("g", MakeServiceGraph()).ok());
+  StatusOr<GraphSnapshot> snapshot = service.Snapshot("g");
+  ASSERT_TRUE(snapshot.ok());
+  SolverOptions options;
+  options.budget = 2;
+
+  // A job builds the version's index...
+  StatusOr<JobHandle> job = service.Submit("g", "gas", options);
+  ASSERT_TRUE(job.ok());
+  StatusOr<SolveResult> served = job->Wait();
+  ASSERT_TRUE(served.ok()) << served.status().message();
+  ASSERT_TRUE(snapshot->triangles->built());
+
+  // ...and a later checkout's greedy solves read it instead of building.
+  StatusOr<std::unique_ptr<AtrEngine>> session = service.CheckoutSession("g");
+  ASSERT_TRUE(session.ok());
+  StatusOr<SolveResult> gas = (*session)->Run("gas", options);
+  ASSERT_TRUE(gas.ok()) << gas.status().message();
+  StatusOr<SolveResult> base_plus = (*session)->Run("base+", options);
+  ASSERT_TRUE(base_plus.ok()) << base_plus.status().message();
+  EXPECT_EQ((*session)->triangle_index_builds(), 0u);
+  ExpectSameResult(*served, *gas, "checkout gas");
+  AtrEngine local(*snapshot->graph);
+  StatusOr<SolveResult> expected = local.Run("base+", options);
+  ASSERT_TRUE(expected.ok());
+  ExpectSameResult(*expected, *base_plus, "checkout base+");
+}
+
 // A finished job must pin only its result: once the graph is removed,
 // outstanding JobHandle copies do not keep the snapshot (graph +
 // decomposition) or the solver alive.
@@ -674,6 +704,61 @@ TEST(ServiceStreaming, UpdateGraphSeedsWithoutRebuilding) {
   EXPECT_EQ(v3->version, 3u);
   EXPECT_EQ(service.Info("g")->decomposition_builds, 1u);
   EXPECT_EQ(service.Info("g")->delta_updates, 2u);
+}
+
+TEST(ServiceStreaming, FirstGreedyJobsOnAVersionShareOneTriangleIndex) {
+  AtrService::Options service_options;
+  service_options.workers = 4;
+  service_options.max_batch = 1;  // eight solo jobs, four at a time
+  AtrService service(service_options);
+  ASSERT_TRUE(service.AddGraph("g", MakeServiceGraph()).ok());
+  StatusOr<GraphSnapshot> v1 = service.Snapshot("g");
+  ASSERT_TRUE(v1.ok());
+
+  // The write path, snapshots and a solver that walks no index leave a new
+  // version's index unbuilt.
+  StatusOr<GraphSnapshot> v2 =
+      service.UpdateGraph("g", MakeServiceDelta(*v1->graph));
+  ASSERT_TRUE(v2.ok()) << v2.status().message();
+  StatusOr<GraphSnapshot> current = service.Snapshot("g");
+  ASSERT_TRUE(current.ok());
+  EXPECT_EQ(current->triangles, v2->triangles);
+  SolverOptions rand;
+  rand.budget = 2;
+  rand.trials = 10;
+  StatusOr<JobHandle> rand_job = service.Submit("g", "rand", rand);
+  ASSERT_TRUE(rand_job.ok());
+  ASSERT_TRUE(rand_job->Wait().ok());
+  EXPECT_FALSE(v2->triangles->built());
+
+  // Eight greedy jobs race for the version's first build; every one must
+  // read the finished index and match a private engine on the same graph.
+  auto solver_of = [](int i) { return i % 2 == 0 ? "gas" : "base+"; };
+  auto options_of = [](int i) {
+    SolverOptions options;
+    options.budget = 2 + static_cast<uint32_t>(i % 3);
+    return options;
+  };
+  AtrEngine local(*v2->graph);
+  std::vector<SolveResult> expected;
+  for (int i = 0; i < 8; ++i) {
+    StatusOr<SolveResult> solo = local.Run(solver_of(i), options_of(i));
+    ASSERT_TRUE(solo.ok()) << solo.status().message();
+    expected.push_back(*std::move(solo));
+  }
+  std::vector<JobHandle> jobs;
+  for (int i = 0; i < 8; ++i) {
+    StatusOr<JobHandle> job = service.Submit("g", solver_of(i), options_of(i));
+    ASSERT_TRUE(job.ok()) << job.status().message();
+    jobs.push_back(*job);
+  }
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    StatusOr<SolveResult> result = jobs[i].Wait();
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    ExpectSameResult(expected[i], *result, "job " + std::to_string(i));
+  }
+  EXPECT_TRUE(v2->triangles->built());
+  EXPECT_FALSE(v1->triangles->built());  // no job ran on the old version
 }
 
 TEST(ServiceStreaming, UpdateGraphRejectsBadDeltasAndUnknownNames) {
