@@ -71,23 +71,6 @@ void PublishCancelledBeforeStart(const std::shared_ptr<JobState>& state) {
       JobHandle::State::kCancelled);
 }
 
-// Gains of the greedy prefixes at each checkpoint — must stay in lockstep
-// with the PrefixGains helper the GreedySolver adapter applies to a solo
-// run (api/solvers.cc), or fused results drift from the serial oracle.
-std::vector<uint64_t> GreedyPrefixGains(const std::vector<AnchorRound>& rounds,
-                                        const std::vector<uint32_t>& checkpoints) {
-  std::vector<uint64_t> gains;
-  gains.reserve(checkpoints.size());
-  for (uint32_t c : checkpoints) {
-    uint64_t gain = 0;
-    for (size_t r = 0; r < rounds.size() && r < c; ++r) {
-      gain += rounds[r].gain;
-    }
-    gains.push_back(gain);
-  }
-  return gains;
-}
-
 }  // namespace internal
 
 // --- JobHandle ------------------------------------------------------------
@@ -215,9 +198,11 @@ AtrService::AtrService(const Options& options) {
   sched.workers = std::max(1, total_workers / num_shards);
   sched.capacity = std::max<size_t>(
       1, total_capacity / static_cast<size_t>(num_shards));
-  sched.threads_per_job = options.threads_per_job > 0
-                              ? options.threads_per_job
-                              : std::max(1, machine / total_workers);
+  // Each job's inner ParallelFor budget: the constructing thread's budget
+  // split evenly across all shards' workers, so job-level concurrency and
+  // data parallelism compose without oversubscription. A job whose
+  // SolverOptions::threads is set still overrides it for its own run.
+  sched.threads_per_job = std::max(1, machine / total_workers);
   sched.max_batch = std::max<size_t>(1, options.max_batch);
   shards_.reserve(num_shards);
   for (int s = 0; s < num_shards; ++s) {
@@ -816,8 +801,8 @@ void AtrService::RunFusedGreedy(
       result.partially_reusable += round.partially_reusable;
       result.non_reusable += round.non_reusable;
     }
-    result.gain_at_checkpoint = internal::GreedyPrefixGains(
-        result.rounds, EffectiveCheckpoints(state->options));
+    result.gain_at_checkpoint =
+        PrefixGains(result.rounds, EffectiveCheckpoints(state->options));
     // A walk that ran out of eligible candidates before this member's
     // budget is natural exhaustion (solo reports it the same way, not
     // stopped_early); a cancelled walk is stopped_early only for members

@@ -163,11 +163,6 @@ class AtrService {
     // Bounded pending-job queue: Submit blocks while this many jobs wait
     // (backpressure). 0 = 4x workers.
     size_t queue_capacity = 0;
-    // Inner-loop ParallelFor budget per job; 0 splits the submitting
-    // thread's budget evenly across the workers so job-level concurrency
-    // and data parallelism compose without oversubscription. A job whose
-    // SolverOptions::threads is set still overrides this for its own run.
-    int threads_per_job = 0;
     // Independent catalog + scheduler shards keyed by hash(graph name).
     // `workers` and `queue_capacity` are totals, split evenly across the
     // shards (at least 1 worker / 1 slot each). 1 (the default) is the

@@ -67,22 +67,6 @@ GreedyControl MakeRoundControl(std::string name,
   return control;
 }
 
-// Gains of the greedy prefixes at each checkpoint (a budget-b greedy run
-// reports every intermediate budget for free — the paper's Fig. 6 sweeps).
-std::vector<uint64_t> PrefixGains(const std::vector<AnchorRound>& rounds,
-                                  const std::vector<uint32_t>& checkpoints) {
-  std::vector<uint64_t> gains;
-  gains.reserve(checkpoints.size());
-  for (uint32_t c : checkpoints) {
-    uint64_t gain = 0;
-    for (size_t r = 0; r < rounds.size() && r < c; ++r) {
-      gain += rounds[r].gain;
-    }
-    gains.push_back(gain);
-  }
-  return gains;
-}
-
 // BASE / BASE+ / GAS behind one adapter: identical contract, different
 // gain-computation engine (they must produce identical anchor sequences —
 // the api tests re-assert this through the registry).

@@ -28,9 +28,8 @@ class AnchoredKTrussEngine {
       if (t != kAnchoredTrussness && t >= k - 1) in_scope_[e] = true;
       if (decomp.trussness[e] == k - 1) hull_.push_back(e);
     }
-    // Scope-restricted supports via the shared parallel helper (engines
-    // constructed inside candidate-evaluation workers run it inline).
-    base_support_ = ComputeSupportParallel(g, in_scope_);
+    // Scope-restricted supports from one whole-graph sweep.
+    base_support_ = ComputeSupport(g, in_scope_);
     support_ = base_support_;
     removed_.assign(m, false);
   }

@@ -3,8 +3,8 @@
 namespace atr {
 namespace {
 
-// Orientation rule shared with graph/triangles.cc: the half-edge points
-// from the (degree, id)-smaller endpoint to the larger one.
+// The orientation rule: the half-edge points from the (degree, id)-smaller
+// endpoint to the larger one.
 bool OrientedPrecedes(const Graph& g, VertexId a, VertexId b) {
   const uint32_t da = g.Degree(a);
   const uint32_t db = g.Degree(b);
@@ -21,7 +21,7 @@ FlatGraphView FlatGraphView::Build(const Graph& g) {
   // Oriented half-edges fall out of the already-sorted adjacency in one
   // linear pass: keeping only the (degree, id)-forward entries of each
   // vertex preserves ascending-neighbor order, so no per-vertex sort is
-  // needed (unlike internal::BuildOrientedAdjacency).
+  // needed.
   view.oriented_offsets.assign(view.num_vertices + 1, 0);
   view.oriented.reserve(view.num_edges);
   for (VertexId u = 0; u < view.num_vertices; ++u) {
@@ -34,11 +34,6 @@ FlatGraphView FlatGraphView::Build(const Graph& g) {
   }
   view.oriented_offsets[view.num_vertices] =
       static_cast<uint32_t>(view.oriented.size());
-
-  view.edge_ends.reserve(view.num_edges);
-  for (const EdgeEndpoints& e : g.edges()) {
-    view.edge_ends.push_back(FlatZip(e.u, e.v));
-  }
   return view;
 }
 

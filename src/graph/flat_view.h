@@ -1,11 +1,13 @@
-// Flat structure-of-arrays mirror of an immutable Graph, the memory layout
-// the flat peel kernels (truss/flat_peel.h) and the triangle index
-// (graph/triangle_index.h) are built from. The CSR in graph.h stores
-// AdjEntry structs; the triangle sweep's inner loop wants the
-// MaxTruss-style packing instead: each oriented half-edge is one zipped
-// uint64_t holding (neighbor << 32) | edge_id, so a sorted-merge
-// intersection compares raw 64-bit words and reads the closing edge ids
-// from the low halves without a FindEdge binary search per probe.
+// Flat structure-of-arrays mirror of an immutable Graph: the degree-ordered
+// orientation behind ForEachTriangle (graph/triangles.h), the one
+// whole-graph triangle sweep. Support counts, triangle counts and every
+// triangle index (graph/triangle_index.h), the flat peel's included
+// (truss/flat_peel.h), are built from one. The CSR in graph.h stores
+// AdjEntry structs; the sweep's inner loop wants the MaxTruss-style
+// packing instead: each oriented half-edge is one zipped uint64_t holding
+// (neighbor << 32) | edge_id, so a sorted-merge intersection reads the
+// neighbor from the high half and the closing edge id from the low half
+// of the same word, with no FindEdge binary search per probe.
 //
 // A view is built once per decomposition call — the service layer's
 // shared-decomposition build (ComputeSharedTrussDecomposition, invoked
@@ -40,16 +42,12 @@ struct FlatGraphView {
   uint32_t num_vertices = 0;
   uint32_t num_edges = 0;
 
-  // Degree-ordered orientation (the same (degree, id) rule as the forward
-  // triangle sweep in graph/triangles.h): half-edge u -> v exists iff
+  // Degree-ordered orientation: half-edge u -> v exists iff
   // (deg(u), u) < (deg(v), v). Entries are FlatZip(to, edge) ascending by
   // `to`, which bounds every out-degree by O(sqrt(m)) and drives the
   // work-efficient triangle sweep.
   std::vector<uint32_t> oriented_offsets;
   std::vector<uint64_t> oriented;
-
-  // Edge endpoints FlatZip(u, v) with u < v, indexed by EdgeId.
-  std::vector<uint64_t> edge_ends;
 
   std::span<const uint64_t> OrientedOf(VertexId u) const {
     return std::span<const uint64_t>(oriented)

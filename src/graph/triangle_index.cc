@@ -1,5 +1,6 @@
 #include "graph/triangle_index.h"
 
+#include "graph/triangles.h"
 #include "util/macros.h"
 
 namespace atr {
@@ -9,39 +10,15 @@ TriangleIndex BuildTriangleIndex(const FlatGraphView& view,
                                  bool full_graph,
                                  std::vector<uint32_t>& support) {
   std::vector<uint32_t> triangles;  // flat (euv, euw, evw) triples
-  for (VertexId u = 0; u < view.num_vertices; ++u) {
-    const std::span<const uint64_t> ou = view.OrientedOf(u);
-    for (const uint64_t hv : ou) {
-      const VertexId v = FlatHi(hv);
-      const EdgeId euv = FlatLo(hv);
-      if (!full_graph && !alive[euv]) continue;
-      const std::span<const uint64_t> ov = view.OrientedOf(v);
-      size_t i = 0;
-      size_t j = 0;
-      while (i < ou.size() && j < ov.size()) {
-        const uint32_t wa = FlatHi(ou[i]);
-        const uint32_t wb = FlatHi(ov[j]);
-        if (wa < wb) {
-          ++i;
-        } else if (wb < wa) {
-          ++j;
-        } else {
-          const EdgeId euw = FlatLo(ou[i]);
-          const EdgeId evw = FlatLo(ov[j]);
-          if (full_graph || (alive[euw] && alive[evw])) {
-            ++support[euv];
-            ++support[euw];
-            ++support[evw];
-            triangles.push_back(euv);
-            triangles.push_back(euw);
-            triangles.push_back(evw);
-          }
-          ++i;
-          ++j;
-        }
-      }
-    }
-  }
+  ForEachTriangle(view, [&](TriangleEdges t) {
+    if (!full_graph && !(alive[t.e1] && alive[t.e2] && alive[t.e3])) return;
+    ++support[t.e1];
+    ++support[t.e2];
+    ++support[t.e3];
+    triangles.push_back(t.e1);
+    triangles.push_back(t.e2);
+    triangles.push_back(t.e3);
+  });
 
   const uint32_t m = view.num_edges;
   TriangleIndex index;

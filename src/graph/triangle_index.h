@@ -1,14 +1,15 @@
 // Per-edge triangle index in CSR form: for edge e,
 // pairs[offsets[e] .. offsets[e+1]) holds FlatZip(e1, e2) for every
 // indexed triangle {e, e1, e2}, so each triangle appears once in the list
-// of each of its three edges. One forward oriented sweep over a
-// FlatGraphView builds it (each triangle found once, no FindEdge probes);
-// afterwards the triangles of an edge are one contiguous scan, O(1) per
-// triangle, where ForEachTriangleOfEdge pays O(min d · log max d) per
-// edge. The flat peel (truss/flat_peel.h) builds an alive-subset index per
-// decomposition. The full-graph index is built at most once per graph
-// version through a LazyTriangleIndex, and every greedy solve on that
-// version shares it read-only across its workers and its commits.
+// of each of its three edges. One ForEachTriangle sweep over a
+// FlatGraphView (graph/triangles.h) builds it (each triangle found once,
+// no FindEdge probes); afterwards the triangles of an edge are one
+// contiguous scan, O(1) per triangle, where ForEachTriangleOfEdge pays
+// O(min d · log max d) per edge. The flat peel (truss/flat_peel.h) builds
+// an alive-subset index per decomposition. The full-graph index is built
+// at most once per graph version through a LazyTriangleIndex, and every
+// greedy solve on that version shares it read-only across its workers and
+// its commits.
 //
 // Pair orientation and the order within a list are deterministic but
 // differ from ForEachTriangleOfEdge's; every consumer treats the two
@@ -45,10 +46,11 @@ struct TriangleIndex {
 };
 
 // Index of the triangles whose three edges are all alive (`full_graph`:
-// every edge is alive and `alive` is not read). Also writes each edge's
-// alive-triangle count into `support`, which must hold m zeros. O(sum of
-// oriented out-degrees intersected) time; 3 CSR entries plus one 12-byte
-// scratch record per indexed triangle.
+// every edge is alive and `alive` is not read). The sweep visits every
+// triangle of the view and drops those with a dead edge. Also writes each
+// edge's alive-triangle count into `support`, which must hold m zeros.
+// O(sum of oriented out-degrees intersected) time; 3 CSR entries plus one
+// 12-byte scratch record per indexed triangle.
 TriangleIndex BuildTriangleIndex(const FlatGraphView& view,
                                  const std::vector<uint8_t>& alive,
                                  bool full_graph,

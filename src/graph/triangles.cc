@@ -1,95 +1,16 @@
 #include "graph/triangles.h"
 
-#include <algorithm>
-
-#include "util/env.h"
 #include "util/macros.h"
-#include "util/parallel_for.h"
 
 namespace atr {
-namespace internal {
-namespace {
 
-double g_triangle_cutoff =
-    GetEnvDouble("ATR_TRIANGLE_CUTOFF", kDefaultTriangleCutoff);
-
-}  // namespace
-
-double TriangleCutoff() { return g_triangle_cutoff; }
-
-double SetTriangleCutoffForTest(double cutoff) {
-  const double previous = g_triangle_cutoff;
-  g_triangle_cutoff = cutoff;
-  return previous;
-}
-
-OrientedAdjacency BuildOrientedAdjacency(const Graph& g) {
-  const uint32_t n = g.NumVertices();
-  // Orientation: u -> v iff (deg(u), u) < (deg(v), v). This bounds every
-  // out-degree by O(sqrt(m)), which is what gives the O(m^1.5) sweep.
-  auto precedes = [&g](VertexId a, VertexId b) {
-    const uint32_t da = g.Degree(a);
-    const uint32_t db = g.Degree(b);
-    return da != db ? da < db : a < b;
-  };
-
-  OrientedAdjacency out;
-  out.offsets.assign(n + 1, 0);
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    const EdgeEndpoints ends = g.Edge(e);
-    ++out.offsets[precedes(ends.u, ends.v) ? ends.u : ends.v];
-  }
-  uint32_t running = 0;
-  for (uint32_t v = 0; v <= n; ++v) {
-    const uint32_t count = (v < n) ? out.offsets[v] : 0;
-    out.offsets[v] = running;
-    running += count;
-  }
-  out.out.resize(g.NumEdges());
-  std::vector<uint32_t> cursor(out.offsets.begin(), out.offsets.end() - 1);
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    const EdgeEndpoints ends = g.Edge(e);
-    const VertexId from = precedes(ends.u, ends.v) ? ends.u : ends.v;
-    const VertexId to = (from == ends.u) ? ends.v : ends.u;
-    out.out[cursor[from]++] = AdjEntry{to, e};
-  }
-  for (uint32_t v = 0; v < n; ++v) {
-    std::sort(out.out.begin() + out.offsets[v],
-              out.out.begin() + out.offsets[v + 1],
-              [](const AdjEntry& a, const AdjEntry& b) {
-                return a.neighbor < b.neighbor;
-              });
-  }
-  return out;
-}
-
-}  // namespace internal
-
-uint32_t EdgeSupport(const Graph& g, EdgeId e) {
-  uint32_t support = 0;
-  ForEachTriangleOfEdge(g, e, [&support](VertexId, EdgeId, EdgeId) {
-    ++support;
-  });
-  return support;
-}
-
-uint32_t EdgeSupportWithin(const Graph& g, EdgeId e,
-                           const std::vector<bool>& within) {
-  uint32_t support = 0;
-  if (within.empty()) {
-    ForEachTriangleOfEdgeAdaptive(
-        g, e, [&](VertexId, EdgeId, EdgeId) { ++support; });
-  } else {
-    ForEachTriangleOfEdgeAdaptive(g, e, [&](VertexId, EdgeId e1, EdgeId e2) {
-      if (within[e1] && within[e2]) ++support;
-    });
-  }
-  return support;
-}
-
-std::vector<uint32_t> ComputeSupport(const Graph& g) {
+std::vector<uint32_t> ComputeSupport(const Graph& g,
+                                     const std::vector<bool>& within) {
+  ATR_CHECK(within.empty() || within.size() == g.NumEdges());
+  const bool scoped = !within.empty();
   std::vector<uint32_t> support(g.NumEdges(), 0);
-  ForEachTriangle(g, [&support](TriangleEdges t) {
+  ForEachTriangle(FlatGraphView::Build(g), [&](TriangleEdges t) {
+    if (scoped && !(within[t.e1] && within[t.e2] && within[t.e3])) return;
     ++support[t.e1];
     ++support[t.e2];
     ++support[t.e3];
@@ -97,41 +18,10 @@ std::vector<uint32_t> ComputeSupport(const Graph& g) {
   return support;
 }
 
-std::vector<uint32_t> ComputeSupportParallel(const Graph& g,
-                                             const std::vector<bool>& within) {
-  const uint32_t m = g.NumEdges();
-  ATR_CHECK(within.empty() || within.size() == m);
-  // Per-edge counting does ~3x the work of the oriented whole-graph sweep
-  // (each triangle is enumerated once per member edge), so sharding it
-  // only pays off from ~3-4 workers; below that — including inside a
-  // ParallelFor body, where nested calls run inline — use the sweep. The
-  // counts are identical either way.
-  if (ParallelWorkerCount() < 4) {
-    if (within.empty()) return ComputeSupport(g);
-    std::vector<uint32_t> support(m, 0);
-    ForEachTriangle(g, [&](TriangleEdges t) {
-      if (within[t.e1] && within[t.e2] && within[t.e3]) {
-        ++support[t.e1];
-        ++support[t.e2];
-        ++support[t.e3];
-      }
-    });
-    return support;
-  }
-  std::vector<uint32_t> support(m, 0);
-  ParallelFor(m, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      const EdgeId e = static_cast<EdgeId>(i);
-      if (!within.empty() && !within[e]) continue;
-      support[e] = EdgeSupportWithin(g, e, within);
-    }
-  });
-  return support;
-}
-
 uint64_t CountTriangles(const Graph& g) {
   uint64_t count = 0;
-  ForEachTriangle(g, [&count](TriangleEdges) { ++count; });
+  ForEachTriangle(FlatGraphView::Build(g),
+                  [&count](TriangleEdges) { ++count; });
   return count;
 }
 

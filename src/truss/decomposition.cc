@@ -18,15 +18,9 @@ TrussDecomposition Peel(const Graph& g, const std::vector<bool>& anchored,
   out.trussness.assign(m, kTrussnessNotComputed);
   out.layer.assign(m, 0);
 
-  // Support restricted to alive edges.
-  std::vector<uint32_t> support(m, 0);
-  ForEachTriangle(g, [&](TriangleEdges t) {
-    if (alive[t.e1] && alive[t.e2] && alive[t.e3]) {
-      ++support[t.e1];
-      ++support[t.e2];
-      ++support[t.e3];
-    }
-  });
+  // Support restricted to alive edges, from one whole-graph sweep; the peel
+  // rounds below walk single edges.
+  std::vector<uint32_t> support = ComputeSupport(g, alive);
 
   const bool has_anchors = !anchored.empty();
   auto is_anchored = [&](EdgeId e) { return has_anchors && anchored[e]; };

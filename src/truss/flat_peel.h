@@ -17,16 +17,16 @@
 // The buffers are MaxTruss-style flat arrays:
 //
 //  * oriented half-edges packed into zipped uint64_t arrays
-//    (graph/flat_view.h) — one serial forward oriented sweep intersects raw
-//    words (no FindEdge binary searches) and builds the alive-subset
-//    TriangleIndex (graph/triangle_index.h): per edge, its triangles'
-//    other two edge ids zipped into uint64_t pairs. Peel rounds then touch
-//    exactly the stored pairs of their dying edges — O(1) per triangle
-//    visit — instead of re-intersecting the endpoints' adjacency lists,
-//    which on hub-heavy graphs costs orders of magnitude more than the
-//    triangle count. This index lives only for the call; the greedy
-//    solvers read a full-graph index built at most once per graph
-//    version;
+//    (graph/flat_view.h) — the one serial forward oriented sweep,
+//    ForEachTriangle (graph/triangles.h), intersects them with no FindEdge
+//    binary searches and builds the alive-subset TriangleIndex
+//    (graph/triangle_index.h): per edge, its triangles' other two edge ids
+//    zipped into uint64_t pairs. Peel rounds then touch exactly the stored
+//    pairs of their dying edges — O(1) per triangle visit — instead of
+//    re-intersecting the endpoints' adjacency lists, which on hub-heavy
+//    graphs costs orders of magnitude more than the triangle count. This
+//    index lives only for the call; the greedy solvers read a full-graph
+//    index built at most once per graph version;
 //  * edge support / edge id in flat SoA arrays ordered by a bin-sort
 //    bucket structure (sorted / pos / bin_start): a support decrement is
 //    an O(1) swap with its bin's front, and each phase's frontier is a

@@ -360,6 +360,14 @@ bool IncrementalTruss::ExpandRegion() {
   return region_.size() > snapshot;
 }
 
+void IncrementalTruss::CommitRegion() {
+  for (const EdgeId r : region_) {
+    if (sim_t_[r] != decomp_.trussness[r] || sim_l_[r] != decomp_.layer[r]) {
+      CommitEdgeState(r, sim_t_[r], sim_l_[r], false);
+    }
+  }
+}
+
 void IncrementalTruss::FullRebuild() {
   // The flat peel fans its rounds out across the calling thread's
   // workers; the committed state is identical at any worker count.
@@ -459,37 +467,10 @@ uint32_t IncrementalTruss::ApplyAnchor(EdgeId e,
                    sim_t_[f] == decomp_.trussness[f] + 1;
     }
     if (consistent) {
-      for (const EdgeId r : region_) {
-        if (sim_t_[r] != decomp_.trussness[r] ||
-            sim_l_[r] != decomp_.layer[r]) {
-          CommitEdgeState(r, sim_t_[r], sim_l_[r], false);
-        }
-      }
+      CommitRegion();
     } else {
       ++stats_.follower_mismatches;
       ++stats_.full_rebuilds;
-#ifdef ATR_INC_DEBUG
-      {
-        const TrussDecomposition oracle =
-            ComputeTrussDecompositionOnSubset(*g_, anchored_, AliveEdges());
-        // atr-lint: allow(stderr) — ATR_INC_DEBUG-only oracle diagnostics
-        std::fprintf(stderr, "mismatch anchor=%u changes=%u followers=%zu\n",
-                     e, trussness_changes, follower_scratch_.size());
-        for (const EdgeId r : region_) {
-          if (sim_t_[r] != decomp_.trussness[r] ||
-              sim_l_[r] != decomp_.layer[r] ||
-              oracle.trussness[r] != decomp_.trussness[r] ||
-              oracle.layer[r] != decomp_.layer[r]) {
-            // atr-lint: allow(stderr) — ATR_INC_DEBUG-only oracle diagnostics
-            std::fprintf(stderr,
-                         "  region e=%u stored=(%u,%u) sim=(%u,%u) "
-                         "oracle=(%u,%u)\n",
-                         r, decomp_.trussness[r], decomp_.layer[r], sim_t_[r],
-                         sim_l_[r], oracle.trussness[r], oracle.layer[r]);
-          }
-        }
-      }
-#endif
       FullRebuild();
     }
   }
@@ -521,14 +502,7 @@ uint32_t IncrementalTruss::InsertEdge(EdgeId e) {
     AddToRegion(q);
   });
 
-  if (RunLocalizedUpdate() != kAnchoredTrussness) {
-    for (const EdgeId r : region_) {
-      if (sim_t_[r] != decomp_.trussness[r] ||
-          sim_l_[r] != decomp_.layer[r]) {
-        CommitEdgeState(r, sim_t_[r], sim_l_[r], false);
-      }
-    }
-  }
+  if (RunLocalizedUpdate() != kAnchoredTrussness) CommitRegion();
   RecomputeMaxTrussness();
   return decomp_.trussness[e];
 }
@@ -571,14 +545,7 @@ uint64_t IncrementalTruss::RemoveEdge(EdgeId e) {
   });
 
   CommitEdgeState(e, kTrussnessNotComputed, 0, /*anchored=*/false);
-  if (RunLocalizedUpdate() != kAnchoredTrussness) {
-    for (const EdgeId r : region_) {
-      if (sim_t_[r] != decomp_.trussness[r] ||
-          sim_l_[r] != decomp_.layer[r]) {
-        CommitEdgeState(r, sim_t_[r], sim_l_[r], false);
-      }
-    }
-  }
+  if (RunLocalizedUpdate() != kAnchoredTrussness) CommitRegion();
   RecomputeMaxTrussness();
   return others_before - total_trussness_;
 }

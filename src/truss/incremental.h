@@ -259,6 +259,10 @@ class IncrementalTruss {
   // trussness changed.
   uint32_t RunLocalizedUpdate();
 
+  // Commits every region edge whose simulated (t, l) differs from its
+  // stored one.
+  void CommitRegion();
+
   // From-scratch fallback: recomputes over the alive subset and commits
   // every difference.
   void FullRebuild();

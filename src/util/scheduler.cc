@@ -29,7 +29,6 @@ FairScheduler::FairScheduler(const Options& options, BatchRunner runner)
                          ? options.threads_per_job
                          : std::max(1, machine / workers);
   max_batch_ = std::max<size_t>(1, options.max_batch);
-  quantum_ = std::max<uint32_t>(1, options.quantum);
   threads_.reserve(workers);
   for (int w = 0; w < workers; ++w) {
     threads_.emplace_back([this] { WorkerLoop(); });
@@ -154,9 +153,7 @@ std::vector<FairScheduler::Job> FairScheduler::NextBatchLocked() {
   if (cursor_ >= ring_.size()) cursor_ = 0;
   const std::string tenant = ring_[cursor_];
   TenantQueue& t = tenants_[tenant];
-  if (t.deficit == 0) {
-    t.deficit = uint64_t(quantum_) * std::max<uint32_t>(1, t.weight);
-  }
+  if (t.deficit == 0) t.deficit = std::max<uint32_t>(1, t.weight);
   auto bucket = t.buckets.begin();
   ATR_CHECK_MSG(
       bucket != t.buckets.end() && !bucket->second.empty(),

@@ -3,7 +3,7 @@
 //
 // FairScheduler keeps one FIFO *per tenant per priority* and dispatches
 // across tenants with weighted deficit round-robin (WDRR): each tenant in
-// the ready ring gets a deficit of quantum x weight jobs per visit, so a
+// the ready ring may dispatch one job per unit of weight per visit, so a
 // tenant flooding the queue cannot starve a light one — the light
 // tenant's next job dispatches after at most one DRR cycle, not after the
 // flood drains. Within a tenant, higher priority buckets drain first and
@@ -73,8 +73,6 @@ class FairScheduler {
     int threads_per_job = 0;
     // Most jobs one batch may fuse. 1 disables fusion entirely.
     size_t max_batch = 8;
-    // Jobs a weight-1 tenant may dispatch per DRR visit.
-    uint32_t quantum = 1;
   };
 
   FairScheduler(const Options& options, BatchRunner runner);
@@ -145,7 +143,6 @@ class FairScheduler {
   size_t capacity_ = 0;
   int threads_per_job_ = 1;
   size_t max_batch_ = 8;
-  uint32_t quantum_ = 1;
   BatchRunner runner_;
 
   mutable Mutex mu_;

@@ -104,7 +104,7 @@ TEST(Triangles, CountsKnownShapes) {
 TEST(Triangles, ForEachTriangleReportsEachOnce) {
   const Graph g = MakePropertyGraph(3);
   std::set<std::tuple<EdgeId, EdgeId, EdgeId>> seen;
-  ForEachTriangle(g, [&](TriangleEdges t) {
+  ForEachTriangle(FlatGraphView::Build(g), [&](TriangleEdges t) {
     EdgeId ids[3] = {t.e1, t.e2, t.e3};
     std::sort(ids, ids + 3);
     EXPECT_TRUE(seen.insert({ids[0], ids[1], ids[2]}).second)
@@ -116,11 +116,23 @@ TEST(Triangles, ForEachTriangleReportsEachOnce) {
 class TriangleConsistencyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(TriangleConsistencyTest, SupportSweepMatchesPerEdgeQueries) {
-  const Graph g = MakePropertyGraph(GetParam());
+  const uint64_t seed = GetParam();
+  const Graph g = MakePropertyGraph(seed);
+  const uint32_t m = g.NumEdges();
+  std::vector<bool> within(m, true);
+  for (EdgeId e = seed % 3; e < m; e += 3 + seed % 4) within[e] = false;
   const std::vector<uint32_t> sweep = ComputeSupport(g);
+  const std::vector<uint32_t> scoped = ComputeSupport(g, within);
   uint64_t triple_sum = 0;
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    EXPECT_EQ(sweep[e], EdgeSupport(g, e)) << "edge " << e;
+  for (EdgeId e = 0; e < m; ++e) {
+    uint32_t walked = 0;
+    uint32_t walked_within = 0;
+    ForEachTriangleOfEdge(g, e, [&](VertexId, EdgeId e1, EdgeId e2) {
+      ++walked;
+      if (within[e] && within[e1] && within[e2]) ++walked_within;
+    });
+    EXPECT_EQ(sweep[e], walked) << "edge " << e;
+    EXPECT_EQ(scoped[e], walked_within) << "edge " << e;
     triple_sum += sweep[e];
   }
   // Each triangle contributes one unit of support to three edges.
@@ -140,41 +152,6 @@ TEST_P(TriangleConsistencyTest, PerEdgeTrianglesHaveConsistentEndpoints) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TriangleConsistencyTest,
                          ::testing::Range<uint64_t>(0, 10));
-
-// RAII override for the adaptive walk-vs-merge cutoff factor so every
-// test restores the production value.
-class ScopedTriangleCutoff {
- public:
-  explicit ScopedTriangleCutoff(double cutoff)
-      : previous_(internal::SetTriangleCutoffForTest(cutoff)) {}
-  ~ScopedTriangleCutoff() { internal::SetTriangleCutoffForTest(previous_); }
-
- private:
-  double previous_;
-};
-
-TEST_P(TriangleConsistencyTest, AdaptiveCutoffSweepIsPathInvariant) {
-  // 0.0 forces the merge intersection everywhere, the huge factor forces
-  // the binary-search walk, and the default mixes per edge. All three must
-  // report byte-identical (w, ew_u, ew_v) sequences for every edge — the
-  // cutoff is a performance knob, never a semantic one.
-  const Graph g = MakePropertyGraph(GetParam());
-  std::vector<std::vector<std::tuple<VertexId, EdgeId, EdgeId>>> runs;
-  for (const double cutoff : {0.0, kDefaultTriangleCutoff, 1e12}) {
-    ScopedTriangleCutoff scoped(cutoff);
-    std::vector<std::tuple<VertexId, EdgeId, EdgeId>> seen;
-    for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-      ForEachTriangleOfEdgeAdaptive(
-          g, e, [&](VertexId w, EdgeId eu, EdgeId ev) {
-            seen.emplace_back(w, eu, ev);
-          });
-    }
-    runs.push_back(std::move(seen));
-  }
-  ASSERT_EQ(runs.size(), 3u);
-  EXPECT_EQ(runs[0], runs[1]) << "merge-only vs default diverged";
-  EXPECT_EQ(runs[0], runs[2]) << "merge-only vs walk-only diverged";
-}
 
 // --- TriangleIndex ----------------------------------------------------------
 

@@ -152,7 +152,7 @@ TEST(FairSchedulerDispatch, HigherPriorityDrainsFirstFifoWithinBucket) {
 }
 
 TEST(FairSchedulerDispatch, WeightedDeficitRoundRobin) {
-  SchedulerHarness h({.capacity = 64, .quantum = 1});
+  SchedulerHarness h({.capacity = 64});
   h.scheduler().SetTenantWeight("heavy", 2);
   h.Block();
   // heavy enters the ring first, then light.
@@ -162,7 +162,7 @@ TEST(FairSchedulerDispatch, WeightedDeficitRoundRobin) {
   for (int id = 21; id <= 22; ++id) ASSERT_TRUE(h.Submit("light", 0, id).ok());
   h.Release();
   h.scheduler().WaitIdle();
-  // Weight 2 vs 1 with quantum 1: two heavy jobs per visit, one light.
+  // Weight 2 vs 1: two heavy jobs per visit, one light.
   EXPECT_EQ(h.Order(),
             (std::vector<int>{10, 11, 20, 12, 13, 21, 14, 15, 22}));
 }

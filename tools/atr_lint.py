@@ -21,6 +21,13 @@ Rules (each with an id usable in suppressions):
                 operational disconnect logs). Diagnostics elsewhere either
                 flow through Status or carry an explicit suppression.
 
+  env-knob      No environment reads (getenv, secure_getenv, GetEnv*)
+                outside the sanctioned files: util/env.h and util/env.cc
+                (the readers), util/parallel_for.cc (ATR_THREADS) and
+                eval/datasets.cc (the bench-scale knobs). A tuning value
+                read from the environment is a process-wide option that no
+                test or benchmark sweeps; pass it as a parameter instead.
+
 Suppression: append `// atr-lint: allow(<rule>)` to the offending line or
 place it alone on the line directly above. Every suppression is a reviewed
 exception; docs/STATIC_ANALYSIS.md has the policy.
@@ -109,6 +116,19 @@ RULES = [
         ],
         applies=lambda norm, parts: True,
         sanctioned=["util/macros.h", "net/server.cc"],
+    ),
+    Rule(
+        "env-knob",
+        "no environment reads outside util/env, util/parallel_for.cc and "
+        "eval/datasets.cc",
+        [
+            (r"\b(?:(?:std::)?(?:secure_)?getenv|GetEnv[A-Z0-9]\w*)\s*\(",
+             "an environment variable is a process-wide knob; take the value "
+             "as a parameter"),
+        ],
+        applies=lambda norm, parts: True,
+        sanctioned=["util/env.h", "util/env.cc", "util/parallel_for.cc",
+                    "eval/datasets.cc"],
     ),
 ]
 

@@ -60,6 +60,7 @@ def main():
     violation_fixtures = [
         os.path.join(HERE, "core", "uses_rand.cc"),
         os.path.join(HERE, "core", "uses_wallclock.cc"),
+        os.path.join(HERE, "env_knob.cc"),
         os.path.join(HERE, "naked_lock.cc"),
         os.path.join(HERE, "stray_stderr.cc"),
     ]

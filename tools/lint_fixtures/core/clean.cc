@@ -1,7 +1,7 @@
 // Fixture: a core/ file that must lint CLEAN. Exercises the patterns the
 // rules must NOT fire on: seeded (deterministic) randomness, the
-// monotonic clock, RAII guards, banned tokens inside strings and
-// comments.
+// monotonic clock, RAII guards, a GetEnv look-alike name, banned tokens
+// inside strings and comments.
 
 #include <chrono>
 #include <cstdio>
@@ -14,6 +14,8 @@ struct Guard {
   void Unlock() {}
 };
 }  // namespace
+
+std::string GetEnvironmentLabel() { return "test"; }
 
 int DeterministicDraw(unsigned seed) {
   std::mt19937 gen(seed);  // explicitly seeded: allowed
@@ -31,7 +33,8 @@ std::string Describe() {
   Guard guard;
   guard.Lock();    // wrapper methods, not std::mutex::lock(): allowed
   guard.Unlock();
-  // mu.lock() in a comment must not fire, nor "rand()" in a string:
+  // mu.lock() or getenv("X") in a comment must not fire, nor "rand()" in
+  // a string:
   std::string text = "call rand() and fprintf(stderr, ...) at your peril";
-  return text;
+  return text + GetEnvironmentLabel();  // not a GetEnv* reader: allowed
 }
