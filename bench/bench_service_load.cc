@@ -1,23 +1,24 @@
-// Service-layer load benchmark for the sharded catalog + fair-share batch
-// scheduler: a mixed-tenant job stream with Zipf-skewed graph popularity
-// (a few hot graphs take most submits, like a real serving catalog) is
-// pushed through three service configurations —
+// Service-layer load benchmark for the fair-share batch scheduler: a
+// mixed-tenant job stream with Zipf-skewed graph popularity (a few hot
+// graphs take most submits, like a real serving catalog) is pushed
+// through one service (2 workers) in two submission modes —
 //
-//   serial    shards=1 max_batch=1   the pre-sharding single queue
-//   sharded   shards=4 max_batch=1   sharding alone
-//   fused     shards=4 max_batch=8   sharding + batch fusion
+//   serial   every job carries a no-op progress hook, so none fuses
+//   fused    plain submits: queued greedy jobs on one graph version fuse,
+//            up to FairScheduler::kMaxBatch per solver run
 //
 // Three sections:
 //   1. Saturation throughput: submit the whole stream as fast as the
 //      bounded queue admits it, measure jobs/sec end to end. Most of the
 //      stream is same-graph greedy budget sweeps, so batch fusion
-//      collapses queue backlogs into single solver walks; on a one-core
-//      host the fused speedup is pure work reduction, not parallelism.
+//      collapses queue backlogs into single solver walks; the fused
+//      speedup is work reduction, not parallelism (both modes run the
+//      same pool).
 //   2. Target-QPS driver: an open-loop arrival process at fixed QPS
-//      levels; reports achieved QPS and p50/p95 job latency per config.
-//   3. Fusion microbench: one graph, one tenant, a burst of identical
-//      budget sweeps — max_batch=8 vs max_batch=1, the distilled case
-//      behind the ISSUE's >= 1.5x fusion acceptance bar.
+//      levels; reports achieved QPS and p50/p95 job latency per mode.
+//   3. Fusion microbench: one graph, one tenant, one worker, a burst of
+//      identical budget sweeps — fused vs serial submits, the distilled
+//      case where fusion must win by >= 1.5x.
 //
 // Knobs: ATR_BENCH_LOAD_JOBS (stream length, default 240),
 // ATR_BENCH_LOAD_GRAPHS (catalog size, default 6), ATR_BENCH_LOAD_QPS
@@ -49,14 +50,12 @@ namespace {
 
 struct LoadConfig {
   const char* label;
-  int shards;
-  size_t max_batch;
+  bool fuse;
 };
 
 constexpr LoadConfig kConfigs[] = {
-    {"serial", 1, 1},
-    {"sharded", 4, 1},
-    {"fused", 4, 8},
+    {"serial", false},
+    {"fused", true},
 };
 
 // One synthetic submit: which graph, which tenant, what work.
@@ -105,12 +104,10 @@ std::vector<LoadJob> MakeStream(int jobs, int graphs, int tenants) {
   return stream;
 }
 
-std::unique_ptr<AtrService> MakeService(const LoadConfig& config, int graphs) {
+std::unique_ptr<AtrService> MakeService(int graphs) {
   AtrService::Options options;
   options.workers = 2;
   options.queue_capacity = 512;
-  options.shards = config.shards;
-  options.max_batch = config.max_batch;
   auto service = std::make_unique<AtrService>(options);
   for (int g = 0; g < graphs; ++g) {
     Status added = service->AddGraph("g" + std::to_string(g), LoadGraph(40 + g));
@@ -124,10 +121,17 @@ std::unique_ptr<AtrService> MakeService(const LoadConfig& config, int graphs) {
   return service;
 }
 
-StatusOr<JobHandle> SubmitOne(AtrService& service, const LoadJob& job,
+// A progress hook keeps a job out of fusion (api/service.h).
+void KeepAlone(SolverOptions& options) {
+  options.progress = [](const SolveProgress&) { return true; };
+}
+
+StatusOr<JobHandle> SubmitOne(AtrService& service, const LoadConfig& config,
+                              const LoadJob& job,
                               std::function<void()> done = nullptr) {
   SolverOptions options;
   options.budget = job.budget;
+  if (!config.fuse) KeepAlone(options);
   const char* solver = "gas";
   if (job.randomized) {
     solver = "rand";
@@ -150,12 +154,12 @@ struct RunStats {
 // Section 1: everything submitted as fast as the queue admits it.
 RunStats RunSaturation(const LoadConfig& config,
                        const std::vector<LoadJob>& stream, int graphs) {
-  std::unique_ptr<AtrService> service = MakeService(config, graphs);
+  std::unique_ptr<AtrService> service = MakeService(graphs);
   std::vector<JobHandle> handles;
   handles.reserve(stream.size());
   WallTimer timer;
   for (const LoadJob& job : stream) {
-    StatusOr<JobHandle> handle = SubmitOne(*service, job);
+    StatusOr<JobHandle> handle = SubmitOne(*service, config, job);
     if (!handle.ok()) std::abort();
     handles.push_back(*handle);
   }
@@ -165,6 +169,8 @@ RunStats RunSaturation(const LoadConfig& config,
   RunStats stats;
   stats.wall_ms = timer.ElapsedMillis();
   stats.jobs_per_sec = stream.size() / (stats.wall_ms / 1e3);
+  // A worker counts a batch just after publishing its results.
+  service->Drain();
   const AtrService::SchedulerStats sched = service->Stats();
   stats.jobs_fused = sched.jobs_fused;
   stats.batches_executed = sched.batches_executed;
@@ -182,7 +188,7 @@ struct QpsStats {
 QpsStats RunTargetQps(const LoadConfig& config,
                       const std::vector<LoadJob>& stream, int graphs,
                       double target_qps) {
-  std::unique_ptr<AtrService> service = MakeService(config, graphs);
+  std::unique_ptr<AtrService> service = MakeService(graphs);
   using Clock = std::chrono::steady_clock;
   std::vector<Clock::time_point> submitted(stream.size());
   std::vector<Clock::time_point> completed(stream.size());
@@ -198,7 +204,7 @@ QpsStats RunTargetQps(const LoadConfig& config,
         start + std::chrono::duration_cast<Clock::duration>(interval * i));
     submitted[i] = Clock::now();
     StatusOr<JobHandle> handle =
-        SubmitOne(*service, stream[i], [&, i] {
+        SubmitOne(*service, config, stream[i], [&, i] {
           completed[i] = Clock::now();
           done_count.fetch_add(1, std::memory_order_release);
         });
@@ -230,11 +236,9 @@ QpsStats RunTargetQps(const LoadConfig& config,
 
 // Section 3: the distilled fusion case — one graph, one tenant, a burst
 // of identical greedy budget sweeps.
-double RunFusionBurst(size_t max_batch, int sweep_jobs, uint64_t* fused_out) {
+double RunFusionBurst(bool fuse, int sweep_jobs, uint64_t* fused_out) {
   AtrService::Options options;
   options.workers = 1;
-  options.shards = 1;
-  options.max_batch = max_batch;
   options.queue_capacity = 512;
   AtrService service(options);
   if (!service.AddGraph("g", LoadGraph(40)).ok()) std::abort();
@@ -245,6 +249,7 @@ double RunFusionBurst(size_t max_batch, int sweep_jobs, uint64_t* fused_out) {
   for (int i = 0; i < sweep_jobs; ++i) {
     SolverOptions o;
     o.budget = 1 + static_cast<uint32_t>(i % 4);
+    if (!fuse) KeepAlone(o);
     StatusOr<JobHandle> handle = service.Submit("g", "gas", o);
     if (!handle.ok()) std::abort();
     handles.push_back(*handle);
@@ -253,13 +258,14 @@ double RunFusionBurst(size_t max_batch, int sweep_jobs, uint64_t* fused_out) {
     if (!handle.Wait().ok()) std::abort();
   }
   const double wall_ms = timer.ElapsedMillis();
+  service.Drain();
   if (fused_out != nullptr) *fused_out = service.Stats().jobs_fused;
   return wall_ms;
 }
 
 void Run() {
   PrintBenchHeader("bench_service_load",
-                   "sharded catalog + fair-share batch scheduling");
+                   "fair-share batch scheduling with greedy fusion");
   const int jobs =
       static_cast<int>(GetEnvInt64("ATR_BENCH_LOAD_JOBS", 240));
   const int graphs =
@@ -273,26 +279,20 @@ void Run() {
   const std::vector<LoadJob> stream = MakeStream(jobs, graphs, kTenants);
   BenchJsonRow json("bench_service_load_saturation");
 
-  TablePrinter table({"config", "shards", "max_batch", "wall (ms)",
-                      "jobs/sec", "speedup", "fused", "batches"});
+  TablePrinter table({"config", "wall (ms)", "jobs/sec", "speedup", "fused",
+                      "batches"});
   double serial_jps = 0.0;
   for (const LoadConfig& config : kConfigs) {
     const RunStats stats = RunSaturation(config, stream, graphs);
-    if (config.shards == 1 && config.max_batch == 1) {
-      serial_jps = stats.jobs_per_sec;
-    }
+    if (!config.fuse) serial_jps = stats.jobs_per_sec;
     const double speedup =
         serial_jps > 0.0 ? stats.jobs_per_sec / serial_jps : 1.0;
-    table.AddRow({config.label, std::to_string(config.shards),
-                  std::to_string(config.max_batch),
-                  TablePrinter::FormatDouble(stats.wall_ms, 1),
+    table.AddRow({config.label, TablePrinter::FormatDouble(stats.wall_ms, 1),
                   TablePrinter::FormatDouble(stats.jobs_per_sec, 1),
                   TablePrinter::FormatDouble(speedup, 2) + "x",
                   std::to_string(stats.jobs_fused),
                   std::to_string(stats.batches_executed)});
     json.Add("config", config.label)
-        .AddInt("shards", config.shards)
-        .AddInt("max_batch", static_cast<int64_t>(config.max_batch))
         .AddInt("jobs", jobs)
         .AddDouble("wall_ms", stats.wall_ms)
         .AddDouble("jobs_per_sec", stats.jobs_per_sec)
@@ -328,8 +328,8 @@ void Run() {
 
   const int sweep_jobs = 32;
   uint64_t fused = 0;
-  const double unfused_ms = RunFusionBurst(1, sweep_jobs, nullptr);
-  const double fused_ms = RunFusionBurst(8, sweep_jobs, &fused);
+  const double unfused_ms = RunFusionBurst(false, sweep_jobs, nullptr);
+  const double fused_ms = RunFusionBurst(true, sweep_jobs, &fused);
   const double fusion_speedup = unfused_ms / fused_ms;
   std::printf(
       "fusion burst (%d same-graph budget sweeps, 1 worker): "

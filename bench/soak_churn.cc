@@ -218,7 +218,6 @@ int main() {
   {
     AtrServer::Options options;
     options.workers = 2;
-    options.shards = 2;
     options.queue_capacity = 8;
     options.idle_timeout_ms = 50;
     options.retry_after_base_ms = 5;

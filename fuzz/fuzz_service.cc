@@ -44,8 +44,7 @@ Graph SeedGraph() {
 AtrService& Service() {
   static AtrService* service = [] {
     AtrService::Options options;
-    options.workers = 1;
-    options.shards = 2;  // exercise the sharded catalog path too
+    options.workers = 2;
     auto* s = new AtrService(options);
     if (!s->AddGraph(kGraphName, SeedGraph()).ok()) std::abort();
     return s;

@@ -2,17 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "api/registry.h"
-#include "core/exact.h"
 #include "truss/incremental.h"
 #include "util/mutex.h"
-#include "util/parallel_for.h"
 #include "util/thread_annotations.h"
-#include "util/timer.h"
 
 namespace atr {
 namespace internal {
@@ -183,52 +179,19 @@ struct AtrService::CatalogEntry {
   }
 };
 
-AtrService::AtrService(const Options& options) {
-  // Resolve the worker/capacity totals once (on the constructing thread,
-  // whose ParallelFor budget is the one the pools must share), then split
-  // them evenly across the shards.
-  const int machine = ParallelWorkerCount();
-  const int num_shards = std::max(1, options.shards);
-  const int total_workers =
-      options.workers > 0 ? options.workers : std::min(4, machine);
-  const size_t total_capacity = options.queue_capacity > 0
-                                    ? options.queue_capacity
-                                    : static_cast<size_t>(4 * total_workers);
-  FairScheduler::Options sched;
-  sched.workers = std::max(1, total_workers / num_shards);
-  sched.capacity = std::max<size_t>(
-      1, total_capacity / static_cast<size_t>(num_shards));
-  // Each job's inner ParallelFor budget: the constructing thread's budget
-  // split evenly across all shards' workers, so job-level concurrency and
-  // data parallelism compose without oversubscription. A job whose
-  // SolverOptions::threads is set still overrides it for its own run.
-  sched.threads_per_job = std::max(1, machine / total_workers);
-  sched.max_batch = std::max<size_t>(1, options.max_batch);
-  shards_.reserve(num_shards);
-  for (int s = 0; s < num_shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    // The runner is stateless (payloads carry everything), so a shard
-    // never dangles a reference to the service during teardown.
-    shard->scheduler = std::make_unique<FairScheduler>(
-        sched,
-        [](std::vector<FairScheduler::Job> batch) {
-          RunBatch(std::move(batch));
-        });
-    shards_.push_back(std::move(shard));
-  }
-}
+// The runner is stateless (payloads carry everything), so the scheduler
+// never dangles a reference to the service during teardown.
+AtrService::AtrService(const Options& options)
+    : scheduler_({.workers = options.workers,
+                  .capacity = options.queue_capacity},
+                 &AtrService::RunBatch) {}
 
 AtrService::~AtrService() = default;
 
-AtrService::Shard& AtrService::ShardFor(const std::string& name) const {
-  return *shards_[std::hash<std::string>{}(name) % shards_.size()];
-}
-
 Status AtrService::InsertEntry(const std::string& name, const char* what,
                                std::shared_ptr<CatalogEntry> entry) {
-  Shard& shard = ShardFor(name);
-  MutexLock lock(&shard.mu);
-  const bool inserted = shard.catalog.emplace(name, std::move(entry)).second;
+  MutexLock lock(&catalog_mu_);
+  const bool inserted = catalog_.emplace(name, std::move(entry)).second;
   if (!inserted) {
     return Status::FailedPrecondition(std::string(what) + ": graph \"" + name +
                                       "\" is already registered");
@@ -297,9 +260,8 @@ Status AtrService::ResetDeltaChain(const std::string& name) {
 }
 
 Status AtrService::RemoveGraph(const std::string& name) {
-  Shard& shard = ShardFor(name);
-  MutexLock lock(&shard.mu);
-  if (shard.catalog.erase(name) == 0) {
+  MutexLock lock(&catalog_mu_);
+  if (catalog_.erase(name) == 0) {
     return Status::NotFound("RemoveGraph: unknown graph \"" + name + "\"");
   }
   return Status::Ok();
@@ -307,21 +269,16 @@ Status AtrService::RemoveGraph(const std::string& name) {
 
 std::vector<std::string> AtrService::GraphNames() const {
   std::vector<std::string> names;
-  for (const auto& shard : shards_) {
-    MutexLock lock(&shard->mu);
-    for (const auto& [name, entry] : shard->catalog) names.push_back(name);
-  }
-  // Each shard map is sorted, but names hash across shards arbitrarily.
-  std::sort(names.begin(), names.end());
+  MutexLock lock(&catalog_mu_);
+  for (const auto& [name, entry] : catalog_) names.push_back(name);
   return names;
 }
 
 std::shared_ptr<AtrService::CatalogEntry> AtrService::FindEntry(
     const std::string& name) const {
-  Shard& shard = ShardFor(name);
-  MutexLock lock(&shard.mu);
-  auto it = shard.catalog.find(name);
-  return it == shard.catalog.end() ? nullptr : it->second;
+  MutexLock lock(&catalog_mu_);
+  auto it = catalog_.find(name);
+  return it == catalog_.end() ? nullptr : it->second;
 }
 
 GraphSnapshot AtrService::SnapshotOf(CatalogEntry& entry,
@@ -474,26 +431,10 @@ StatusOr<JobHandle> AtrService::Submit(const std::string& graph_name,
 StatusOr<JobHandle> AtrService::Submit(const std::string& graph_name,
                                        const std::string& solver_name,
                                        const SolverOptions& options,
-                                       std::function<void()> done) {
-  return SubmitInternal(graph_name, solver_name, options, SubmitOptions{},
-                        std::move(done), /*blocking=*/true);
-}
-
-StatusOr<JobHandle> AtrService::Submit(const std::string& graph_name,
-                                       const std::string& solver_name,
-                                       const SolverOptions& options,
                                        const SubmitOptions& submit,
                                        std::function<void()> done) {
   return SubmitInternal(graph_name, solver_name, options, submit,
                         std::move(done), /*blocking=*/true);
-}
-
-StatusOr<JobHandle> AtrService::TrySubmit(const std::string& graph_name,
-                                          const std::string& solver_name,
-                                          const SolverOptions& options,
-                                          std::function<void()> done) {
-  return SubmitInternal(graph_name, solver_name, options, SubmitOptions{},
-                        std::move(done), /*blocking=*/false);
 }
 
 StatusOr<JobHandle> AtrService::TrySubmit(const std::string& graph_name,
@@ -507,17 +448,16 @@ StatusOr<JobHandle> AtrService::TrySubmit(const std::string& graph_name,
 
 namespace {
 
-// Only the prefix-consistent solvers fuse: the greedy family picks each
-// round's argmax independent of the remaining budget (a budget-b run IS
-// the first b rounds of a budget-B run), and exact runs one independent
-// enumeration per checkpoint budget that members can share. The
-// randomized baselines (draw length depends on budget) and AKT are
-// excluded; so is any job whose caller holds a live control surface
-// (progress callback, external cancel flag, wall-clock limit) — those
-// semantics are per-job and do not survive fusion.
+// Only the prefix-consistent greedy family fuses: it picks each round's
+// argmax independent of the remaining budget (a budget-b run IS the first
+// b rounds of a budget-B run). Exact, the randomized baselines (draw
+// length depends on budget) and AKT run alone; so does any job whose
+// caller holds a live control surface (progress callback, external cancel
+// flag, wall-clock limit) — those semantics are per-job and do not
+// survive fusion.
 bool FusableSolver(const std::string& solver_name) {
   return solver_name == "base" || solver_name == "base+" ||
-         solver_name == "gas" || solver_name == "exact";
+         solver_name == "gas";
 }
 
 bool FusableOptions(const SolverOptions& options) {
@@ -533,7 +473,6 @@ StatusOr<JobHandle> AtrService::SubmitInternal(const std::string& graph_name,
                                                const SubmitOptions& submit,
                                                std::function<void()> done,
                                                bool blocking) {
-  Shard& shard = ShardFor(graph_name);
   std::shared_ptr<CatalogEntry> entry = FindEntry(graph_name);
   if (entry == nullptr) {
     return Status::NotFound("Submit: unknown graph \"" + graph_name + "\"");
@@ -568,58 +507,31 @@ StatusOr<JobHandle> AtrService::SubmitInternal(const std::string& graph_name,
   }
   job.payload = state;
 
-  Status queued = blocking ? shard.scheduler->Submit(std::move(job))
-                           : shard.scheduler->TrySubmit(std::move(job));
+  Status queued = blocking ? scheduler_.Submit(std::move(job))
+                           : scheduler_.TrySubmit(std::move(job));
   if (!queued.ok()) return queued;  // saturated (TrySubmit) or shut down
   entry->jobs_submitted.fetch_add(1, std::memory_order_relaxed);
   return JobHandle(state);
 }
 
 void AtrService::SetTenantWeight(const std::string& tenant, uint32_t weight) {
-  for (const auto& shard : shards_) {
-    shard->scheduler->SetTenantWeight(tenant, weight);
-  }
+  scheduler_.SetTenantWeight(tenant, weight);
 }
 
 size_t AtrService::TenantLoad(const std::string& tenant) const {
-  size_t load = 0;
-  for (const auto& shard : shards_) {
-    load += shard->scheduler->TenantLoad(tenant);
-  }
-  return load;
+  return scheduler_.TenantLoad(tenant);
 }
 
-size_t AtrService::QueueLoad() const {
-  size_t load = 0;
-  for (const auto& shard : shards_) load += shard->scheduler->Load();
-  return load;
-}
+size_t AtrService::QueueLoad() const { return scheduler_.Load(); }
 
-size_t AtrService::QueueCapacity() const {
-  size_t capacity = 0;
-  for (const auto& shard : shards_) capacity += shard->scheduler->capacity();
-  return capacity;
-}
-
-int AtrService::Workers() const {
-  int workers = 0;
-  for (const auto& shard : shards_) workers += shard->scheduler->workers();
-  return workers;
-}
+int AtrService::Workers() const { return scheduler_.workers(); }
 
 AtrService::SchedulerStats AtrService::Stats() const {
-  SchedulerStats stats;
-  for (const auto& shard : shards_) {
-    stats.jobs_executed += shard->scheduler->jobs_executed();
-    stats.batches_executed += shard->scheduler->batches_executed();
-    stats.jobs_fused += shard->scheduler->jobs_fused();
-  }
-  return stats;
+  return SchedulerStats{scheduler_.jobs_executed(),
+                        scheduler_.batches_executed(), scheduler_.jobs_fused()};
 }
 
-void AtrService::Drain() {
-  for (const auto& shard : shards_) shard->scheduler->WaitIdle();
-}
+void AtrService::Drain() { scheduler_.WaitIdle(); }
 
 StatusOr<std::unique_ptr<AtrEngine>> AtrService::CheckoutSession(
     const std::string& graph_name) {
@@ -657,11 +569,7 @@ void AtrService::RunBatch(std::vector<FairScheduler::Job> batch) {
     members.push_back(std::move(state));
   }
   if (members.empty()) return;
-  if (members.front()->solver_name == "exact") {
-    RunFusedExact(members);
-  } else {
-    RunFusedGreedy(members);
-  }
+  RunFusedGreedy(members);
 }
 
 void AtrService::RunJob(const std::shared_ptr<internal::JobState>& state) {
@@ -809,84 +717,6 @@ void AtrService::RunFusedGreedy(
     // whose budget the prefix did not reach.
     result.stopped_early = run->stopped_early && prefix < budget;
     result.seconds = run->seconds;
-    internal::PublishResult(state, std::move(result), JobHandle::State::kDone);
-  }
-}
-
-// One exact enumeration per DISTINCT checkpoint budget across the batch;
-// members assemble their sweeps from the shared runs with the solo
-// adapter's exact bookkeeping (per-member subsets_evaluated sums its own
-// checkpoints, so results match a solo run bit for bit).
-void AtrService::RunFusedExact(
-    const std::vector<std::shared_ptr<internal::JobState>>& members) {
-  const GraphSnapshot snapshot = members.front()->snapshot();
-
-  std::vector<std::shared_ptr<internal::JobState>> live;
-  live.reserve(members.size());
-  std::set<uint32_t> budgets;
-  for (const auto& state : members) {
-    Status valid = ValidateSolverOptions(*snapshot.graph, state->options);
-    if (!valid.ok()) {
-      internal::PublishResult(state, StatusOr<SolveResult>(std::move(valid)),
-                              JobHandle::State::kDone);
-      continue;
-    }
-    for (uint32_t c : EffectiveCheckpoints(state->options)) budgets.insert(c);
-    live.push_back(state);
-  }
-  if (live.empty()) return;
-
-  SolverContext context(*snapshot.graph);
-  context.PrimeDecomposition(snapshot.decomposition);
-  ScopedParallelism parallelism(live.front()->options.threads);
-  const TrussDecomposition& base = context.Decomposition();
-
-  WallTimer timer;
-  std::map<uint32_t, ExactResult> computed;
-  for (uint32_t b : budgets) {  // std::set: ascending, cheap runs first
-    bool any_live = false;
-    for (const auto& state : live) {
-      if (!state->cancel.load(std::memory_order_relaxed)) any_live = true;
-    }
-    if (!any_live) break;
-    computed.emplace(b, RunExact(*snapshot.graph, b, &base));
-    const double elapsed = timer.ElapsedSeconds();
-    for (const auto& state : live) {
-      // Mirror the solo adapter's per-checkpoint progress events for
-      // members whose sweep includes this budget.
-      const std::vector<uint32_t> checkpoints =
-          EffectiveCheckpoints(state->options);
-      auto it = std::find(checkpoints.begin(), checkpoints.end(), b);
-      if (it == checkpoints.end()) continue;
-      MutexLock lock(&state->mu);
-      state->progress.solver = state->solver_name;
-      state->progress.round =
-          static_cast<uint32_t>(it - checkpoints.begin()) + 1;
-      state->progress.budget = state->options.budget;
-      state->progress.total_gain = computed.at(b).gain;
-      state->progress.elapsed_seconds = elapsed;
-    }
-  }
-  const double seconds = timer.ElapsedSeconds();
-
-  for (const auto& state : live) {
-    SolveResult result;
-    result.solver = state->solver_name;
-    for (uint32_t c : EffectiveCheckpoints(state->options)) {
-      auto it = computed.find(c);
-      if (it == computed.end()) {
-        // The batch stopped (all members cancelled) before this budget
-        // ran — the member keeps the prefix of its sweep, like a solo
-        // exact run cancelled between checkpoints.
-        result.stopped_early = true;
-        break;
-      }
-      result.gain_at_checkpoint.push_back(it->second.gain);
-      result.subsets_evaluated += it->second.subsets_evaluated;
-      result.anchor_edges = it->second.anchors;
-      result.total_gain = it->second.gain;
-    }
-    result.seconds = seconds;
     internal::PublishResult(state, std::move(result), JobHandle::State::kDone);
   }
 }

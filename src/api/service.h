@@ -29,22 +29,19 @@
 // the solvers' inner ParallelFor loops, and returns a JobHandle with
 // Wait() / TryGet() / Cancel() and a polled Progress() snapshot.
 //
-// Sharding: with Options::shards = N, the catalog and the scheduler are
-// split into N independent shards keyed by hash(graph name) — unrelated
-// graphs never contend on one mutex or one queue. Fair-share dispatch is
-// per shard: every Submit may carry a SubmitOptions{tenant, priority},
-// and each shard's scheduler serves tenants with weighted deficit
+// Fair-share dispatch: every Submit may carry a SubmitOptions{tenant,
+// priority}, and the one scheduler serves tenants with weighted deficit
 // round-robin so a flooding tenant cannot starve a light one.
 //
-// Batch fusion: compatible queued jobs — same graph version, same solver
-// (greedy family or exact), same threads, and no
-// caller-owned progress/cancel/wall-clock hooks — coalesce into one
-// solver run. One greedy walk at the max budget serves every member as a
-// prefix; one exact enumeration per distinct checkpoint budget serves all
-// members' sweeps. Each member's SolveResult is carved out exactly as if
-// it had run alone (the scheduler differential tests assert
-// byte-identity), and decomposition_builds still moves at most once per
-// graph version.
+// Batch fusion: compatible queued jobs — same graph version, same greedy
+// solver (base, base+ or gas), same threads, and no caller-owned
+// progress/cancel/wall-clock hooks — coalesce into one solver run of at
+// most FairScheduler::kMaxBatch members. One greedy walk at the max
+// budget serves every member as a prefix. Each member's SolveResult is
+// carved out exactly as if it had run alone (the scheduler differential
+// tests assert byte-identity), and decomposition_builds still moves at
+// most once per graph version. A job that must run alone carries one of
+// those hooks.
 //
 // Mutations never touch served snapshots: CheckoutSession hands out a
 // private AtrEngine primed with the shared snapshot; its first committed
@@ -163,14 +160,6 @@ class AtrService {
     // Bounded pending-job queue: Submit blocks while this many jobs wait
     // (backpressure). 0 = 4x workers.
     size_t queue_capacity = 0;
-    // Independent catalog + scheduler shards keyed by hash(graph name).
-    // `workers` and `queue_capacity` are totals, split evenly across the
-    // shards (at least 1 worker / 1 slot each). 1 (the default) is the
-    // pre-sharding single-queue behavior.
-    int shards = 1;
-    // Most compatible jobs one batch may fuse into a single solver run.
-    // 1 disables batch fusion entirely.
-    size_t max_batch = 8;
   };
 
   // Fair-share identity of one Submit. Tenants are created on first use;
@@ -293,17 +282,12 @@ class AtrService {
                              const std::string& solver_name,
                              const SolverOptions& options);
 
-  // Submit with a completion hook: `done` is invoked exactly once, from
-  // the worker thread, after the job's result became observable (Wait/
-  // TryGet return it). A job cancelled before running still invokes it.
-  // The networked front end uses this to push Wait responses instead of
+  // Submit under a fair-share identity (tenant + priority), with an
+  // optional completion hook: `done` is invoked exactly once, from the
+  // worker thread, after the job's result became observable (Wait/TryGet
+  // return it). A job cancelled before running still invokes it. The
+  // networked front end uses this to push Wait responses instead of
   // blocking a thread per pending job.
-  StatusOr<JobHandle> Submit(const std::string& graph_name,
-                             const std::string& solver_name,
-                             const SolverOptions& options,
-                             std::function<void()> done);
-
-  // Submit under a fair-share identity (tenant + priority).
   StatusOr<JobHandle> Submit(const std::string& graph_name,
                              const std::string& solver_name,
                              const SolverOptions& options,
@@ -316,32 +300,25 @@ class AtrService {
   StatusOr<JobHandle> TrySubmit(const std::string& graph_name,
                                 const std::string& solver_name,
                                 const SolverOptions& options,
-                                std::function<void()> done = nullptr);
-  StatusOr<JobHandle> TrySubmit(const std::string& graph_name,
-                                const std::string& solver_name,
-                                const SolverOptions& options,
                                 const SubmitOptions& submit,
                                 std::function<void()> done = nullptr);
 
-  // Dispatch weight of `tenant` on every shard (default 1; 0 clamps to 1).
+  // Dispatch weight of `tenant` (default 1; 0 clamps to 1).
   void SetTenantWeight(const std::string& tenant, uint32_t weight);
 
-  // Pending + running jobs for one tenant, summed over the shards — the
-  // signal behind the server's per-tenant retry-after estimate.
+  // Pending + running jobs for one tenant — the signal behind the
+  // server's per-tenant retry-after estimate.
   size_t TenantLoad(const std::string& tenant) const;
 
-  // Pending + running jobs / pending-queue capacity / worker count —
-  // the load signals behind the server's retry-after estimate. All three
-  // are totals summed over the shards.
+  // Pending + running jobs / worker count — the load signals behind the
+  // server's retry-after estimate.
   size_t QueueLoad() const;
-  size_t QueueCapacity() const;
   int Workers() const;
-  int Shards() const { return static_cast<int>(shards_.size()); }
 
-  // Scheduler counters summed over the shards. jobs_executed counts
-  // individual jobs, batches_executed counts solver dispatches; the gap
-  // between them is the work batch fusion saved. jobs_fused counts jobs
-  // that rode in a batch of more than one.
+  // Scheduler counters. jobs_executed counts individual jobs,
+  // batches_executed counts solver dispatches; the gap between them is
+  // the work batch fusion saved. jobs_fused counts jobs that rode in a
+  // batch of more than one.
   struct SchedulerStats {
     uint64_t jobs_executed = 0;
     uint64_t batches_executed = 0;
@@ -364,17 +341,6 @@ class AtrService {
   struct GraphVersion;
   struct CatalogEntry;
 
-  // One catalog + scheduler shard. The scheduler is declared after the
-  // catalog so shard destruction drains and joins its workers before the
-  // catalog entries go away (running jobs additionally pin their entry
-  // through shared_ptrs).
-  struct Shard {
-    mutable Mutex mu;
-    std::map<std::string, std::shared_ptr<CatalogEntry>> catalog
-        ATR_GUARDED_BY(mu);
-    std::unique_ptr<FairScheduler> scheduler;
-  };
-
   // Shared Submit/TrySubmit implementation; `blocking` picks the queue
   // entry point (blocking backpressure vs kResourceExhausted reject).
   StatusOr<JobHandle> SubmitInternal(const std::string& graph_name,
@@ -384,9 +350,8 @@ class AtrService {
                                      std::function<void()> done,
                                      bool blocking);
 
-  Shard& ShardFor(const std::string& name) const;
-  // Registers `entry` under `name` in its shard (the AddGraph /
-  // RestoreGraph tail); fails when the name is taken.
+  // Registers `entry` under `name` (the AddGraph / RestoreGraph tail);
+  // fails when the name is taken.
   Status InsertEntry(const std::string& name, const char* what,
                      std::shared_ptr<CatalogEntry> entry);
 
@@ -403,15 +368,19 @@ class AtrService {
   static void RunJob(const std::shared_ptr<internal::JobState>& state);
   static void RunFusedGreedy(
       const std::vector<std::shared_ptr<internal::JobState>>& members);
-  static void RunFusedExact(
-      const std::vector<std::shared_ptr<internal::JobState>>& members);
 
   std::atomic<JobId> next_job_id_{1};
   mutable Mutex listener_mu_;
   std::shared_ptr<const UpdateListener> update_listener_
       ATR_GUARDED_BY(listener_mu_);
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable Mutex catalog_mu_;
+  std::map<std::string, std::shared_ptr<CatalogEntry>> catalog_
+      ATR_GUARDED_BY(catalog_mu_);
+  // Declared after the catalog so destruction drains and joins the
+  // workers before the catalog entries go away (running jobs additionally
+  // pin their entry through shared_ptrs).
+  FairScheduler scheduler_;
 };
 
 }  // namespace atr

@@ -31,9 +31,9 @@
 //     mid-append crash is dropped and truncated away.
 //
 // Thread-safety: PersistentCatalog serializes mutating calls (AddGraph /
-// UpdateGraph / Compact) PER GRAPH behind striped locks, so updates to
-// different graphs persist in parallel — matching the service's sharded
-// catalog. PersistAll takes each graph's stripe in turn. Mutate cataloged
+// UpdateGraph / Compact) PER GRAPH behind striped locks, so fsync-bound
+// updates to different graphs persist in parallel. PersistAll takes each
+// graph's stripe in turn. Mutate cataloged
 // graphs ONLY through it — calling AtrService::UpdateGraph directly on a
 // persisted graph would still log the delta (the listener fires) but
 // could interleave with a concurrent compaction's log reset and lose the

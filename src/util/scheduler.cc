@@ -25,10 +25,7 @@ FairScheduler::FairScheduler(const Options& options, BatchRunner runner)
       options.workers > 0 ? options.workers : std::min(4, machine);
   capacity_ = options.capacity > 0 ? options.capacity
                                    : static_cast<size_t>(4 * workers);
-  threads_per_job_ = options.threads_per_job > 0
-                         ? options.threads_per_job
-                         : std::max(1, machine / workers);
-  max_batch_ = std::max<size_t>(1, options.max_batch);
+  inner_threads_ = std::max(1, machine / workers);
   threads_.reserve(workers);
   for (int w = 0; w < workers; ++w) {
     threads_.emplace_back([this] { WorkerLoop(); });
@@ -104,11 +101,6 @@ void FairScheduler::Shutdown() {
   }
 }
 
-size_t FairScheduler::pending() const {
-  MutexLock lock(&mu_);
-  return total_pending_;
-}
-
 size_t FairScheduler::Load() const {
   MutexLock lock(&mu_);
   return total_pending_ + running_;
@@ -172,7 +164,7 @@ std::vector<FairScheduler::Job> FairScheduler::NextBatchLocked() {
   }
   std::vector<Job> batch;
   batch.push_back(std::move(job));
-  if (!batch.front().batch_key.empty() && max_batch_ > 1) {
+  if (!batch.front().batch_key.empty()) {
     CollectBatchLocked(batch.front().batch_key, &batch);
   }
   return batch;
@@ -185,13 +177,13 @@ void FairScheduler::CollectBatchLocked(std::string key,
   // near zero, so fusing them early is strictly better for everyone than
   // making them wait their DRR turn to redo the same work.
   for (auto& [name, t] : tenants_) {
-    if (batch->size() >= max_batch_) break;
+    if (batch->size() >= kMaxBatch) break;
     if (t.queued == 0) continue;
     for (auto bucket = t.buckets.begin();
-         bucket != t.buckets.end() && batch->size() < max_batch_;) {
+         bucket != t.buckets.end() && batch->size() < kMaxBatch;) {
       std::deque<Job>& queue = bucket->second;
       for (auto it = queue.begin();
-           it != queue.end() && batch->size() < max_batch_;) {
+           it != queue.end() && batch->size() < kMaxBatch;) {
         if (it->batch_key == key) {
           batch->push_back(std::move(*it));
           it = queue.erase(it);
@@ -214,8 +206,8 @@ void FairScheduler::CollectBatchLocked(std::string key,
 void FairScheduler::WorkerLoop() {
   t_sched_worker = true;
   // One thread budget for the pool: inner ParallelFor calls issued by jobs
-  // on this worker see threads_per_job_ instead of the machine default.
-  ScopedParallelism inner(threads_per_job_);
+  // on this worker see inner_threads_ instead of the machine default.
+  ScopedParallelism inner(inner_threads_);
   for (;;) {
     std::vector<Job> batch;
     std::vector<std::string> batch_tenants;

@@ -1,5 +1,5 @@
 // FairScheduler — multi-tenant batch scheduler for job-level concurrency
-// (the sharded AtrService's submit path).
+// (AtrService's submit path).
 //
 // FairScheduler keeps one FIFO *per tenant per priority* and dispatches
 // across tenants with weighted deficit round-robin (WDRR): each tenant in
@@ -12,7 +12,7 @@
 // Batch fusion: a job may carry a `batch_key` naming the work it could
 // share with compatible jobs (same graph version + solver family). When a
 // worker dequeues a keyed job, the scheduler sweeps every queue for other
-// jobs with the same key (up to max_batch, preserving per-queue FIFO
+// jobs with the same key (up to kMaxBatch, preserving per-queue FIFO
 // order) and hands the whole batch to the runner in one call. The runner
 // owns fusion semantics — the scheduler only groups; it never reorders
 // jobs *within* a tenant's priority bucket. Jobs with an empty batch_key
@@ -21,8 +21,10 @@
 // Capacity and backpressure: Submit blocks while the total pending count
 // is at capacity, TrySubmit fails fast with kResourceExhausted, and both
 // reject with kFailedPrecondition after Shutdown. Worker threads install
-// a ScopedParallelism override so inner ParallelFor fan-out shares one
-// machine budget with job concurrency.
+// a ScopedParallelism override — the constructing thread's
+// ParallelWorkerCount() split evenly across the pool, at least 1 — so
+// inner ParallelFor fan-out shares one machine budget with job
+// concurrency.
 //
 //   FairScheduler sched({.workers = 4}, [](std::vector<FairScheduler::Job> b) {
 //     ... run the batch; b.size() == 1 unless batch keys matched ...
@@ -62,17 +64,15 @@ class FairScheduler {
   // (or the batch is a singleton). Runs on a scheduler worker thread.
   using BatchRunner = std::function<void(std::vector<Job>)>;
 
+  // Most jobs one batch may fuse.
+  static constexpr size_t kMaxBatch = 8;
+
   struct Options {
     // Worker threads. 0 = min(4, the calling thread's ParallelWorkerCount).
     int workers = 0;
     // Max jobs waiting to run across all tenants (excludes running jobs);
     // Submit blocks / TrySubmit fails at this count. 0 = 4x workers.
     size_t capacity = 0;
-    // ParallelFor budget per worker thread. 0 = the calling thread's
-    // ParallelWorkerCount() split evenly across the pool (at least 1).
-    int threads_per_job = 0;
-    // Most jobs one batch may fuse. 1 disables fusion entirely.
-    size_t max_batch = 8;
   };
 
   FairScheduler(const Options& options, BatchRunner runner);
@@ -102,11 +102,7 @@ class FairScheduler {
   void Shutdown() ATR_EXCLUDES(mu_);
 
   int workers() const { return static_cast<int>(threads_.size()); }
-  size_t capacity() const { return capacity_; }
-  size_t max_batch() const { return max_batch_; }
 
-  // Jobs waiting to run right now. Racy — admission heuristics only.
-  size_t pending() const ATR_EXCLUDES(mu_);
   // Pending plus running: the load signal behind retry-after estimates.
   size_t Load() const ATR_EXCLUDES(mu_);
   // Pending plus running for one tenant (per-tenant retry-after hints).
@@ -133,7 +129,7 @@ class FairScheduler {
   void WorkerLoop() ATR_EXCLUDES(mu_);
   // Picks the next batch under mu_. Requires total_pending_ > 0.
   std::vector<Job> NextBatchLocked() ATR_REQUIRES(mu_);
-  // Removes up to max_batch_-1 additional jobs matching `key` from every
+  // Removes up to kMaxBatch-1 additional jobs matching `key` from every
   // queue (FIFO within each bucket), appending to `batch`. Takes the key
   // by value: the caller's copy lives inside `batch`, which reallocates.
   void CollectBatchLocked(std::string key, std::vector<Job>* batch)
@@ -141,8 +137,7 @@ class FairScheduler {
   void DropFromRingLocked(const std::string& tenant) ATR_REQUIRES(mu_);
 
   size_t capacity_ = 0;
-  int threads_per_job_ = 1;
-  size_t max_batch_ = 8;
+  int inner_threads_ = 1;
   BatchRunner runner_;
 
   mutable Mutex mu_;

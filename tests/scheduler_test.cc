@@ -1,10 +1,10 @@
 // Tests for the FairScheduler (util/scheduler.h) and its integration into
-// the sharded AtrService: FIFO-within-tenant dispatch, priority buckets,
-// weighted deficit round-robin fairness (including a flood/starvation
-// scenario), capacity backpressure, shutdown semantics, batch-fusion
-// grouping, and — at the service layer — the differential guarantee that
-// fused and sharded execution stays byte-identical to a serial AtrEngine
-// oracle for every registered solver.
+// AtrService: FIFO-within-tenant dispatch, priority buckets, weighted
+// deficit round-robin fairness (including a flood/starvation scenario),
+// capacity backpressure, shutdown semantics, batch-fusion grouping, and —
+// at the service layer — the differential guarantee that fused and
+// multi-tenant execution on one pool stays byte-identical to a serial
+// AtrEngine oracle for every registered solver.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/engine.h"
@@ -264,7 +265,7 @@ TEST(FairSchedulerParallelism, WorkersSplitTheConstructingThreadsBudget) {
 }
 
 TEST(FairSchedulerFusion, MatchingKeysFuseAcrossTenantsAndBuckets) {
-  SchedulerHarness h({.capacity = 64, .max_batch = 8});
+  SchedulerHarness h({.capacity = 64});
   h.Block();
   ASSERT_TRUE(h.Submit("a", 0, 1, "k").ok());
   ASSERT_TRUE(h.Submit("a", 0, 2, "k").ok());
@@ -291,31 +292,19 @@ TEST(FairSchedulerFusion, MatchingKeysFuseAcrossTenantsAndBuckets) {
 }
 
 TEST(FairSchedulerFusion, MaxBatchCapsOneSweep) {
-  SchedulerHarness h({.capacity = 64, .max_batch = 2});
+  static_assert(FairScheduler::kMaxBatch == 8);
+  SchedulerHarness h({.capacity = 64});
   h.Block();
-  for (int id = 1; id <= 4; ++id) {
+  for (int id = 1; id <= 10; ++id) {
     ASSERT_TRUE(h.Submit("a", 0, id, "k").ok());
   }
   h.Release();
   h.scheduler().WaitIdle();
   std::vector<std::vector<int>> batches = h.Batches();
   ASSERT_EQ(batches.size(), 3u);  // blocker + two capped batches
-  EXPECT_EQ(batches[1], (std::vector<int>{1, 2}));
-  EXPECT_EQ(batches[2], (std::vector<int>{3, 4}));
-  EXPECT_EQ(h.scheduler().jobs_fused(), 4u);
-}
-
-TEST(FairSchedulerFusion, MaxBatchOneDisablesFusion) {
-  SchedulerHarness h({.capacity = 64, .max_batch = 1});
-  h.Block();
-  for (int id = 1; id <= 3; ++id) {
-    ASSERT_TRUE(h.Submit("a", 0, id, "k").ok());
-  }
-  h.Release();
-  h.scheduler().WaitIdle();
-  EXPECT_EQ(h.Order(), (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(h.scheduler().batches_executed(), 4u);
-  EXPECT_EQ(h.scheduler().jobs_fused(), 0u);
+  EXPECT_EQ(batches[1], (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(batches[2], (std::vector<int>{9, 10}));
+  EXPECT_EQ(h.scheduler().jobs_fused(), 10u);
 }
 
 // --- Service integration: batch fusion vs the serial oracle ---------------
@@ -382,8 +371,6 @@ std::vector<SolveResult> RunBehindBlocker(
 TEST(ServiceBatchFusion, FusedGreedySweepMatchesSerialOracle) {
   AtrService::Options options;
   options.workers = 1;
-  options.shards = 1;
-  options.max_batch = 8;
   options.queue_capacity = 64;
   AtrService service(options);
   ASSERT_TRUE(service.AddGraph("g", SchedGraph()).ok());
@@ -418,8 +405,6 @@ TEST(ServiceBatchFusion, FusedGreedySweepMatchesSerialOracle) {
 TEST(ServiceBatchFusion, FusedGreedyBatchesShareTheVersionsTriangleIndex) {
   AtrService::Options options;
   options.workers = 1;
-  options.shards = 1;
-  options.max_batch = 8;
   options.queue_capacity = 64;
   AtrService service(options);
   ASSERT_TRUE(service.AddGraph("g", SchedGraph()).ok());
@@ -455,8 +440,6 @@ TEST(ServiceBatchFusion, FusedGreedyBatchesShareTheVersionsTriangleIndex) {
 TEST(ServiceBatchFusion, SubmitsDifferingOnlyInReservedWireByteFuse) {
   AtrService::Options options;
   options.workers = 1;
-  options.shards = 1;
-  options.max_batch = 8;
   options.queue_capacity = 64;
   AtrService service(options);
   ASSERT_TRUE(service.AddGraph("g", SchedGraph()).ok());
@@ -492,61 +475,43 @@ TEST(ServiceBatchFusion, SubmitsDifferingOnlyInReservedWireByteFuse) {
   EXPECT_EQ(stats.batches_executed, 2u);
 }
 
-TEST(ServiceBatchFusion, FusedExactJobsShareOneEnumeration) {
-  AtrService::Options options;
-  options.workers = 1;
-  options.shards = 1;
-  options.max_batch = 8;
-  options.queue_capacity = 64;
-  AtrService service(options);
-  ASSERT_TRUE(service.AddGraph("g", SchedGraph()).ok());
-
-  std::vector<SolverOptions> specs(3);
-  specs[0].budget = 1;
-  specs[1].budget = 1;
-  specs[2].budget = 1;
-  const std::vector<SolveResult> fused =
-      RunBehindBlocker(service, specs, "exact");
-
-  AtrEngine engine(SchedGraph());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    StatusOr<SolveResult> oracle = engine.Run("exact", specs[i]);
-    ASSERT_TRUE(oracle.ok());
-    ExpectSameResult(*oracle, fused[i], "exact spec " + std::to_string(i));
-  }
-  EXPECT_EQ(service.Stats().jobs_fused, 3u);
-}
-
 TEST(ServiceBatchFusion, NonFusableSolversNeverFuse) {
   AtrService::Options options;
   options.workers = 1;
-  options.shards = 1;
-  options.max_batch = 8;
   options.queue_capacity = 64;
   AtrService service(options);
   ASSERT_TRUE(service.AddGraph("g", SchedGraph()).ok());
 
   // Randomized baselines are excluded from fusion (their trial streams
-  // are not prefix-consistent across budgets).
-  std::vector<SolverOptions> specs(3);
-  for (SolverOptions& o : specs) {
+  // are not prefix-consistent across budgets), and exact runs alone.
+  std::vector<SolverOptions> rand_specs(3);
+  for (SolverOptions& o : rand_specs) {
     o.budget = 2;
     o.trials = 10;
     o.seed = 7;
   }
-  const std::vector<SolveResult> results =
-      RunBehindBlocker(service, specs, "rand");
+  std::vector<SolverOptions> exact_specs(3);
+  for (SolverOptions& o : exact_specs) o.budget = 1;
 
   AtrEngine engine(SchedGraph());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    StatusOr<SolveResult> oracle = engine.Run("rand", specs[i]);
-    ASSERT_TRUE(oracle.ok());
-    ExpectSameResult(*oracle, results[i], "rand spec " + std::to_string(i));
+  for (const auto& [solver, specs] :
+       {std::pair{"rand", rand_specs}, std::pair{"exact", exact_specs}}) {
+    const std::vector<SolveResult> results =
+        RunBehindBlocker(service, specs, solver);
+    for (size_t i = 0; i < specs.size(); ++i) {
+      StatusOr<SolveResult> oracle = engine.Run(solver, specs[i]);
+      ASSERT_TRUE(oracle.ok());
+      ExpectSameResult(*oracle, results[i],
+                       std::string(solver) + " spec " + std::to_string(i));
+    }
   }
-  EXPECT_EQ(service.Stats().jobs_fused, 0u);
+  const AtrService::SchedulerStats stats = service.Stats();
+  EXPECT_EQ(stats.jobs_fused, 0u);
+  // Two blockers and six solo jobs: one solver dispatch each.
+  EXPECT_EQ(stats.batches_executed, 8u);
 }
 
-// --- Sharded differential: every solver, every shard, mixed tenants -------
+// --- Service differential: every solver, mixed tenants, one pool ---------
 
 struct JobSpec {
   const char* solver;
@@ -610,17 +575,14 @@ std::vector<JobSpec> AllSolverSpecs() {
   return specs;
 }
 
-TEST(ShardedServiceDifferential, AllSolversMatchSerialOracleAcrossShards) {
+TEST(ServiceDifferential, AllSolversMatchSerialOracleAcrossTenants) {
   constexpr int kGraphs = 4;
   constexpr int kSubmitters = 3;
 
   AtrService::Options options;
   options.workers = 4;
-  options.shards = 4;
-  options.max_batch = 8;
   options.queue_capacity = 128;
   AtrService service(options);
-  ASSERT_EQ(service.Shards(), 4);
 
   std::vector<std::string> names;
   for (int g = 0; g < kGraphs; ++g) {
@@ -641,8 +603,8 @@ TEST(ShardedServiceDifferential, AllSolversMatchSerialOracleAcrossShards) {
   }
 
   // kSubmitters threads submit every (graph, spec) pair under distinct
-  // tenants and rotating priorities — fusion, sharding and fair-share
-  // dispatch all engage at once.
+  // tenants and rotating priorities — fusion and fair-share dispatch
+  // engage at once.
   std::vector<std::vector<std::vector<JobHandle>>> handles(
       kSubmitters,
       std::vector<std::vector<JobHandle>>(kGraphs));
@@ -682,21 +644,17 @@ TEST(ShardedServiceDifferential, AllSolversMatchSerialOracleAcrossShards) {
     }
   }
 
-  // Sharding and fusion never re-run the one decomposition per graph.
+  // Fusion never re-runs the one decomposition per graph.
   for (const std::string& name : names) {
     StatusOr<AtrService::GraphInfo> info = service.Info(name);
     ASSERT_TRUE(info.ok());
     EXPECT_EQ(info->decomposition_builds, 1u) << name;
   }
-  // The executed counter is bumped by the worker just after a job's
-  // result becomes observable, so give the last bump a moment to land.
-  const uint64_t expected_jobs =
-      static_cast<uint64_t>(kSubmitters * kGraphs * specs.size());
-  for (int spin = 0; spin < 200 && service.Stats().jobs_executed < expected_jobs;
-       ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_EQ(service.Stats().jobs_executed, expected_jobs);
+  // The worker counts a job just after publishing its result; Drain waits
+  // for that count.
+  service.Drain();
+  EXPECT_EQ(service.Stats().jobs_executed,
+            static_cast<uint64_t>(kSubmitters * kGraphs * specs.size()));
 }
 
 }  // namespace

@@ -709,7 +709,6 @@ TEST(ServiceStreaming, UpdateGraphSeedsWithoutRebuilding) {
 TEST(ServiceStreaming, FirstGreedyJobsOnAVersionShareOneTriangleIndex) {
   AtrService::Options service_options;
   service_options.workers = 4;
-  service_options.max_batch = 1;  // eight solo jobs, four at a time
   AtrService service(service_options);
   ASSERT_TRUE(service.AddGraph("g", MakeServiceGraph()).ok());
   StatusOr<GraphSnapshot> v1 = service.Snapshot("g");
@@ -737,6 +736,9 @@ TEST(ServiceStreaming, FirstGreedyJobsOnAVersionShareOneTriangleIndex) {
   auto options_of = [](int i) {
     SolverOptions options;
     options.budget = 2 + static_cast<uint32_t>(i % 3);
+    // A progress hook keeps the job out of fusion: eight solo jobs, four
+    // at a time.
+    options.progress = [](const SolveProgress&) { return true; };
     return options;
   };
   AtrEngine local(*v2->graph);
@@ -1091,9 +1093,9 @@ TEST(ServiceJobs, TrySubmitRejectsOnlyWhileSaturated) {
 
   SolverOptions quick;
   quick.budget = 1;
-  StatusOr<JobHandle> pending = service.TrySubmit("g", "gas", quick);
+  StatusOr<JobHandle> pending = service.TrySubmit("g", "gas", quick, {});
   ASSERT_TRUE(pending.ok());  // fills the single pending slot
-  EXPECT_EQ(service.TrySubmit("g", "gas", quick).status().code(),
+  EXPECT_EQ(service.TrySubmit("g", "gas", quick, {}).status().code(),
             StatusCode::kResourceExhausted);
   EXPECT_EQ(service.QueueLoad(), 2u);  // one running + one pending
 
@@ -1105,7 +1107,7 @@ TEST(ServiceJobs, TrySubmitRejectsOnlyWhileSaturated) {
   ASSERT_TRUE(running->Wait().ok());
   ASSERT_TRUE(pending->Wait().ok());
 
-  StatusOr<JobHandle> after = service.TrySubmit("g", "gas", quick);
+  StatusOr<JobHandle> after = service.TrySubmit("g", "gas", quick, {});
   ASSERT_TRUE(after.ok());  // space again
   EXPECT_TRUE(after->Wait().ok());
 }
