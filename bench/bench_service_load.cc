@@ -1,24 +1,25 @@
-// Service-layer load benchmark for the fair-share batch scheduler: a
-// mixed-tenant job stream with Zipf-skewed graph popularity (a few hot
-// graphs take most submits, like a real serving catalog) is pushed
-// through one service (2 workers) in two submission modes —
+// Service-layer load benchmark for the fair-share scheduler and the
+// per-version result memo: a mixed-tenant job stream with Zipf-skewed
+// graph popularity (a few hot graphs take most submits, like a real
+// serving catalog) is pushed through one service (2 workers) in two
+// submission modes —
 //
-//   serial   every job carries a no-op progress hook, so none fuses
-//   fused    plain submits: queued greedy jobs on one graph version fuse,
-//            up to FairScheduler::kMaxBatch per solver run
+//   serial   every job carries a no-op progress hook, so every job runs
+//            its solver
+//   memo     plain submits: a greedy job whose budget the longest stored
+//            walk on its graph version reaches is answered from that walk
 //
 // Three sections:
 //   1. Saturation throughput: submit the whole stream as fast as the
 //      bounded queue admits it, measure jobs/sec end to end. Most of the
-//      stream is same-graph greedy budget sweeps, so batch fusion
-//      collapses queue backlogs into single solver walks; the fused
-//      speedup is work reduction, not parallelism (both modes run the
-//      same pool).
+//      stream is same-graph greedy budget sweeps, so once a graph's
+//      largest budget has run, its later greedy jobs are memo hits; the
+//      memo speedup is work reduction, not parallelism (both modes run
+//      the same pool).
 //   2. Target-QPS driver: an open-loop arrival process at fixed QPS
 //      levels; reports achieved QPS and p50/p95 job latency per mode.
-//   3. Fusion microbench: one graph, one tenant, one worker, a burst of
-//      identical budget sweeps — fused vs serial submits, the distilled
-//      case where fusion must win by >= 1.5x.
+//   3. Burst: one graph, one tenant, one worker, a burst of budget sweeps
+//      — memo vs serial submits, the distilled case for cross-job reuse.
 //
 // Knobs: ATR_BENCH_LOAD_JOBS (stream length, default 240),
 // ATR_BENCH_LOAD_GRAPHS (catalog size, default 6), ATR_BENCH_LOAD_QPS
@@ -50,12 +51,12 @@ namespace {
 
 struct LoadConfig {
   const char* label;
-  bool fuse;
+  bool memo;
 };
 
 constexpr LoadConfig kConfigs[] = {
     {"serial", false},
-    {"fused", true},
+    {"memo", true},
 };
 
 // One synthetic submit: which graph, which tenant, what work.
@@ -63,7 +64,7 @@ struct LoadJob {
   int graph = 0;
   int tenant = 0;
   uint32_t budget = 1;
-  bool randomized = false;  // non-fusable baseline traffic
+  bool randomized = false;  // baseline traffic the memo never answers
 };
 
 Graph LoadGraph(uint64_t seed) { return HolmeKimGraph(120, 4, 0.6, seed); }
@@ -98,7 +99,7 @@ std::vector<LoadJob> MakeStream(int jobs, int graphs, int tenants) {
         std::lower_bound(cdf.begin(), cdf.end(), pick) - cdf.begin());
     job.tenant = static_cast<int>(rng.Next() % tenants);
     job.budget = 1 + static_cast<uint32_t>(rng.Next() % 4);
-    job.randomized = rng.Next() % 10 == 0;  // 10% non-fusable traffic
+    job.randomized = rng.Next() % 10 == 0;  // 10% non-greedy traffic
     stream.push_back(job);
   }
   return stream;
@@ -121,8 +122,8 @@ std::unique_ptr<AtrService> MakeService(int graphs) {
   return service;
 }
 
-// A progress hook keeps a job out of fusion (api/service.h).
-void KeepAlone(SolverOptions& options) {
+// A progress hook keeps a job out of the result memo (api/service.h).
+void SkipMemo(SolverOptions& options) {
   options.progress = [](const SolveProgress&) { return true; };
 }
 
@@ -131,7 +132,7 @@ StatusOr<JobHandle> SubmitOne(AtrService& service, const LoadConfig& config,
                               std::function<void()> done = nullptr) {
   SolverOptions options;
   options.budget = job.budget;
-  if (!config.fuse) KeepAlone(options);
+  if (!config.memo) SkipMemo(options);
   const char* solver = "gas";
   if (job.randomized) {
     solver = "rand";
@@ -147,7 +148,7 @@ StatusOr<JobHandle> SubmitOne(AtrService& service, const LoadConfig& config,
 struct RunStats {
   double wall_ms = 0.0;
   double jobs_per_sec = 0.0;
-  uint64_t jobs_fused = 0;
+  uint64_t memo_hits = 0;
   uint64_t batches_executed = 0;
 };
 
@@ -169,10 +170,10 @@ RunStats RunSaturation(const LoadConfig& config,
   RunStats stats;
   stats.wall_ms = timer.ElapsedMillis();
   stats.jobs_per_sec = stream.size() / (stats.wall_ms / 1e3);
-  // A worker counts a batch just after publishing its results.
+  // A worker counts a job just after publishing its result.
   service->Drain();
   const AtrService::SchedulerStats sched = service->Stats();
-  stats.jobs_fused = sched.jobs_fused;
+  stats.memo_hits = sched.memo_hits;
   stats.batches_executed = sched.batches_executed;
   return stats;
 }
@@ -234,9 +235,9 @@ QpsStats RunTargetQps(const LoadConfig& config,
   return stats;
 }
 
-// Section 3: the distilled fusion case — one graph, one tenant, a burst
-// of identical greedy budget sweeps.
-double RunFusionBurst(bool fuse, int sweep_jobs, uint64_t* fused_out) {
+// Section 3: the distilled reuse case — one graph, one tenant, a burst of
+// identical greedy budget sweeps.
+double RunBurst(bool memo, int sweep_jobs, uint64_t* hits_out) {
   AtrService::Options options;
   options.workers = 1;
   options.queue_capacity = 512;
@@ -249,7 +250,7 @@ double RunFusionBurst(bool fuse, int sweep_jobs, uint64_t* fused_out) {
   for (int i = 0; i < sweep_jobs; ++i) {
     SolverOptions o;
     o.budget = 1 + static_cast<uint32_t>(i % 4);
-    if (!fuse) KeepAlone(o);
+    if (!memo) SkipMemo(o);
     StatusOr<JobHandle> handle = service.Submit("g", "gas", o);
     if (!handle.ok()) std::abort();
     handles.push_back(*handle);
@@ -259,13 +260,13 @@ double RunFusionBurst(bool fuse, int sweep_jobs, uint64_t* fused_out) {
   }
   const double wall_ms = timer.ElapsedMillis();
   service.Drain();
-  if (fused_out != nullptr) *fused_out = service.Stats().jobs_fused;
+  if (hits_out != nullptr) *hits_out = service.Stats().memo_hits;
   return wall_ms;
 }
 
 void Run() {
   PrintBenchHeader("bench_service_load",
-                   "fair-share batch scheduling with greedy fusion");
+                   "fair-share scheduling with the per-version result memo");
   const int jobs =
       static_cast<int>(GetEnvInt64("ATR_BENCH_LOAD_JOBS", 240));
   const int graphs =
@@ -279,25 +280,25 @@ void Run() {
   const std::vector<LoadJob> stream = MakeStream(jobs, graphs, kTenants);
   BenchJsonRow json("bench_service_load_saturation");
 
-  TablePrinter table({"config", "wall (ms)", "jobs/sec", "speedup", "fused",
-                      "batches"});
+  TablePrinter table({"config", "wall (ms)", "jobs/sec", "speedup",
+                      "memo hits", "solver runs"});
   double serial_jps = 0.0;
   for (const LoadConfig& config : kConfigs) {
     const RunStats stats = RunSaturation(config, stream, graphs);
-    if (!config.fuse) serial_jps = stats.jobs_per_sec;
+    if (!config.memo) serial_jps = stats.jobs_per_sec;
     const double speedup =
         serial_jps > 0.0 ? stats.jobs_per_sec / serial_jps : 1.0;
     table.AddRow({config.label, TablePrinter::FormatDouble(stats.wall_ms, 1),
                   TablePrinter::FormatDouble(stats.jobs_per_sec, 1),
                   TablePrinter::FormatDouble(speedup, 2) + "x",
-                  std::to_string(stats.jobs_fused),
+                  std::to_string(stats.memo_hits),
                   std::to_string(stats.batches_executed)});
     json.Add("config", config.label)
         .AddInt("jobs", jobs)
         .AddDouble("wall_ms", stats.wall_ms)
         .AddDouble("jobs_per_sec", stats.jobs_per_sec)
         .AddDouble("speedup_vs_serial", speedup)
-        .AddInt("jobs_fused", static_cast<int64_t>(stats.jobs_fused))
+        .AddInt("memo_hits", static_cast<int64_t>(stats.memo_hits))
         .AddInt("batches_executed",
                 static_cast<int64_t>(stats.batches_executed))
         .Emit();
@@ -327,21 +328,23 @@ void Run() {
   std::printf("\n");
 
   const int sweep_jobs = 32;
-  uint64_t fused = 0;
-  const double unfused_ms = RunFusionBurst(false, sweep_jobs, nullptr);
-  const double fused_ms = RunFusionBurst(true, sweep_jobs, &fused);
-  const double fusion_speedup = unfused_ms / fused_ms;
+  uint64_t hits = 0;
+  const double serial_ms = RunBurst(false, sweep_jobs, nullptr);
+  const double memo_ms = RunBurst(true, sweep_jobs, &hits);
+  const double burst_speedup = serial_ms / memo_ms;
   std::printf(
-      "fusion burst (%d same-graph budget sweeps, 1 worker): "
-      "unfused %.1f ms, fused %.1f ms (%.2fx, %llu jobs fused)\n",
-      sweep_jobs, unfused_ms, fused_ms, fusion_speedup,
-      static_cast<unsigned long long>(fused));
-  BenchJsonRow fusion_json("bench_service_load_fusion");
-  fusion_json.AddInt("sweep_jobs", sweep_jobs)
-      .AddDouble("unfused_ms", unfused_ms)
-      .AddDouble("fused_ms", fused_ms)
-      .AddDouble("speedup", fusion_speedup)
-      .AddInt("jobs_fused", static_cast<int64_t>(fused))
+      "burst (%d same-graph budget sweeps, 1 worker): "
+      "serial %.1f ms, memo %.1f ms (%.2fx, %llu memo hits)\n",
+      sweep_jobs, serial_ms, memo_ms, burst_speedup,
+      static_cast<unsigned long long>(hits));
+  // The time fields keep the names of the committed gate row
+  // (BENCH_service.json).
+  BenchJsonRow burst_json("bench_service_load_burst");
+  burst_json.AddInt("sweep_jobs", sweep_jobs)
+      .AddDouble("unfused_ms", serial_ms)
+      .AddDouble("fused_ms", memo_ms)
+      .AddDouble("speedup", burst_speedup)
+      .AddInt("memo_hits", static_cast<int64_t>(hits))
       .Emit();
 }
 

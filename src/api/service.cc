@@ -1,6 +1,5 @@
 #include "api/service.h"
 
-#include <algorithm>
 #include <atomic>
 #include <utility>
 #include <vector>
@@ -13,6 +12,57 @@
 namespace atr {
 namespace internal {
 
+// The longest finished walk of each greedy solver (base, base+, gas) on one
+// graph version. A greedy solver picks each round's best edge whatever
+// budget is left, so a budget-b answer is the first b rounds of any longer
+// walk: a later job whose budget the stored walk reaches is carved out of
+// it instead of solved. Results never depend on threads, so the solver
+// name is the whole key; the memo holds at most one walk per solver and
+// dies with its version.
+class ResultMemo {
+ public:
+  // The `options.budget`-round prefix of the stored walk, with the totals
+  // and checkpoint gains GreedySolver reports for a solo run
+  // (api/solvers.cc), or nullopt when no stored walk reaches the budget.
+  // A hit ran no solver, so its `seconds` is 0.
+  std::optional<SolveResult> Find(const std::string& solver,
+                                  const SolverOptions& options) const {
+    MutexLock lock(&mu_);
+    auto it = walks_.find(solver);
+    if (it == walks_.end() || it->second.rounds.size() < options.budget) {
+      return std::nullopt;
+    }
+    const SolveResult& walk = it->second;
+    SolveResult result;
+    result.solver = walk.solver;
+    result.anchor_edges.assign(walk.anchor_edges.begin(),
+                               walk.anchor_edges.begin() + options.budget);
+    result.rounds.assign(walk.rounds.begin(),
+                         walk.rounds.begin() + options.budget);
+    for (const AnchorRound& round : result.rounds) {
+      result.total_gain += round.gain;
+      result.fully_reusable += round.fully_reusable;
+      result.partially_reusable += round.partially_reusable;
+      result.non_reusable += round.non_reusable;
+    }
+    result.gain_at_checkpoint =
+        PrefixGains(result.rounds, EffectiveCheckpoints(options));
+    return result;
+  }
+
+  // Keeps `walk`, a finished run of `solver` that was not stopped early,
+  // when it has more rounds than the stored one.
+  void Offer(const std::string& solver, const SolveResult& walk) {
+    MutexLock lock(&mu_);
+    SolveResult& stored = walks_[solver];
+    if (walk.rounds.size() > stored.rounds.size()) stored = walk;
+  }
+
+ private:
+  mutable Mutex mu_;
+  std::map<std::string, SolveResult> walks_ ATR_GUARDED_BY(mu_);
+};
+
 // Shared state behind one JobHandle. The submitting thread, the pool
 // worker, and any number of handle copies coordinate through `mu`/`cv`;
 // the cancel flag is the std::atomic the running solver polls between
@@ -24,6 +74,9 @@ struct JobState {
   SolverOptions options;            // the caller's options, unmodified
   std::unique_ptr<Solver> solver;   // resolved at Submit time
   std::function<GraphSnapshot()> snapshot;  // service's build-once entry
+  // The pinned version's memo; null for a job that neither reads nor
+  // fills it (see Memoizable).
+  std::shared_ptr<ResultMemo> memo;
 
   mutable Mutex mu;
   CondVar cv;
@@ -47,6 +100,7 @@ void PublishResult(const std::shared_ptr<JobState>& state,
     state->result = std::move(result);
     state->state = terminal;
     state->snapshot = nullptr;
+    state->memo.reset();
     state->solver.reset();
     state->options = SolverOptions();
     done = std::move(state->on_done);
@@ -135,8 +189,9 @@ SolveProgress JobHandle::Progress() const {
 // eagerly and the once flag is consumed at construction. `built` is set
 // with release order after `decomposition` is published and read with
 // acquire by Info(), so an observed true implies a readable snapshot.
-// Every version starts with an unbuilt triangle index holder, whichever
-// path made it: the write path never builds an index.
+// Every version starts with an unbuilt triangle index holder and an empty
+// result memo, whichever path made it: the write path never builds an
+// index and never solves.
 struct AtrService::GraphVersion {
   std::shared_ptr<const Graph> graph;
   uint64_t version = 1;
@@ -145,6 +200,7 @@ struct AtrService::GraphVersion {
   std::atomic<bool> built{false};
   const std::shared_ptr<LazyTriangleIndex> triangles =
       std::make_shared<LazyTriangleIndex>();
+  internal::ResultMemo memo;
 
   // Marks this version born built (UpdateGraph publications and restored
   // snapshots): the once flag is consumed here so SnapshotOf never counts
@@ -179,12 +235,15 @@ struct AtrService::CatalogEntry {
   }
 };
 
-// The runner is stateless (payloads carry everything), so the scheduler
-// never dangles a reference to the service during teardown.
+// The runner counts into the service; scheduler_ is its last member, so
+// the workers are joined before any member they touch is destroyed.
 AtrService::AtrService(const Options& options)
     : scheduler_({.workers = options.workers,
                   .capacity = options.queue_capacity},
-                 &AtrService::RunBatch) {}
+                 [this](FairScheduler::Job job) {
+                   RunJob(std::static_pointer_cast<internal::JobState>(
+                       job.payload));
+                 }) {}
 
 AtrService::~AtrService() = default;
 
@@ -448,20 +507,15 @@ StatusOr<JobHandle> AtrService::TrySubmit(const std::string& graph_name,
 
 namespace {
 
-// Only the prefix-consistent greedy family fuses: it picks each round's
-// argmax independent of the remaining budget (a budget-b run IS the first
-// b rounds of a budget-B run). Exact, the randomized baselines (draw
-// length depends on budget) and AKT run alone; so does any job whose
-// caller holds a live control surface (progress callback, external cancel
-// flag, wall-clock limit) — those semantics are per-job and do not
-// survive fusion.
-bool FusableSolver(const std::string& solver_name) {
-  return solver_name == "base" || solver_name == "base+" ||
-         solver_name == "gas";
-}
-
-bool FusableOptions(const SolverOptions& options) {
-  return !options.progress && options.cancel == nullptr &&
+// Jobs that read and fill their version's memo: the greedy family, whose
+// answers are prefixes of longer walks, when the caller holds no control
+// surface (progress callback, external cancel flag, wall-clock limit).
+// Exact, the randomized baselines (a budget-b answer is not a prefix of a
+// longer run) and AKT always run, and so does a hooked job.
+bool Memoizable(const std::string& solver_name, const SolverOptions& options) {
+  return (solver_name == "base" || solver_name == "base+" ||
+          solver_name == "gas") &&
+         !options.progress && options.cancel == nullptr &&
          options.wall_clock_limit_seconds == 0.0;
 }
 
@@ -492,19 +546,14 @@ StatusOr<JobHandle> AtrService::SubmitInternal(const std::string& graph_name,
   // build itself stays lazy until the job actually starts).
   std::shared_ptr<GraphVersion> version = entry->Current();
   state->snapshot = [entry, version] { return SnapshotOf(*entry, *version); };
+  if (Memoizable(solver_name, options)) {
+    state->memo =
+        std::shared_ptr<internal::ResultMemo>(version, &version->memo);
+  }
 
   FairScheduler::Job job;
   job.tenant = submit.tenant;
   job.priority = submit.priority;
-  if (FusableSolver(solver_name) && FusableOptions(options)) {
-    // The pinned GraphVersion's address identifies graph + version with no
-    // ABA risk (every queued member's snapshot closure keeps it alive), so
-    // jobs only fuse when they would walk the same immutable snapshot at
-    // the same thread count.
-    job.batch_key = solver_name + "|" +
-                    std::to_string(reinterpret_cast<uintptr_t>(version.get())) +
-                    "|t" + std::to_string(options.threads);
-  }
   job.payload = state;
 
   Status queued = blocking ? scheduler_.Submit(std::move(job))
@@ -528,7 +577,8 @@ int AtrService::Workers() const { return scheduler_.workers(); }
 
 AtrService::SchedulerStats AtrService::Stats() const {
   return SchedulerStats{scheduler_.jobs_executed(),
-                        scheduler_.batches_executed(), scheduler_.jobs_fused()};
+                        solver_runs_.load(std::memory_order_relaxed),
+                        memo_hits_.load(std::memory_order_relaxed)};
 }
 
 void AtrService::Drain() { scheduler_.WaitIdle(); }
@@ -547,31 +597,6 @@ StatusOr<std::unique_ptr<AtrEngine>> AtrService::CheckoutSession(
                                      std::move(snapshot.triangles));
 }
 
-void AtrService::RunBatch(std::vector<FairScheduler::Job> batch) {
-  if (batch.size() == 1) {
-    RunJob(std::static_pointer_cast<internal::JobState>(batch[0].payload));
-    return;
-  }
-  // A multi-member batch only forms for fusable jobs sharing one batch
-  // key, i.e. one pinned GraphVersion + one solver + one engine config.
-  std::vector<std::shared_ptr<internal::JobState>> members;
-  members.reserve(batch.size());
-  for (FairScheduler::Job& job : batch) {
-    auto state = std::static_pointer_cast<internal::JobState>(job.payload);
-    MutexLock lock(&state->mu);
-    if (state->cancel.load(std::memory_order_relaxed)) {
-      lock.Unlock();
-      internal::PublishCancelledBeforeStart(state);
-      continue;
-    }
-    state->state = JobHandle::State::kRunning;
-    lock.Unlock();
-    members.push_back(std::move(state));
-  }
-  if (members.empty()) return;
-  RunFusedGreedy(members);
-}
-
 void AtrService::RunJob(const std::shared_ptr<internal::JobState>& state) {
   {
     MutexLock lock(&state->mu);
@@ -583,12 +608,26 @@ void AtrService::RunJob(const std::shared_ptr<internal::JobState>& state) {
     state->state = JobHandle::State::kRunning;
   }
 
+  const GraphSnapshot snapshot = state->snapshot();
+  // A memo hit runs no solver and emits no progress event. An invalid job
+  // always runs, so it fails with exactly the solver's own error.
+  if (state->memo != nullptr &&
+      ValidateSolverOptions(*snapshot.graph, state->options).ok()) {
+    std::optional<SolveResult> hit =
+        state->memo->Find(state->solver_name, state->options);
+    if (hit.has_value()) {
+      memo_hits_.fetch_add(1, std::memory_order_relaxed);
+      internal::PublishResult(state, std::move(*hit), JobHandle::State::kDone);
+      return;
+    }
+  }
+  solver_runs_.fetch_add(1, std::memory_order_relaxed);
+
   // Fork the per-job read path: a private context primed with the shared
   // immutable snapshot. The solver mutates only this context (counters)
   // and its own stack — the snapshot is never written. The version's
   // triangle index holder is shared too; the first job whose solver reads
   // the index builds it.
-  const GraphSnapshot snapshot = state->snapshot();
   SolverContext context(*snapshot.graph);
   context.PrimeDecomposition(snapshot.decomposition);
   context.PrimeTriangles(snapshot.triangles);
@@ -625,100 +664,11 @@ void AtrService::RunJob(const std::shared_ptr<internal::JobState>& state) {
   };
 
   StatusOr<SolveResult> result = state->solver->Solve(context, effective);
+  // A cancelled walk is never stored: it may stop short of its budget.
+  if (state->memo != nullptr && result.ok() && !result->stopped_early) {
+    state->memo->Offer(state->solver_name, *result);
+  }
   internal::PublishResult(state, std::move(result), JobHandle::State::kDone);
-}
-
-// One greedy walk at the max member budget; every member's result is the
-// b-round prefix, assembled with exactly the bookkeeping the GreedySolver
-// adapter applies to a solo run (api/solvers.cc) so fused and solo results
-// are byte-identical.
-void AtrService::RunFusedGreedy(
-    const std::vector<std::shared_ptr<internal::JobState>>& members) {
-  const GraphSnapshot snapshot = members.front()->snapshot();
-
-  // Per-member validation must match the solo path: a member with an
-  // invalid budget fails alone with its own error; the others still fuse.
-  std::vector<std::shared_ptr<internal::JobState>> live;
-  live.reserve(members.size());
-  uint32_t max_budget = 0;
-  for (const auto& state : members) {
-    Status valid = ValidateSolverOptions(*snapshot.graph, state->options);
-    if (!valid.ok()) {
-      internal::PublishResult(state, StatusOr<SolveResult>(std::move(valid)),
-                              JobHandle::State::kDone);
-      continue;
-    }
-    max_budget = std::max(max_budget, state->options.budget);
-    live.push_back(state);
-  }
-  if (live.empty()) return;
-
-  SolverContext context(*snapshot.graph);
-  context.PrimeDecomposition(snapshot.decomposition);
-  context.PrimeTriangles(snapshot.triangles);
-
-  SolverOptions fused;
-  fused.budget = max_budget;
-  fused.threads = live.front()->options.threads;
-  // The batch's native cancel granularity: after each round, members that
-  // already have their budget covered record progress, and the walk stops
-  // only when EVERY member wants out (one live member keeps it running —
-  // its prefix must reach its own budget).
-  fused.progress = [&live](const SolveProgress& event) {
-    bool any_live = false;
-    for (const auto& state : live) {
-      {
-        MutexLock lock(&state->mu);
-        if (event.round <= state->options.budget) {
-          state->progress = event;
-          state->progress.budget = state->options.budget;
-        }
-      }
-      if (!state->cancel.load(std::memory_order_relaxed) &&
-          event.round < state->options.budget) {
-        any_live = true;
-      }
-    }
-    // False once no un-cancelled member needs another round. The greedy
-    // core may then flag stopped_early even when the max budget was fully
-    // served; the per-member carve below re-derives the solo flag from
-    // prefix < budget, so that over-report never leaks into a result.
-    return any_live;
-  };
-
-  StatusOr<SolveResult> run = live.front()->solver->Solve(context, fused);
-  if (!run.ok()) {
-    for (const auto& state : live) {
-      internal::PublishResult(state, StatusOr<SolveResult>(run.status()),
-                              JobHandle::State::kDone);
-    }
-    return;
-  }
-
-  for (const auto& state : live) {
-    const uint32_t budget = state->options.budget;
-    const size_t prefix = std::min<size_t>(budget, run->rounds.size());
-    SolveResult result;
-    result.solver = run->solver;
-    result.anchor_edges.assign(run->anchor_edges.begin(),
-                               run->anchor_edges.begin() + prefix);
-    result.rounds.assign(run->rounds.begin(), run->rounds.begin() + prefix);
-    for (const AnchorRound& round : result.rounds) {
-      result.total_gain += round.gain;
-      result.fully_reusable += round.fully_reusable;
-      result.partially_reusable += round.partially_reusable;
-      result.non_reusable += round.non_reusable;
-    }
-    result.gain_at_checkpoint =
-        PrefixGains(result.rounds, EffectiveCheckpoints(state->options));
-    // A walk that ran out of eligible candidates before this member's
-    // budget is natural exhaustion (solo reports it the same way, not
-    // stopped_early); a cancelled walk is stopped_early only for members
-    // whose budget the prefix did not reach.
-    result.stopped_early = run->stopped_early && prefix < budget;
-    result.seconds = run->seconds;
-    internal::PublishResult(state, std::move(result), JobHandle::State::kDone);
-  }
 }
 
 }  // namespace atr

@@ -33,15 +33,14 @@
 // priority}, and the one scheduler serves tenants with weighted deficit
 // round-robin so a flooding tenant cannot starve a light one.
 //
-// Batch fusion: compatible queued jobs — same graph version, same greedy
-// solver (base, base+ or gas), same threads, and no caller-owned
-// progress/cancel/wall-clock hooks — coalesce into one solver run of at
-// most FairScheduler::kMaxBatch members. One greedy walk at the max
-// budget serves every member as a prefix. Each member's SolveResult is
-// carved out exactly as if it had run alone (the scheduler differential
-// tests assert byte-identity), and decomposition_builds still moves at
-// most once per graph version. A job that must run alone carries one of
-// those hooks.
+// Result memo: each graph version keeps the longest finished walk of each
+// greedy solver (base, base+, gas). A greedy job with no caller-owned
+// progress/cancel/wall-clock hook whose budget that walk reaches is
+// answered with the walk's prefix instead of solved, at any thread count;
+// otherwise it runs and its walk is kept if longer. A hit is carved
+// exactly as if the job had run alone (the scheduler differential tests
+// assert byte-identity), but it reports seconds = 0 and emits no progress
+// event. A job that must run carries one of those hooks.
 //
 // Mutations never touch served snapshots: CheckoutSession hands out a
 // private AtrEngine primed with the shared snapshot; its first committed
@@ -315,14 +314,13 @@ class AtrService {
   size_t QueueLoad() const;
   int Workers() const;
 
-  // Scheduler counters. jobs_executed counts individual jobs,
-  // batches_executed counts solver dispatches; the gap between them is
-  // the work batch fusion saved. jobs_fused counts jobs that rode in a
-  // batch of more than one.
+  // Scheduler counters. jobs_executed counts finished jobs,
+  // batches_executed the jobs that ran a solver, and memo_hits the jobs
+  // answered from their version's result memo.
   struct SchedulerStats {
     uint64_t jobs_executed = 0;
     uint64_t batches_executed = 0;
-    uint64_t jobs_fused = 0;
+    uint64_t memo_hits = 0;
   };
   SchedulerStats Stats() const;
 
@@ -362,14 +360,13 @@ class AtrService {
   // and returns its snapshot.
   static GraphSnapshot SnapshotOf(CatalogEntry& entry, GraphVersion& version);
 
-  // Scheduler entry point: singleton batches run the classic RunJob path,
-  // fused batches one shared solver walk carved per member.
-  static void RunBatch(std::vector<FairScheduler::Job> batch);
-  static void RunJob(const std::shared_ptr<internal::JobState>& state);
-  static void RunFusedGreedy(
-      const std::vector<std::shared_ptr<internal::JobState>>& members);
+  // Scheduler entry point: answers the job from its version's memo or
+  // runs its solver, and publishes the result.
+  void RunJob(const std::shared_ptr<internal::JobState>& state);
 
   std::atomic<JobId> next_job_id_{1};
+  std::atomic<uint64_t> solver_runs_{0};
+  std::atomic<uint64_t> memo_hits_{0};
   mutable Mutex listener_mu_;
   std::shared_ptr<const UpdateListener> update_listener_
       ATR_GUARDED_BY(listener_mu_);
@@ -377,9 +374,9 @@ class AtrService {
   mutable Mutex catalog_mu_;
   std::map<std::string, std::shared_ptr<CatalogEntry>> catalog_
       ATR_GUARDED_BY(catalog_mu_);
-  // Declared after the catalog so destruction drains and joins the
-  // workers before the catalog entries go away (running jobs additionally
-  // pin their entry through shared_ptrs).
+  // The last member, so destruction drains and joins the workers before
+  // the catalog entries and counters they use go away (running jobs
+  // additionally pin their entry through shared_ptrs).
   FairScheduler scheduler_;
 };
 

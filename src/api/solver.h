@@ -225,8 +225,8 @@ std::vector<uint32_t> EffectiveCheckpoints(const SolverOptions& options);
 
 // Gains of the greedy prefixes at each checkpoint: a budget-b greedy walk
 // reports every intermediate budget for free (the paper's Fig. 6 sweeps).
-// Solo greedy solves and the service's fused batches both report through
-// it, so a fused member's gains match its solo run.
+// Solo greedy solves and the service's result memo both report through
+// it, so a memo hit's gains match its solo run.
 std::vector<uint64_t> PrefixGains(const std::vector<AnchorRound>& rounds,
                                   const std::vector<uint32_t>& checkpoints);
 

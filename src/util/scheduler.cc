@@ -9,15 +9,16 @@
 namespace atr {
 namespace {
 
-// Set while a thread is executing scheduler batches; Submit CHECKs against
+// Set while a thread is executing scheduler jobs; Submit CHECKs against
 // it so a job can never block on the queue its own worker is draining.
 thread_local bool t_sched_worker = false;
 
 }  // namespace
 
-FairScheduler::FairScheduler(const Options& options, BatchRunner runner)
+FairScheduler::FairScheduler(const Options& options,
+                             std::function<void(Job)> runner)
     : runner_(std::move(runner)) {
-  ATR_CHECK_MSG(runner_ != nullptr, "FairScheduler needs a BatchRunner");
+  ATR_CHECK_MSG(runner_ != nullptr, "FairScheduler needs a runner");
   // Resolve defaults on the constructing thread: its worker budget is the
   // one the pool must share, not whatever the pool threads would see.
   const int machine = ParallelWorkerCount();
@@ -43,15 +44,7 @@ Status FairScheduler::Submit(Job job) {
   if (shutdown_) {
     return Status::FailedPrecondition("FairScheduler::Submit after Shutdown");
   }
-  TenantQueue& t = tenants_[job.tenant];
-  if (!t.in_ring) {
-    t.in_ring = true;
-    ring_.push_back(job.tenant);
-  }
-  t.buckets[job.priority].push_back(std::move(job));
-  ++t.queued;
-  ++total_pending_;
-  not_empty_.NotifyOne();
+  EnqueueLocked(std::move(job));
   return Status::Ok();
 }
 
@@ -66,6 +59,11 @@ Status FairScheduler::TrySubmit(Job job) {
         "FairScheduler::TrySubmit: pending queue is at capacity (" +
         std::to_string(capacity_) + ")");
   }
+  EnqueueLocked(std::move(job));
+  return Status::Ok();
+}
+
+void FairScheduler::EnqueueLocked(Job job) {
   TenantQueue& t = tenants_[job.tenant];
   if (!t.in_ring) {
     t.in_ring = true;
@@ -75,7 +73,6 @@ Status FairScheduler::TrySubmit(Job job) {
   ++t.queued;
   ++total_pending_;
   not_empty_.NotifyOne();
-  return Status::Ok();
 }
 
 void FairScheduler::SetTenantWeight(const std::string& tenant,
@@ -113,19 +110,14 @@ size_t FairScheduler::TenantLoad(const std::string& tenant) const {
   return it->second.queued + it->second.running;
 }
 
+size_t FairScheduler::tenants() const {
+  MutexLock lock(&mu_);
+  return tenants_.size();
+}
+
 uint64_t FairScheduler::jobs_executed() const {
   MutexLock lock(&mu_);
   return jobs_executed_;
-}
-
-uint64_t FairScheduler::batches_executed() const {
-  MutexLock lock(&mu_);
-  return batches_executed_;
-}
-
-uint64_t FairScheduler::jobs_fused() const {
-  MutexLock lock(&mu_);
-  return jobs_fused_;
 }
 
 void FairScheduler::DropFromRingLocked(const std::string& tenant) {
@@ -140,8 +132,8 @@ void FairScheduler::DropFromRingLocked(const std::string& tenant) {
   t.deficit = 0;
 }
 
-std::vector<FairScheduler::Job> FairScheduler::NextBatchLocked() {
-  ATR_CHECK_MSG(!ring_.empty(), "NextBatchLocked with an empty ring");
+FairScheduler::Job FairScheduler::NextJobLocked() {
+  ATR_CHECK_MSG(!ring_.empty(), "NextJobLocked with an empty ring");
   if (cursor_ >= ring_.size()) cursor_ = 0;
   const std::string tenant = ring_[cursor_];
   TenantQueue& t = tenants_[tenant];
@@ -162,45 +154,7 @@ std::vector<FairScheduler::Job> FairScheduler::NextBatchLocked() {
     // Deficit spent: the next dispatch serves the next tenant in the ring.
     if (++cursor_ >= ring_.size()) cursor_ = 0;
   }
-  std::vector<Job> batch;
-  batch.push_back(std::move(job));
-  if (!batch.front().batch_key.empty()) {
-    CollectBatchLocked(batch.front().batch_key, &batch);
-  }
-  return batch;
-}
-
-void FairScheduler::CollectBatchLocked(std::string key,
-                                       std::vector<Job>* batch) {
-  // Fused riders are not charged against their tenant's deficit: the
-  // marginal cost of riding an already-dispatched decomposition walk is
-  // near zero, so fusing them early is strictly better for everyone than
-  // making them wait their DRR turn to redo the same work.
-  for (auto& [name, t] : tenants_) {
-    if (batch->size() >= kMaxBatch) break;
-    if (t.queued == 0) continue;
-    for (auto bucket = t.buckets.begin();
-         bucket != t.buckets.end() && batch->size() < kMaxBatch;) {
-      std::deque<Job>& queue = bucket->second;
-      for (auto it = queue.begin();
-           it != queue.end() && batch->size() < kMaxBatch;) {
-        if (it->batch_key == key) {
-          batch->push_back(std::move(*it));
-          it = queue.erase(it);
-          --t.queued;
-          --total_pending_;
-        } else {
-          ++it;
-        }
-      }
-      if (queue.empty()) {
-        bucket = t.buckets.erase(bucket);
-      } else {
-        ++bucket;
-      }
-    }
-    if (t.queued == 0 && t.in_ring) DropFromRingLocked(name);
-  }
+  return job;
 }
 
 void FairScheduler::WorkerLoop() {
@@ -209,33 +163,30 @@ void FairScheduler::WorkerLoop() {
   // on this worker see inner_threads_ instead of the machine default.
   ScopedParallelism inner(inner_threads_);
   for (;;) {
-    std::vector<Job> batch;
-    std::vector<std::string> batch_tenants;
+    Job job;
+    // Stays valid while the job runs: only an idle tenant's entry is erased.
+    std::map<std::string, TenantQueue>::iterator tenant;
     {
       MutexLock lock(&mu_);
       while (total_pending_ == 0 && !shutdown_) not_empty_.Wait(mu_);
       if (total_pending_ == 0) return;  // shutdown with a drained queue
-      batch = NextBatchLocked();
-      running_ += batch.size();
-      batch_tenants.reserve(batch.size());
-      for (const Job& job : batch) {
-        ++tenants_[job.tenant].running;
-        batch_tenants.push_back(job.tenant);
-      }
-      // A batch may have freed several capacity slots at once.
-      not_full_.NotifyAll();
+      job = NextJobLocked();
+      tenant = tenants_.find(job.tenant);
+      ++tenant->second.running;
+      ++running_;
+      not_full_.NotifyOne();
     }
-    const size_t fused = batch.size();
-    runner_(std::move(batch));
+    runner_(std::move(job));
     {
       MutexLock lock(&mu_);
-      running_ -= fused;
-      for (const std::string& tenant : batch_tenants) {
-        --tenants_[tenant].running;
+      --running_;
+      ++jobs_executed_;
+      // Forget an idle default-weight tenant: tenant names come from
+      // clients, and an entry per name ever seen would grow without bound.
+      TenantQueue& t = tenant->second;
+      if (--t.running == 0 && t.queued == 0 && t.weight == 1) {
+        tenants_.erase(tenant);
       }
-      jobs_executed_ += fused;
-      ++batches_executed_;
-      if (fused > 1) jobs_fused_ += fused;
       if (total_pending_ == 0 && running_ == 0) idle_.NotifyAll();
     }
   }

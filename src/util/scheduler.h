@@ -1,4 +1,4 @@
-// FairScheduler — multi-tenant batch scheduler for job-level concurrency
+// FairScheduler — multi-tenant job scheduler for job-level concurrency
 // (AtrService's submit path).
 //
 // FairScheduler keeps one FIFO *per tenant per priority* and dispatches
@@ -7,16 +7,11 @@
 // tenant flooding the queue cannot starve a light one — the light
 // tenant's next job dispatches after at most one DRR cycle, not after the
 // flood drains. Within a tenant, higher priority buckets drain first and
-// each bucket is FIFO.
+// each bucket is FIFO. Each dispatch hands one job to the runner.
 //
-// Batch fusion: a job may carry a `batch_key` naming the work it could
-// share with compatible jobs (same graph version + solver family). When a
-// worker dequeues a keyed job, the scheduler sweeps every queue for other
-// jobs with the same key (up to kMaxBatch, preserving per-queue FIFO
-// order) and hands the whole batch to the runner in one call. The runner
-// owns fusion semantics — the scheduler only groups; it never reorders
-// jobs *within* a tenant's priority bucket. Jobs with an empty batch_key
-// always run alone.
+// A tenant exists while it has queued or running jobs, or a weight other
+// than 1: an idle default-weight tenant is forgotten when its last job
+// finishes, so a stream of distinct tenant names holds no memory.
 //
 // Capacity and backpressure: Submit blocks while the total pending count
 // is at capacity, TrySubmit fails fast with kResourceExhausted, and both
@@ -26,8 +21,8 @@
 // inner ParallelFor fan-out shares one machine budget with job
 // concurrency.
 //
-//   FairScheduler sched({.workers = 4}, [](std::vector<FairScheduler::Job> b) {
-//     ... run the batch; b.size() == 1 unless batch keys matched ...
+//   FairScheduler sched({.workers = 4}, [](FairScheduler::Job job) {
+//     ... run the job ...
 //   });
 //   sched.Submit({.tenant = "acme", .priority = 1, .payload = state});
 
@@ -54,18 +49,10 @@ class FairScheduler {
   // One schedulable unit. The scheduler never looks inside `payload`; the
   // runner downcasts it back to whatever the submitter enqueued.
   struct Job {
-    std::string tenant;     // "" is the default tenant (still fair-shared)
-    int priority = 0;       // higher runs first within the tenant
-    std::string batch_key;  // "" = never fused with other jobs
+    std::string tenant;  // "" is the default tenant (still fair-shared)
+    int priority = 0;    // higher runs first within the tenant
     std::shared_ptr<void> payload;
   };
-
-  // Receives a non-empty batch; every job in it shares one batch_key
-  // (or the batch is a singleton). Runs on a scheduler worker thread.
-  using BatchRunner = std::function<void(std::vector<Job>)>;
-
-  // Most jobs one batch may fuse.
-  static constexpr size_t kMaxBatch = 8;
 
   struct Options {
     // Worker threads. 0 = min(4, the calling thread's ParallelWorkerCount).
@@ -75,7 +62,8 @@ class FairScheduler {
     size_t capacity = 0;
   };
 
-  FairScheduler(const Options& options, BatchRunner runner);
+  // `runner` receives each job once, on a scheduler worker thread.
+  FairScheduler(const Options& options, std::function<void(Job)> runner);
   ~FairScheduler();
 
   FairScheduler(const FairScheduler&) = delete;
@@ -108,12 +96,11 @@ class FairScheduler {
   // Pending plus running for one tenant (per-tenant retry-after hints).
   size_t TenantLoad(const std::string& tenant) const ATR_EXCLUDES(mu_);
 
-  // Monotonic counters. jobs_executed counts individual jobs;
-  // batches_executed counts runner invocations, so the difference is the
-  // work fusion saved; jobs_fused counts jobs that rode in a batch of >1.
+  // Tenants the scheduler currently holds state for.
+  size_t tenants() const ATR_EXCLUDES(mu_);
+
+  // Jobs the runner has returned from (monotonic).
   uint64_t jobs_executed() const ATR_EXCLUDES(mu_);
-  uint64_t batches_executed() const ATR_EXCLUDES(mu_);
-  uint64_t jobs_fused() const ATR_EXCLUDES(mu_);
 
  private:
   // Per-tenant state: priority buckets (higher first), each FIFO.
@@ -127,18 +114,15 @@ class FairScheduler {
   };
 
   void WorkerLoop() ATR_EXCLUDES(mu_);
-  // Picks the next batch under mu_. Requires total_pending_ > 0.
-  std::vector<Job> NextBatchLocked() ATR_REQUIRES(mu_);
-  // Removes up to kMaxBatch-1 additional jobs matching `key` from every
-  // queue (FIFO within each bucket), appending to `batch`. Takes the key
-  // by value: the caller's copy lives inside `batch`, which reallocates.
-  void CollectBatchLocked(std::string key, std::vector<Job>* batch)
-      ATR_REQUIRES(mu_);
+  // Queues an admitted job (the tail of Submit and TrySubmit).
+  void EnqueueLocked(Job job) ATR_REQUIRES(mu_);
+  // Dequeues the next job under mu_. Requires total_pending_ > 0.
+  Job NextJobLocked() ATR_REQUIRES(mu_);
   void DropFromRingLocked(const std::string& tenant) ATR_REQUIRES(mu_);
 
   size_t capacity_ = 0;
   int inner_threads_ = 1;
-  BatchRunner runner_;
+  std::function<void(Job)> runner_;
 
   mutable Mutex mu_;
   CondVar not_empty_;
@@ -152,8 +136,6 @@ class FairScheduler {
   size_t total_pending_ ATR_GUARDED_BY(mu_) = 0;
   size_t running_ ATR_GUARDED_BY(mu_) = 0;
   uint64_t jobs_executed_ ATR_GUARDED_BY(mu_) = 0;
-  uint64_t batches_executed_ ATR_GUARDED_BY(mu_) = 0;
-  uint64_t jobs_fused_ ATR_GUARDED_BY(mu_) = 0;
   bool shutdown_ ATR_GUARDED_BY(mu_) = false;
 
   std::vector<std::thread> threads_;

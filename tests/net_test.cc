@@ -738,14 +738,15 @@ TEST(ServerIntegration, LegacyReservedSubmitByteSolvesLikeZero) {
   EXPECT_EQ(legacy->gain_at_checkpoint, current->gain_at_checkpoint);
 }
 
-TEST(ServerIntegration, PlanTrailerDoesNotSplitAFusionBatch) {
+TEST(ServerIntegration, PlanTrailerDoesNotSplitTheResultMemo) {
   AtrServer::Options options;
   options.workers = 1;
   ServerFixture fixture(options);
   ASSERT_TRUE(fixture.server().AddGraph("social", ServedGraph()).ok());
 
   // Park the lone worker in a job's progress callback (a job with a
-  // progress hook never fuses), so both wire Submits below queue together.
+  // progress hook stays out of the memo), so both wire Submits below queue
+  // behind it.
   std::mutex mu;
   std::condition_variable cv;
   bool release = false;
@@ -764,7 +765,8 @@ TEST(ServerIntegration, PlanTrailerDoesNotSplitAFusionBatch) {
   }
 
   // The same GAS Submit twice, once with the revision-3 trailer naming a
-  // non-default kernel. The trailer is ignored, so the two share a batch.
+  // non-default kernel. The trailer is ignored, so the second is answered
+  // from the first one's walk.
   SubmitRequest request;
   request.request_id = 5;
   request.graph = "social";
@@ -793,9 +795,9 @@ TEST(ServerIntegration, PlanTrailerDoesNotSplitAFusionBatch) {
   EXPECT_EQ(plain_result->total_gain, trailed_result->total_gain);
   EXPECT_EQ(plain_result->gain_at_checkpoint,
             trailed_result->gain_at_checkpoint);
-  // Results are published before the worker counts the batch.
+  // Results are published before the worker counts the job.
   service.Drain();
-  EXPECT_EQ(service.Stats().jobs_fused, 2u);
+  EXPECT_EQ(service.Stats().memo_hits, 1u);
 }
 
 TEST(ServerIntegration, IdleConnectionIsReaped) {

@@ -1,8 +1,8 @@
 // Tests for the FairScheduler (util/scheduler.h) and its integration into
 // AtrService: FIFO-within-tenant dispatch, priority buckets, weighted
 // deficit round-robin fairness (including a flood/starvation scenario),
-// capacity backpressure, shutdown semantics, batch-fusion grouping, and —
-// at the service layer — the differential guarantee that fused and
+// capacity backpressure, shutdown semantics, idle-tenant cleanup, and — at
+// the service layer — the differential guarantee that memo-answered and
 // multi-tenant execution on one pool stays byte-identical to a serial
 // AtrEngine oracle for every registered solver.
 
@@ -63,17 +63,12 @@ class SchedulerHarness {
   explicit SchedulerHarness(FairScheduler::Options options) {
     options.workers = 1;
     scheduler_ = std::make_unique<FairScheduler>(
-        options, [this](std::vector<FairScheduler::Job> batch) {
-          std::vector<int> ids;
-          for (FairScheduler::Job& job : batch) {
-            auto* payload = static_cast<TestJob*>(job.payload.get());
-            ids.push_back(payload->id);
-            if (payload->body) payload->body();
-          }
+        options, [this](FairScheduler::Job job) {
+          auto* payload = static_cast<TestJob*>(job.payload.get());
+          if (payload->body) payload->body();
           std::lock_guard<std::mutex> lock(mu_);
-          batches_.push_back(std::move(ids));
-        }
-  );
+          ids_.push_back(payload->id);
+        });
   }
 
   FairScheduler& scheduler() { return *scheduler_; }
@@ -86,35 +81,26 @@ class SchedulerHarness {
       entered_.Set();
       gate_.Wait();
     };
-    ASSERT_TRUE(scheduler_->Submit({"", 0, "", payload}).ok());
+    ASSERT_TRUE(scheduler_->Submit({"", 0, payload}).ok());
     entered_.Wait();
   }
 
   void Release() { gate_.Set(); }
 
-  Status Submit(const std::string& tenant, int priority, int id,
-                const std::string& batch_key = "") {
+  Status Submit(const std::string& tenant, int priority, int id) {
     auto payload = std::make_shared<TestJob>();
     payload->id = id;
-    return scheduler_->Submit({tenant, priority, batch_key, payload});
+    return scheduler_->Submit({tenant, priority, payload});
   }
 
   // Executed ids in dispatch order, with the blocker filtered out.
   std::vector<int> Order() {
     std::lock_guard<std::mutex> lock(mu_);
     std::vector<int> order;
-    for (const std::vector<int>& batch : batches_) {
-      for (int id : batch) {
-        if (id != kBlockerId) order.push_back(id);
-      }
+    for (int id : ids_) {
+      if (id != kBlockerId) order.push_back(id);
     }
     return order;
-  }
-
-  // All executed batches (including the blocker's singleton).
-  std::vector<std::vector<int>> Batches() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return batches_;
   }
 
   static constexpr int kBlockerId = -1;
@@ -124,7 +110,7 @@ class SchedulerHarness {
   Latch entered_;
   Latch gate_;
   std::mutex mu_;
-  std::vector<std::vector<int>> batches_;
+  std::vector<int> ids_;
 };
 
 TEST(FairSchedulerDispatch, FifoWithinOneTenant) {
@@ -193,12 +179,12 @@ TEST(FairSchedulerBackpressure, TrySubmitFailsFastAtCapacity) {
   ASSERT_TRUE(h.Submit("acme", 0, 2).ok());
   auto payload = std::make_shared<TestJob>();
   payload->id = 3;
-  const Status overflow = h.scheduler().TrySubmit({"acme", 0, "", payload});
+  const Status overflow = h.scheduler().TrySubmit({"acme", 0, payload});
   EXPECT_EQ(overflow.code(), StatusCode::kResourceExhausted);
   h.Release();
   h.scheduler().WaitIdle();
   // Capacity freed: the same job is admitted now.
-  EXPECT_TRUE(h.scheduler().TrySubmit({"acme", 0, "", payload}).ok());
+  EXPECT_TRUE(h.scheduler().TrySubmit({"acme", 0, payload}).ok());
   h.scheduler().WaitIdle();
   EXPECT_EQ(h.Order(), (std::vector<int>{1, 2, 3}));
 }
@@ -228,9 +214,9 @@ TEST(FairSchedulerShutdown, RejectsSubmitsAfterShutdown) {
   h.scheduler().Shutdown();
   auto payload = std::make_shared<TestJob>();
   payload->id = 2;
-  EXPECT_EQ(h.scheduler().Submit({"acme", 0, "", payload}).code(),
+  EXPECT_EQ(h.scheduler().Submit({"acme", 0, payload}).code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(h.scheduler().TrySubmit({"acme", 0, "", payload}).code(),
+  EXPECT_EQ(h.scheduler().TrySubmit({"acme", 0, payload}).code(),
             StatusCode::kFailedPrecondition);
   // The pre-shutdown job still drained.
   EXPECT_EQ(h.Order(), (std::vector<int>{1}));
@@ -242,15 +228,12 @@ TEST(FairSchedulerParallelism, WorkersSplitTheConstructingThreadsBudget) {
   ScopedParallelism budget(8);
   std::atomic<int> seen{0};
   std::atomic<int> overridden{0};
-  FairScheduler scheduler(
-      {.workers = 4}, [](std::vector<FairScheduler::Job> batch) {
-        for (FairScheduler::Job& job : batch) {
-          static_cast<TestJob*>(job.payload.get())->body();
-        }
-      });
+  FairScheduler scheduler({.workers = 4}, [](FairScheduler::Job job) {
+    static_cast<TestJob*>(job.payload.get())->body();
+  });
   auto plain = std::make_shared<TestJob>();
   plain->body = [&seen] { seen.store(ParallelWorkerCount()); };
-  ASSERT_TRUE(scheduler.Submit({"", 0, "", plain}).ok());
+  ASSERT_TRUE(scheduler.Submit({"", 0, plain}).ok());
 
   // An explicit per-job override (SolverOptions::threads) still wins.
   auto pinned = std::make_shared<TestJob>();
@@ -258,56 +241,27 @@ TEST(FairSchedulerParallelism, WorkersSplitTheConstructingThreadsBudget) {
     ScopedParallelism mine(5);
     overridden.store(ParallelWorkerCount());
   };
-  ASSERT_TRUE(scheduler.Submit({"", 0, "", pinned}).ok());
+  ASSERT_TRUE(scheduler.Submit({"", 0, pinned}).ok());
   scheduler.WaitIdle();
   EXPECT_EQ(seen.load(), 2);
   EXPECT_EQ(overridden.load(), 5);
 }
 
-TEST(FairSchedulerFusion, MatchingKeysFuseAcrossTenantsAndBuckets) {
+TEST(FairSchedulerTenants, IdleTenantsAreForgotten) {
   SchedulerHarness h({.capacity = 64});
-  h.Block();
-  ASSERT_TRUE(h.Submit("a", 0, 1, "k").ok());
-  ASSERT_TRUE(h.Submit("a", 0, 2, "k").ok());
-  ASSERT_TRUE(h.Submit("a", 3, 3, "k").ok());  // different bucket, same key
-  ASSERT_TRUE(h.Submit("b", 0, 4, "k").ok());  // different tenant, same key
-  ASSERT_TRUE(h.Submit("b", 0, 5, "k").ok());
-  ASSERT_TRUE(h.Submit("c", 0, 6, "other").ok());
-  ASSERT_TRUE(h.Submit("c", 0, 7).ok());  // empty key: never fused
-  h.Release();
-  h.scheduler().WaitIdle();
-
-  std::vector<std::vector<int>> batches = h.Batches();
-  // blocker + the fused five + two singletons.
-  ASSERT_EQ(batches.size(), 4u);
-  std::vector<int> fused;
-  for (std::vector<int>& batch : batches) {
-    if (batch.size() > 1) fused = batch;
+  h.scheduler().SetTenantWeight("heavy", 3);
+  ASSERT_TRUE(h.Submit("heavy", 0, 0).ok());
+  for (int id = 1; id <= 50; ++id) {
+    ASSERT_TRUE(h.Submit("tenant-" + std::to_string(id), 0, id).ok());
   }
-  std::sort(fused.begin(), fused.end());
-  EXPECT_EQ(fused, (std::vector<int>{1, 2, 3, 4, 5}));
-  EXPECT_EQ(h.scheduler().jobs_executed(), 8u);
-  EXPECT_EQ(h.scheduler().batches_executed(), 4u);
-  EXPECT_EQ(h.scheduler().jobs_fused(), 5u);
+  h.scheduler().WaitIdle();
+  EXPECT_EQ(h.Order().size(), 51u);
+  // Fifty idle default-weight tenants leave nothing behind; the weighted
+  // tenant keeps its weight.
+  EXPECT_EQ(h.scheduler().tenants(), 1u);
 }
 
-TEST(FairSchedulerFusion, MaxBatchCapsOneSweep) {
-  static_assert(FairScheduler::kMaxBatch == 8);
-  SchedulerHarness h({.capacity = 64});
-  h.Block();
-  for (int id = 1; id <= 10; ++id) {
-    ASSERT_TRUE(h.Submit("a", 0, id, "k").ok());
-  }
-  h.Release();
-  h.scheduler().WaitIdle();
-  std::vector<std::vector<int>> batches = h.Batches();
-  ASSERT_EQ(batches.size(), 3u);  // blocker + two capped batches
-  EXPECT_EQ(batches[1], (std::vector<int>{1, 2, 3, 4, 5, 6, 7, 8}));
-  EXPECT_EQ(batches[2], (std::vector<int>{9, 10}));
-  EXPECT_EQ(h.scheduler().jobs_fused(), 10u);
-}
-
-// --- Service integration: batch fusion vs the serial oracle ---------------
+// --- Service integration: the result memo vs the serial oracle ------------
 
 Graph SchedGraph(uint64_t seed = 11) { return HolmeKimGraph(60, 4, 0.7, seed); }
 
@@ -327,10 +281,9 @@ void ExpectSameResult(const SolveResult& expected, const SolveResult& actual,
   }
 }
 
-// Parks the single service worker inside a NON-fusable job on
-// `blocker_graph` (a progress callback makes a job ineligible for fusion),
-// queues `specs` against "g" behind it, releases, and returns the per-spec
-// results.
+// Parks the single service worker inside a job on `blocker_graph` (its
+// progress callback keeps it out of the memo), queues `specs` against "g"
+// behind it, releases, and returns the per-spec results.
 std::vector<SolveResult> RunBehindBlocker(
     AtrService& service, const std::vector<SolverOptions>& specs,
     const std::string& solver, const std::string& blocker_graph = "g") {
@@ -362,38 +315,40 @@ std::vector<SolveResult> RunBehindBlocker(
     EXPECT_TRUE(result.ok()) << result.status().message();
     results.push_back(result.ok() ? *result : SolveResult{});
   }
-  // A job's result is published before its worker counts the batch, so
+  // A job's result is published before its worker counts the job, so
   // callers reading Stats() must wait for the worker to finish.
   service.Drain();
   return results;
 }
 
-TEST(ServiceBatchFusion, FusedGreedySweepMatchesSerialOracle) {
+TEST(ServiceResultMemo, GreedySweepMatchesSerialOracle) {
   AtrService::Options options;
   options.workers = 1;
   options.queue_capacity = 64;
   AtrService service(options);
   ASSERT_TRUE(service.AddGraph("g", SchedGraph()).ok());
 
-  // A budget sweep over one graph version: classic dashboard shape.
+  // A budget sweep over one graph version: classic dashboard shape. The
+  // first walk reaches every later budget.
   std::vector<SolverOptions> specs(4);
-  specs[0].budget = 1;
-  specs[1].budget = 2;
-  specs[2].budget = 3;
+  specs[0].budget = 3;
+  specs[1].budget = 1;
+  specs[2].budget = 2;
   specs[3].budget = 3;
   specs[3].budget_checkpoints = {1, 3};
-  const std::vector<SolveResult> fused = RunBehindBlocker(service, specs, "gas");
+  const std::vector<SolveResult> swept =
+      RunBehindBlocker(service, specs, "gas");
 
   AtrEngine engine(SchedGraph());
   for (size_t i = 0; i < specs.size(); ++i) {
     StatusOr<SolveResult> oracle = engine.Run("gas", specs[i]);
     ASSERT_TRUE(oracle.ok());
-    ExpectSameResult(*oracle, fused[i], "gas sweep spec " + std::to_string(i));
+    ExpectSameResult(*oracle, swept[i], "gas sweep spec " + std::to_string(i));
   }
 
   const AtrService::SchedulerStats stats = service.Stats();
-  EXPECT_EQ(stats.jobs_fused, 4u);
-  // Blocker + one fused batch: the whole sweep cost one solver dispatch.
+  EXPECT_EQ(stats.memo_hits, 3u);
+  // Blocker + the first walk: the whole sweep cost one solver run.
   EXPECT_EQ(stats.batches_executed, 2u);
   EXPECT_EQ(stats.jobs_executed, 5u);
 
@@ -402,7 +357,7 @@ TEST(ServiceBatchFusion, FusedGreedySweepMatchesSerialOracle) {
   EXPECT_EQ(info->decomposition_builds, 1u);
 }
 
-TEST(ServiceBatchFusion, FusedGreedyBatchesShareTheVersionsTriangleIndex) {
+TEST(ServiceResultMemo, GreedyJobsShareTheVersionsTriangleIndex) {
   AtrService::Options options;
   options.workers = 1;
   options.queue_capacity = 64;
@@ -412,8 +367,8 @@ TEST(ServiceBatchFusion, FusedGreedyBatchesShareTheVersionsTriangleIndex) {
   StatusOr<GraphSnapshot> snapshot = service.Snapshot("g");
   ASSERT_TRUE(snapshot.ok());
 
-  // The blockers park the worker on "other", so only the fused batches
-  // run on "g": its index can be built only through their contexts.
+  // The blockers park the worker on "other", so only the jobs on "g" run
+  // there: its index can be built only through their contexts.
   std::vector<SolverOptions> specs(3);
   specs[0].budget = 1;
   specs[1].budget = 3;
@@ -423,7 +378,8 @@ TEST(ServiceBatchFusion, FusedGreedyBatchesShareTheVersionsTriangleIndex) {
   EXPECT_TRUE(snapshot->triangles->built());
   const std::vector<SolveResult> base_plus =
       RunBehindBlocker(service, specs, "base+", "other");
-  EXPECT_EQ(service.Stats().jobs_fused, 6u);
+  // b=1 and b=3 run for each solver; b=2 reads the b=3 walk.
+  EXPECT_EQ(service.Stats().memo_hits, 2u);
 
   AtrEngine engine(SchedGraph());
   for (size_t i = 0; i < specs.size(); ++i) {
@@ -437,7 +393,7 @@ TEST(ServiceBatchFusion, FusedGreedyBatchesShareTheVersionsTriangleIndex) {
   }
 }
 
-TEST(ServiceBatchFusion, SubmitsDifferingOnlyInReservedWireByteFuse) {
+TEST(ServiceResultMemo, SubmitsDifferingOnlyInReservedWireByteShareAWalk) {
   AtrService::Options options;
   options.workers = 1;
   options.queue_capacity = 64;
@@ -446,8 +402,8 @@ TEST(ServiceBatchFusion, SubmitsDifferingOnlyInReservedWireByteFuse) {
 
   // Two wire Submits for one GAS job, one from an older client that sets
   // the reserved byte after `trials` (it once picked a greedy state-
-  // maintenance path and split the batch key). Only the tenant string and
-  // the priority follow that byte.
+  // maintenance path). Only the tenant string and the priority follow that
+  // byte.
   net::SubmitRequest request;
   request.graph = "g";
   request.solver = "gas";
@@ -462,28 +418,29 @@ TEST(ServiceBatchFusion, SubmitsDifferingOnlyInReservedWireByteFuse) {
     ASSERT_TRUE(decoded.ok()) << decoded.status().message();
     specs.push_back(decoded->options.ToSolverOptions());
   }
-  const std::vector<SolveResult> fused = RunBehindBlocker(service, specs, "gas");
+  const std::vector<SolveResult> results =
+      RunBehindBlocker(service, specs, "gas");
 
   AtrEngine engine(SchedGraph());
   StatusOr<SolveResult> oracle = engine.Run("gas", specs[0]);
   ASSERT_TRUE(oracle.ok());
-  ExpectSameResult(*oracle, fused[0], "reserved byte 0");
-  ExpectSameResult(*oracle, fused[1], "reserved byte 1");
+  ExpectSameResult(*oracle, results[0], "reserved byte 0");
+  ExpectSameResult(*oracle, results[1], "reserved byte 1");
   const AtrService::SchedulerStats stats = service.Stats();
-  EXPECT_EQ(stats.jobs_fused, 2u);
-  // Blocker + one fused batch.
+  EXPECT_EQ(stats.memo_hits, 1u);
+  // Blocker + the first job's walk.
   EXPECT_EQ(stats.batches_executed, 2u);
 }
 
-TEST(ServiceBatchFusion, NonFusableSolversNeverFuse) {
+TEST(ServiceResultMemo, NonGreedySolversAlwaysRun) {
   AtrService::Options options;
   options.workers = 1;
   options.queue_capacity = 64;
   AtrService service(options);
   ASSERT_TRUE(service.AddGraph("g", SchedGraph()).ok());
 
-  // Randomized baselines are excluded from fusion (their trial streams
-  // are not prefix-consistent across budgets), and exact runs alone.
+  // Randomized baselines stay out of the memo (their trial streams are not
+  // prefix-consistent across budgets), and so does exact.
   std::vector<SolverOptions> rand_specs(3);
   for (SolverOptions& o : rand_specs) {
     o.budget = 2;
@@ -506,9 +463,104 @@ TEST(ServiceBatchFusion, NonFusableSolversNeverFuse) {
     }
   }
   const AtrService::SchedulerStats stats = service.Stats();
-  EXPECT_EQ(stats.jobs_fused, 0u);
-  // Two blockers and six solo jobs: one solver dispatch each.
+  EXPECT_EQ(stats.memo_hits, 0u);
+  // Two blockers and six solo jobs: one solver run each.
   EXPECT_EQ(stats.batches_executed, 8u);
+}
+
+TEST(ServiceResultMemo, LaterJobsReadTheLongestWalkAtAnyThreadCount) {
+  AtrService::Options options;
+  options.workers = 1;
+  AtrService service(options);
+  // Seed 100's walk gains in every round, so each prefix is distinct.
+  ASSERT_TRUE(service.AddGraph("g", SchedGraph(100)).ok());
+
+  // Each job waits for the one before it, so no two are ever queued
+  // together: only a memo can answer a later job from an earlier walk.
+  std::vector<SolverOptions> specs(4);
+  specs[0].budget = 2;
+  specs[0].threads = 1;
+  specs[1].budget = 4;
+  specs[1].threads = 1;
+  specs[2].budget = 3;
+  specs[2].threads = 4;
+  specs[3].budget = 4;
+  specs[3].budget_checkpoints = {1, 4};
+  specs[3].threads = 0;
+  AtrEngine engine(SchedGraph(100));
+  for (size_t i = 0; i < specs.size(); ++i) {
+    StatusOr<JobHandle> job = service.Submit("g", "gas", specs[i]);
+    ASSERT_TRUE(job.ok()) << job.status().message();
+    StatusOr<SolveResult> result = job->Wait();
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    StatusOr<SolveResult> oracle = engine.Run("gas", specs[i]);
+    ASSERT_TRUE(oracle.ok());
+    ExpectSameResult(*oracle, *result, "spec " + std::to_string(i));
+    if (i >= 2) {
+      // Read from the b=4 walk: no solver ran, so no time and no progress.
+      EXPECT_EQ(result->seconds, 0.0) << i;
+      EXPECT_EQ(job->Progress().round, 0u) << i;
+    }
+  }
+  service.Drain();
+  AtrService::SchedulerStats stats = service.Stats();
+  EXPECT_EQ(stats.batches_executed, 2u);
+  EXPECT_EQ(stats.memo_hits, 2u);
+
+  // The stored walk reaches budget 1, but an invalid job still runs and
+  // fails exactly as it does alone.
+  SolverOptions invalid;
+  invalid.budget = 1;
+  invalid.budget_checkpoints = {2, 1};
+  StatusOr<SolveResult> solo = engine.Run("gas", invalid);
+  ASSERT_FALSE(solo.ok());
+  StatusOr<JobHandle> job = service.Submit("g", "gas", invalid);
+  ASSERT_TRUE(job.ok()) << job.status().message();
+  StatusOr<SolveResult> result = job->Wait();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), solo.status().code());
+  EXPECT_EQ(result.status().message(), solo.status().message());
+  service.Drain();
+  EXPECT_EQ(service.Stats().memo_hits, 2u);
+}
+
+TEST(ServiceResultMemo, UpdatedVersionStartsEmpty) {
+  AtrService::Options options;
+  options.workers = 1;
+  AtrService service(options);
+  ASSERT_TRUE(service.AddGraph("g", SchedGraph(100)).ok());
+
+  SolverOptions three;
+  three.budget = 3;
+  StatusOr<JobHandle> first = service.Submit("g", "gas", three);
+  ASSERT_TRUE(first.ok()) << first.status().message();
+  StatusOr<SolveResult> v1_walk = first->Wait();
+  ASSERT_TRUE(v1_walk.ok()) << v1_walk.status().message();
+
+  // Removing v1's first anchor changes the answer on v2.
+  StatusOr<GraphSnapshot> v1 = service.Snapshot("g");
+  ASSERT_TRUE(v1.ok());
+  GraphDelta delta;
+  delta.remove.push_back(v1->graph->Edge(v1_walk->anchor_edges[0]));
+  StatusOr<GraphSnapshot> v2 = service.UpdateGraph("g", delta);
+  ASSERT_TRUE(v2.ok()) << v2.status().message();
+
+  SolverOptions two;
+  two.budget = 2;
+  AtrEngine engine(*v2->graph);
+  StatusOr<SolveResult> oracle = engine.Run("gas", two);
+  ASSERT_TRUE(oracle.ok());
+  ASSERT_NE(oracle->anchor_edges,
+            std::vector<EdgeId>(v1_walk->anchor_edges.begin(),
+                                v1_walk->anchor_edges.begin() + 2));
+  StatusOr<JobHandle> second = service.Submit("g", "gas", two);
+  ASSERT_TRUE(second.ok()) << second.status().message();
+  StatusOr<SolveResult> result = second->Wait();
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  ExpectSameResult(*oracle, *result, "b=2 on v2");
+  service.Drain();
+  EXPECT_EQ(service.Stats().memo_hits, 0u);
+  EXPECT_EQ(service.Stats().batches_executed, 2u);
 }
 
 // --- Service differential: every solver, mixed tenants, one pool ---------
@@ -603,7 +655,7 @@ TEST(ServiceDifferential, AllSolversMatchSerialOracleAcrossTenants) {
   }
 
   // kSubmitters threads submit every (graph, spec) pair under distinct
-  // tenants and rotating priorities — fusion and fair-share dispatch
+  // tenants and rotating priorities — the memo and fair-share dispatch
   // engage at once.
   std::vector<std::vector<std::vector<JobHandle>>> handles(
       kSubmitters,
@@ -644,7 +696,7 @@ TEST(ServiceDifferential, AllSolversMatchSerialOracleAcrossTenants) {
     }
   }
 
-  // Fusion never re-runs the one decomposition per graph.
+  // Memo hits and solver runs share the one decomposition per graph.
   for (const std::string& name : names) {
     StatusOr<AtrService::GraphInfo> info = service.Info(name);
     ASSERT_TRUE(info.ok());

@@ -736,8 +736,8 @@ TEST(ServiceStreaming, FirstGreedyJobsOnAVersionShareOneTriangleIndex) {
   auto options_of = [](int i) {
     SolverOptions options;
     options.budget = 2 + static_cast<uint32_t>(i % 3);
-    // A progress hook keeps the job out of fusion: eight solo jobs, four
-    // at a time.
+    // A progress hook keeps the job out of the memo: all eight run a
+    // solver, four at a time, and race for the index build.
     options.progress = [](const SolveProgress&) { return true; };
     return options;
   };
