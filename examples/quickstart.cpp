@@ -1,5 +1,5 @@
-// Quickstart: build a small social graph, open an AtrEngine session on it,
-// and anchor the b most valuable edges with GAS through the unified solver
+// Quickstart: build a small social graph, wrap it in an AtrEngine, and
+// anchor the b most valuable edges with GAS through the unified solver
 // API — with a progress callback streaming per-round updates.
 //
 //   ./examples/quickstart [budget]

@@ -1,8 +1,8 @@
 // Application 1 of the paper's introduction: reinforcing a social network's
 // overall engagement by anchoring key relationships. Compares GAS against
 // the vertex-anchoring alternative (AKT) and random strengthening through
-// one AtrEngine session, and shows which trussness levels each approach
-// improves.
+// one AtrEngine, which computes the decomposition once for all three, and
+// shows which trussness levels each approach improves.
 
 #include <cstdio>
 #include <cstdlib>

@@ -583,20 +583,6 @@ AtrService::SchedulerStats AtrService::Stats() const {
 
 void AtrService::Drain() { scheduler_.WaitIdle(); }
 
-StatusOr<std::unique_ptr<AtrEngine>> AtrService::CheckoutSession(
-    const std::string& graph_name) {
-  std::shared_ptr<CatalogEntry> entry = FindEntry(graph_name);
-  if (entry == nullptr) {
-    return Status::NotFound("CheckoutSession: unknown graph \"" + graph_name +
-                            "\"");
-  }
-  std::shared_ptr<GraphVersion> version = entry->Current();
-  GraphSnapshot snapshot = SnapshotOf(*entry, *version);
-  return std::make_unique<AtrEngine>(std::move(snapshot.graph),
-                                     std::move(snapshot.decomposition),
-                                     std::move(snapshot.triangles));
-}
-
 void AtrService::RunJob(const std::shared_ptr<internal::JobState>& state) {
   {
     MutexLock lock(&state->mu);

@@ -1,8 +1,8 @@
 // AtrService — thread-safe multi-graph service layer with async solve jobs.
 //
-// The engine facade (api/engine.h) is a single-session object: every
-// concurrent caller needs a private AtrEngine and pays for (or copies) a
-// private truss decomposition. AtrService is the layer above it for the
+// The engine facade (api/engine.h) is not thread-safe: every concurrent
+// caller needs a private AtrEngine and pays for (or copies) a private
+// truss decomposition. AtrService is the layer above it for the
 // read-mostly serving shape — many queries against a few shared graphs:
 //
 //   AtrService service;                      // worker pool + graph catalog
@@ -42,11 +42,8 @@
 // assert byte-identity), but it reports seconds = 0 and emits no progress
 // event. A job that must run carries one of those hooks.
 //
-// Mutations never touch served snapshots: CheckoutSession hands out a
-// private AtrEngine primed with the shared snapshot; its first committed
-// mutation copies the decomposition into the session (copy-on-write), so
-// readers are never blocked. RemoveGraph only unlists a graph — jobs and
-// checkouts in flight keep the snapshot alive through their shared_ptr.
+// RemoveGraph only unlists a graph — jobs in flight keep the snapshot
+// alive through their shared_ptr.
 //
 // Streaming updates are VERSIONED snapshots: UpdateGraph(name, delta)
 // applies a GraphDelta through Graph::ApplyEdits and publishes a new
@@ -56,7 +53,7 @@
 // GraphInfo::decomposition_builds does not move on a delta update. Jobs
 // pin the version that was current when they were submitted; Submits after
 // UpdateGraph returns see the new version, and old versions stay alive
-// while any job, checkout, or caller-held GraphSnapshot references them.
+// while any job or caller-held GraphSnapshot references them.
 //
 // Thread-safety: every AtrService and JobHandle method may be called from
 // any thread. JobHandle is a cheap shared-state handle; copies observe the
@@ -73,7 +70,6 @@
 #include <string>
 #include <vector>
 
-#include "api/engine.h"
 #include "api/solver.h"
 #include "graph/graph.h"
 #include "truss/decomposition.h"
@@ -183,8 +179,8 @@ class AtrService {
   // --- Graph catalog ------------------------------------------------------
 
   // Registers `graph` under `name`. The decomposition is NOT computed here;
-  // the first job (or Snapshot/CheckoutSession call) builds it, exactly
-  // once. Fails with kFailedPrecondition when the name is taken.
+  // the first job (or Snapshot call) builds it, exactly once. Fails with
+  // kFailedPrecondition when the name is taken.
   Status AddGraph(const std::string& name, Graph graph);
   Status AddGraph(const std::string& name, std::shared_ptr<const Graph> graph);
 
@@ -202,8 +198,8 @@ class AtrService {
                       TrussDecomposition decomposition, uint64_t version,
                       uint64_t delta_chain_length = 0);
 
-  // Unlists `name`. Jobs and checkouts in flight keep the snapshot alive;
-  // new Submits against the name fail with kNotFound.
+  // Unlists `name`. Jobs in flight keep the snapshot alive; new Submits
+  // against the name fail with kNotFound.
   Status RemoveGraph(const std::string& name);
 
   // Registered names, sorted.
@@ -218,10 +214,10 @@ class AtrService {
   // the previous version across the edge-id remap, brought up to date with
   // incremental RemoveEdge/InsertEdge maintenance — decomposition_builds
   // does NOT increment (a never-used graph pays its one lazy build first).
-  // In-flight jobs, checkouts, and held snapshots keep the version they
-  // pinned; Submits after this returns see the new one. Delta validation
-  // errors (kInvalidArgument, see Graph::ApplyEdits) leave the current
-  // version untouched. Concurrent updates to one graph serialize.
+  // In-flight jobs and held snapshots keep the version they pinned;
+  // Submits after this returns see the new one. Delta validation errors
+  // (kInvalidArgument, see Graph::ApplyEdits) leave the current version
+  // untouched. Concurrent updates to one graph serialize.
   StatusOr<GraphSnapshot> UpdateGraph(const std::string& name,
                                       const GraphDelta& delta);
 
@@ -326,14 +322,6 @@ class AtrService {
 
   // Blocks until every job submitted so far has finished.
   void Drain();
-
-  // --- Mutable sessions ---------------------------------------------------
-
-  // A private single-session engine primed with the shared snapshot.
-  // Commits copy-on-write into the session; the served snapshot and other
-  // checkouts are unaffected, and no reader is ever blocked.
-  StatusOr<std::unique_ptr<AtrEngine>> CheckoutSession(
-      const std::string& graph_name);
 
  private:
   struct GraphVersion;

@@ -5,12 +5,6 @@
 namespace atr {
 
 const TrussDecomposition& SolverContext::Decomposition() {
-  if (session_decomposition_ != nullptr) {
-    // The bound session's incrementally maintained state IS the cache; it
-    // was seeded from it and stays valid across commits.
-    ++decomposition_reuses_;
-    return *session_decomposition_;
-  }
   if (decomposition_ == nullptr) {
     decomposition_ = ComputeSharedTrussDecomposition(*graph_);
     ++decomposition_builds_;
@@ -18,24 +12,6 @@ const TrussDecomposition& SolverContext::Decomposition() {
     ++decomposition_reuses_;
   }
   return *decomposition_;
-}
-
-SharedTrussDecomposition SolverContext::SharedDecomposition() {
-  ATR_CHECK_MSG(session_decomposition_ == nullptr,
-                "SharedDecomposition: a bound mutable session is updated in "
-                "place and cannot be shared as an immutable snapshot");
-  Decomposition();  // build on first use; counts as build or reuse
-  return decomposition_;
-}
-
-void SolverContext::BindSession(const TrussDecomposition* decomposition,
-                                const std::vector<bool>* anchors) {
-  ATR_CHECK((decomposition == nullptr) == (anchors == nullptr));
-  session_decomposition_ = decomposition;
-  session_anchors_ = anchors;
-  // The session state supersedes the context's own copy permanently; free
-  // it rather than keeping a stale O(|E|) duplicate alive.
-  if (decomposition != nullptr) decomposition_.reset();
 }
 
 uint32_t SolverContext::MaxTrussness() { return Decomposition().max_trussness; }

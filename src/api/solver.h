@@ -150,14 +150,6 @@ class SolverContext {
   // max_trussness of Decomposition() (builds it when needed).
   uint32_t MaxTrussness();
 
-  // Shared handle to the cached decomposition (builds it when needed).
-  // Stays valid after the context is destroyed.
-  SharedTrussDecomposition SharedDecomposition();
-
-  // Whether the cache already holds a decomposition (primed or built) —
-  // probes that must not trigger the lazy build branch on this first.
-  bool HasCachedDecomposition() const { return decomposition_ != nullptr; }
-
   // Seeds the cache with a precomputed anchor-free decomposition of the
   // graph; later Decomposition() calls count as reuses, not builds. The
   // shared overload adopts an existing immutable snapshot without copying
@@ -165,23 +157,9 @@ class SolverContext {
   void PrimeDecomposition(TrussDecomposition decomposition);
   void PrimeDecomposition(SharedTrussDecomposition decomposition);
 
-  // Binds a mutable session (api/engine.h): `decomposition` and `anchors`
-  // are the engine's incrementally maintained state and must outlive the
-  // binding. While bound, Decomposition() serves the session decomposition
-  // (still counted as reuses — it is the same cached state, updated in
-  // place) and session_anchors() exposes the committed anchor mask that
-  // greedy solvers start from. Pass nullptrs to unbind.
-  void BindSession(const TrussDecomposition* decomposition,
-                   const std::vector<bool>* anchors);
-  bool has_session() const { return session_decomposition_ != nullptr; }
-  // Committed anchors of the bound session; nullptr when no session is
-  // bound (solvers then start from an anchor-free graph).
-  const std::vector<bool>* session_anchors() const { return session_anchors_; }
-
   // Full-graph triangle index of the graph, read by BASE+ and GAS; built
-  // through the context's holder on first call. The topology never
-  // changes, so the index serves a bound session as well. Without a
-  // primed holder the context makes its own.
+  // through the context's holder on first call. Without a primed holder
+  // the context makes its own.
   const TriangleIndex& Triangles();
 
   // Adopts a shared holder (the service's per-version one); whichever
@@ -201,8 +179,6 @@ class SolverContext {
   const Graph* graph_;
   SharedTrussDecomposition decomposition_;
   std::shared_ptr<LazyTriangleIndex> triangles_;
-  const TrussDecomposition* session_decomposition_ = nullptr;
-  const std::vector<bool>* session_anchors_ = nullptr;
   uint32_t decomposition_builds_ = 0;
   uint32_t decomposition_reuses_ = 0;
   uint32_t triangle_index_builds_ = 0;

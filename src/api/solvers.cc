@@ -28,20 +28,6 @@ bool CancelRequested(const SolverOptions& options) {
          options.cancel->load(std::memory_order_relaxed);
 }
 
-// The greedy family starts from a mutable session's committed anchors; the
-// other solvers have no notion of pre-existing anchors or removed edges and
-// would silently solve the wrong problem.
-Status RejectMutatedSession(const SolverContext& context,
-                            const std::string& name) {
-  if (context.has_session()) {
-    return Status::FailedPrecondition(
-        name +
-        ": engine sessions with committed mutations are only supported by "
-        "the greedy solvers (base, base+, gas)");
-  }
-  return Status::Ok();
-}
-
 // Wires SolverOptions into the core GreedyControl: cancel flag and
 // wall-clock limit pass through; the progress callback (when set) is
 // adapted from GreedyProgress to SolveProgress under `name`. The returned
@@ -88,11 +74,8 @@ class GreedySolver : public Solver {
     ScopedParallelism parallelism(options.threads);
     GreedyControl control = MakeRoundControl(name_, options);
 
-    // Round 1 of every greedy equals the cached decomposition — the
-    // anchor-free one, or the mutable session's incrementally maintained
-    // state, whose committed anchors the run then builds on.
+    // Round 1 of every greedy equals the cached anchor-free decomposition.
     const TrussDecomposition& seed = context.Decomposition();
-    const std::vector<bool>* initial_anchors = context.session_anchors();
     // BASE+ and GAS walk the context's triangle index, which like the
     // decomposition is built once and then reused, so it is fetched before
     // the timer too. BASE walks none.
@@ -102,16 +85,13 @@ class GreedySolver : public Solver {
     AnchorResult run;
     switch (kind_) {
       case Kind::kBase:
-        run = RunBaseGreedy(g, options.budget, &control, &seed,
-                            initial_anchors);
+        run = RunBaseGreedy(g, options.budget, &control, &seed);
         break;
       case Kind::kBasePlus:
-        run = RunBasePlus(g, *triangles, options.budget, &control, &seed,
-                          initial_anchors);
+        run = RunBasePlus(g, *triangles, options.budget, &control, &seed);
         break;
       case Kind::kGas:
-        run = RunGas(g, *triangles, options.budget, &control, &seed,
-                     initial_anchors);
+        run = RunGas(g, *triangles, options.budget, &control, &seed);
         break;
     }
 
@@ -150,8 +130,6 @@ class ExactSolver : public Solver {
                               const SolverOptions& options) const override {
     const Graph& g = context.graph();
     Status status = ValidateSolverOptions(g, options);
-    if (!status.ok()) return status;
-    status = RejectMutatedSession(context, Name());
     if (!status.ok()) return status;
 
     ScopedParallelism parallelism(options.threads);
@@ -205,8 +183,6 @@ class RandomSolver : public Solver {
     const Graph& g = context.graph();
     Status status = ValidateSolverOptions(g, options);
     if (!status.ok()) return status;
-    status = RejectMutatedSession(context, name_);
-    if (!status.ok()) return status;
 
     ScopedParallelism parallelism(options.threads);
     // Trials are not rounds: only the cancel flag and wall-clock limit
@@ -257,8 +233,6 @@ class AktSolver : public Solver {
                               const SolverOptions& options) const override {
     const Graph& g = context.graph();
     Status status = ValidateVertexSolverOptions(g, options);
-    if (!status.ok()) return status;
-    status = RejectMutatedSession(context, Name());
     if (!status.ok()) return status;
 
     ScopedParallelism parallelism(options.threads);

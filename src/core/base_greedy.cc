@@ -5,7 +5,6 @@
 #include "core/greedy_internal.h"
 #include "truss/decomposition.h"
 #include "truss/gain.h"
-#include "util/macros.h"
 #include "util/parallel_for.h"
 #include "util/timer.h"
 
@@ -29,53 +28,21 @@ Best MergeBests(const std::vector<Best>& bests) {
   return best;
 }
 
-// The round state BASE carries between commits. Every commit recomputes
-// the decomposition from scratch, as the paper's Algorithm 2 does.
-struct GreedySeedState {
-  std::vector<bool> anchored;
-  TrussDecomposition current;
-  // Edges participating in the decomposition; empty = all of them. Fixed
-  // for the whole run (anchoring never removes edges).
-  std::vector<EdgeId> alive;
-};
-
-GreedySeedState MakeGreedySeedState(const Graph& g,
-                                    const TrussDecomposition* seed,
-                                    const std::vector<bool>* initial_anchors) {
-  GreedySeedState state;
-  state.anchored = initial_anchors != nullptr
-                       ? *initial_anchors
-                       : std::vector<bool>(g.NumEdges(), false);
-  ATR_CHECK(state.anchored.size() == g.NumEdges());
-  state.current =
-      seed != nullptr ? *seed : ComputeTrussDecomposition(g, state.anchored);
-  state.alive = AliveSubsetOf(state.current);
-  return state;
-}
-
-TrussDecomposition RecomputeGreedyState(const Graph& g,
-                                        const std::vector<bool>& anchored,
-                                        const std::vector<EdgeId>& alive) {
-  return alive.empty() ? ComputeTrussDecomposition(g, anchored)
-                       : ComputeTrussDecompositionOnSubset(g, anchored, alive);
-}
-
 }  // namespace
 
 AnchorResult RunBaseGreedy(const Graph& g, uint32_t budget,
                            const GreedyControl* control,
-                           const TrussDecomposition* seed_decomposition,
-                           const std::vector<bool>* initial_anchors) {
+                           const TrussDecomposition* seed_decomposition) {
   const uint32_t m = g.NumEdges();
   AnchorResult result;
   if (m == 0) return result;
   budget = std::min<uint32_t>(budget, m);
 
   WallTimer timer;
-  GreedySeedState state =
-      MakeGreedySeedState(g, seed_decomposition, initial_anchors);
-  std::vector<bool>& anchored = state.anchored;
-  TrussDecomposition& current = state.current;
+  std::vector<bool> anchored(m, false);
+  TrussDecomposition current = seed_decomposition != nullptr
+                                   ? *seed_decomposition
+                                   : ComputeTrussDecomposition(g);
 
   while (result.anchors.size() < budget) {
     if (control != nullptr && control->ShouldStop(timer.ElapsedSeconds())) {
@@ -111,7 +78,7 @@ AnchorResult RunBaseGreedy(const Graph& g, uint32_t budget,
     }
 
     anchored[best.edge] = true;
-    current = RecomputeGreedyState(g, anchored, state.alive);
+    current = ComputeTrussDecomposition(g, anchored);
     round.cumulative_seconds = timer.ElapsedSeconds();
     result.total_gain += best.gain;
     result.anchors.push_back(best.edge);

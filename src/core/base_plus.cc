@@ -13,8 +13,7 @@ namespace atr {
 
 AnchorResult RunBasePlus(const Graph& g, const TriangleIndex& triangles,
                          uint32_t budget, const GreedyControl* control,
-                         const TrussDecomposition* seed_decomposition,
-                         const std::vector<bool>* initial_anchors) {
+                         const TrussDecomposition* seed_decomposition) {
   const uint32_t m = g.NumEdges();
   AnchorResult result;
   if (m == 0) return result;
@@ -24,7 +23,7 @@ AnchorResult RunBasePlus(const Graph& g, const TriangleIndex& triangles,
   // The committed (decomposition, anchors) state, updated in place by each
   // commit; the workers' searches read it between commits.
   IncrementalTruss engine =
-      MakeGreedyEngine(g, triangles, seed_decomposition, initial_anchors);
+      MakeGreedyEngine(g, triangles, seed_decomposition);
   const TrussDecomposition* current = &engine.decomposition();
   const std::vector<bool>* anchored = &engine.anchored();
 

@@ -33,8 +33,7 @@ struct BlockReads {
 
 AnchorResult RunGas(const Graph& g, const TriangleIndex& triangles,
                     uint32_t budget, const GreedyControl* control,
-                    const TrussDecomposition* seed_decomposition,
-                    const std::vector<bool>* initial_anchors) {
+                    const TrussDecomposition* seed_decomposition) {
   const uint32_t m = g.NumEdges();
   AnchorResult result;
   if (m == 0) return result;
@@ -44,7 +43,7 @@ AnchorResult RunGas(const Graph& g, const TriangleIndex& triangles,
   // The committed (decomposition, anchors) state, updated in place by each
   // commit; the sweeps read it between commits.
   IncrementalTruss engine =
-      MakeGreedyEngine(g, triangles, seed_decomposition, initial_anchors);
+      MakeGreedyEngine(g, triangles, seed_decomposition);
   const TrussDecomposition& current = engine.decomposition();
   const std::vector<bool>& anchored = engine.anchored();
 

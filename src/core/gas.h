@@ -56,8 +56,6 @@
 #ifndef ATR_CORE_GAS_H_
 #define ATR_CORE_GAS_H_
 
-#include <vector>
-
 #include "core/atr_problem.h"
 #include "graph/graph.h"
 #include "graph/triangle_index.h"
@@ -68,15 +66,12 @@ namespace atr {
 // Runs GAS with the given budget. `triangles` must be BuildTriangleIndex(g);
 // the solve only reads it. `control` may carry a per-round progress
 // callback, a cancellation flag, and a wall-clock limit.
-// `seed_decomposition`, when non-null, must be the decomposition of `g`
-// under `initial_anchors` (no anchors when null) and replaces the round-1
-// computation (the api layer passes its cached copy); edges it reports as
-// kTrussnessNotComputed are treated as removed. `initial_anchors` edges
-// are never candidates and gains are measured on top of them.
+// `seed_decomposition`, when non-null, must be the anchor-free
+// decomposition of `g` and replaces the round-1 computation (the api layer
+// passes its cached copy).
 AnchorResult RunGas(const Graph& g, const TriangleIndex& triangles,
                     uint32_t budget, const GreedyControl* control = nullptr,
-                    const TrussDecomposition* seed_decomposition = nullptr,
-                    const std::vector<bool>* initial_anchors = nullptr);
+                    const TrussDecomposition* seed_decomposition = nullptr);
 
 }  // namespace atr
 

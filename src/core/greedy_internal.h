@@ -1,8 +1,7 @@
 // Shared round-state plumbing of the greedy family (BASE, BASE+, GAS): the
 // candidate filter, the candidate-sweep cursor, GAS's read-set rule, and
 // the incremental engine that holds a BASE+ or GAS solve's committed
-// state, seeded from an optional cached decomposition and optional
-// pre-existing anchors (the api layer's mutable sessions).
+// state, seeded from an optional cached decomposition.
 //
 // BASE+ and GAS commit every anchor through that engine
 // (truss/incremental.h), whose affected-region update is byte-identical to
@@ -17,7 +16,6 @@
 #include <atomic>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -123,21 +121,15 @@ inline bool ReadsCommitWrites(const std::vector<uint8_t>& marks, EdgeId x,
 }
 
 // The committed (decomposition, anchors) state of a BASE+ or GAS solve.
-// `seed`, when non-null, must be the decomposition of `g` under
-// `initial_anchors` (no anchors when null); edges it reports as
-// kTrussnessNotComputed are treated as removed. Every commit walks
-// `triangles`, the solve's BuildTriangleIndex(g), which must outlive the
-// engine: the region seeding and re-peel as well as the follower recount.
-inline IncrementalTruss MakeGreedyEngine(
-    const Graph& g, const TriangleIndex& triangles,
-    const TrussDecomposition* seed,
-    const std::vector<bool>* initial_anchors) {
-  std::vector<bool> anchors =
-      initial_anchors != nullptr ? *initial_anchors : std::vector<bool>();
-  TrussDecomposition decomp =
-      seed != nullptr ? *seed : ComputeTrussDecomposition(g, anchors);
-  return IncrementalTruss(g, std::move(decomp), std::move(anchors),
-                          &triangles);
+// `seed`, when non-null, must be the anchor-free decomposition of `g`.
+// Every commit walks `triangles`, the solve's BuildTriangleIndex(g), which
+// must outlive the engine: the region seeding and re-peel as well as the
+// follower recount.
+inline IncrementalTruss MakeGreedyEngine(const Graph& g,
+                                         const TriangleIndex& triangles,
+                                         const TrussDecomposition* seed) {
+  return IncrementalTruss(
+      g, seed != nullptr ? *seed : ComputeTrussDecomposition(g), &triangles);
 }
 
 }  // namespace atr

@@ -99,13 +99,4 @@ Graph MakeSocialProfile(const std::string& name, double scale,
   return Graph();
 }
 
-std::vector<NamedGraph> MakeAllSocialProfiles(double scale) {
-  std::vector<NamedGraph> out;
-  for (const DatasetSpec& spec : SocialProfileSpecs()) {
-    out.push_back(NamedGraph{spec.name, MakeSocialProfile(spec.name, scale,
-                                                          /*seed=*/0)});
-  }
-  return out;
-}
-
 }  // namespace atr

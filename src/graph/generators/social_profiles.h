@@ -32,13 +32,6 @@ std::vector<DatasetSpec> SocialProfileSpecs();
 // names (programming error: names come from SocialProfileSpecs()).
 Graph MakeSocialProfile(const std::string& name, double scale, uint64_t seed);
 
-// Convenience: the default-seed, given-scale instantiation of all 8.
-struct NamedGraph {
-  std::string name;
-  Graph graph;
-};
-std::vector<NamedGraph> MakeAllSocialProfiles(double scale);
-
 }  // namespace atr
 
 #endif  // ATR_GRAPH_GENERATORS_SOCIAL_PROFILES_H_

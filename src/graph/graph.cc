@@ -27,14 +27,6 @@ EdgeId Graph::FindEdge(VertexId u, VertexId v) const {
   return kInvalidEdge;
 }
 
-uint64_t Graph::TriangleWorkBound() const {
-  uint64_t total = 0;
-  for (const EdgeEndpoints& e : edges_) {
-    total += std::min(Degree(e.u), Degree(e.v));
-  }
-  return total;
-}
-
 Graph Graph::FromSortedEdges(uint32_t num_vertices,
                              std::vector<EdgeEndpoints> edges) {
   Graph g;

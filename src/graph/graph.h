@@ -99,10 +99,6 @@ class Graph {
     return FindEdge(u, v) != kInvalidEdge;
   }
 
-  // Sum over edges of min(d(u), d(v)); the classic O(m^1.5)-style cost bound
-  // for triangle work on this graph. Used by benches to report workload size.
-  uint64_t TriangleWorkBound() const;
-
   const std::vector<EdgeEndpoints>& edges() const { return edges_; }
 
   // Materializes the next immutable snapshot: this graph with every edge in

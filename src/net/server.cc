@@ -249,7 +249,9 @@ void AtrServer::AcceptNewConnections() {
       // make the peer block forever AND re-trigger POLLIN on the listener
       // every loop tick. Free the reserve descriptor, accept the pending
       // connection into the freed slot, answer it with a structured
-      // kResourceExhausted error, and close it.
+      // kResourceExhausted error, and close it. The shed is counted first,
+      // so a client that has seen the close also reads it in accept_sheds().
+      accept_sheds_.fetch_add(1, std::memory_order_relaxed);
       if (spare_fd_ >= 0) {
         transport_->Close(spare_fd_);
         spare_fd_ = -1;
@@ -269,7 +271,6 @@ void AtrServer::AcceptNewConnections() {
         transport_->Close(shed);
       }
       spare_fd_ = transport_->OpenSpare();
-      accept_sheds_.fetch_add(1, std::memory_order_relaxed);
       std::fprintf(stderr,
                    "atr-server: out of file descriptors; shed one pending "
                    "connection with kResourceExhausted\n");

@@ -169,7 +169,7 @@ void TrussComponentTree::Build(const Graph& g, const TriangleIndex& triangles,
 
   // Per-level edge lists (ascending edge id within a level by
   // construction). Edges outside the decomposition's subset (trussness
-  // kTrussnessNotComputed, e.g. removed by an incremental session) belong
+  // kTrussnessNotComputed, e.g. removed from an IncrementalTruss) belong
   // to no node, like anchors; any triangle touching one was already
   // dropped above because its kmin is 0.
   std::vector<std::vector<EdgeId>> hull(levels);

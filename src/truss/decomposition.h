@@ -86,9 +86,8 @@ struct TrussDecomposition {
 
 // Shared-ownership handle to an immutable decomposition snapshot. The
 // service layer (api/service.h) computes one decomposition per graph and
-// hands every concurrent job this handle: jobs read the same bytes, the
-// snapshot outlives graph eviction while any job still holds it, and
-// mutable checkouts copy-on-write from it instead of locking it.
+// hands every concurrent job this handle: jobs read the same bytes, and
+// the snapshot outlives graph eviction while any job still holds it.
 using SharedTrussDecomposition = std::shared_ptr<const TrussDecomposition>;
 
 // ComputeTrussDecomposition wrapped in a shared snapshot handle.
@@ -110,8 +109,7 @@ TrussDecomposition ComputeTrussDecomposition(
 // (anchored edges that the caller wants present must be listed too).
 // Edges outside the subset get trussness kTrussnessNotComputed and do not
 // participate in triangles. Used by the incremental engine's from-scratch
-// fallback and by BASE's per-round recompute. Same engine as
-// ComputeTrussDecomposition.
+// fallback. Same engine as ComputeTrussDecomposition.
 TrussDecomposition ComputeTrussDecompositionOnSubset(
     const Graph& g, const std::vector<bool>& anchored,
     const std::vector<EdgeId>& edge_subset);

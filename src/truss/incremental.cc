@@ -31,18 +31,17 @@ namespace atr {
 // diverges), so this fixpoint reaches the full changed set from any seed.
 
 IncrementalTruss::IncrementalTruss(const Graph& g) : g_(&g) {
-  AdoptSeed(ComputeTrussDecomposition(g), {});
+  AdoptSeed(ComputeTrussDecomposition(g));
 }
 
 IncrementalTruss::IncrementalTruss(const Graph& g, TrussDecomposition seed,
-                                   std::vector<bool> anchored,
                                    const TriangleIndex* triangles)
     : g_(&g), triangles_(triangles) {
   // Every walk indexes `offsets` by edge id: an index of another graph
   // would read out of bounds long before any result looked wrong.
   ATR_CHECK_MSG(triangles == nullptr || triangles->NumEdges() == g.NumEdges(),
                 "IncrementalTruss: triangle index is not of this graph");
-  AdoptSeed(std::move(seed), std::move(anchored));
+  AdoptSeed(std::move(seed));
 }
 
 IncrementalTruss::IncrementalTruss(const IncrementalTruss& other)
@@ -71,20 +70,15 @@ void IncrementalTruss::ForEachTriangle(EdgeId e, Fn&& fn) const {
   }
 }
 
-void IncrementalTruss::AdoptSeed(TrussDecomposition seed,
-                                 std::vector<bool> anchored) {
+void IncrementalTruss::AdoptSeed(TrussDecomposition seed) {
   const uint32_t m = g_->NumEdges();
   ATR_CHECK(seed.trussness.size() == m);
   ATR_CHECK(seed.layer.size() == m);
-  ATR_CHECK(anchored.empty() || anchored.size() == m);
   const uint32_t seed_max = seed.max_trussness;
   decomp_ = std::move(seed);
-  anchored_ = anchored.empty() ? std::vector<bool>(m, false)
-                               : std::move(anchored);
+  anchored_.assign(m, false);
   for (EdgeId e = 0; e < m; ++e) {
     if (decomp_.trussness[e] == kAnchoredTrussness) anchored_[e] = true;
-    ATR_CHECK(anchored_[e] ==
-              (decomp_.trussness[e] == kAnchoredTrussness));
     HistAdd(decomp_.trussness[e]);
   }
   RecomputeMaxTrussness();
@@ -505,23 +499,6 @@ uint32_t IncrementalTruss::InsertEdge(EdgeId e) {
   if (RunLocalizedUpdate() != kAnchoredTrussness) CommitRegion();
   RecomputeMaxTrussness();
   return decomp_.trussness[e];
-}
-
-StatusOr<EdgeId> IncrementalTruss::InsertEdge(VertexId u, VertexId v) {
-  const EdgeId e = g_->FindEdge(u, v);
-  if (e == kInvalidEdge) {
-    return Status::NotFound(
-        "InsertEdge: the topology has no {" + std::to_string(u) + ", " +
-        std::to_string(v) +
-        "} slot; materialize a new snapshot with Graph::ApplyEdits");
-  }
-  if (IsAlive(e)) {
-    return Status::FailedPrecondition(
-        "InsertEdge: edge {" + std::to_string(u) + ", " + std::to_string(v) +
-        "} is already alive");
-  }
-  InsertEdge(e);
-  return e;
 }
 
 uint64_t IncrementalTruss::RemoveEdge(EdgeId e) {

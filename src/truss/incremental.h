@@ -59,7 +59,6 @@
 
 #include "graph/graph.h"
 #include "truss/decomposition.h"
-#include "util/status.h"
 
 namespace atr {
 
@@ -83,8 +82,9 @@ class IncrementalTruss {
   explicit IncrementalTruss(const Graph& g);
 
   // Adopts a precomputed decomposition of `g` instead of recomputing.
-  // `seed` must be the decomposition ComputeTrussDecomposition(g, anchored)
-  // produced for `anchored` (empty = no anchors); edges with trussness
+  // `seed` must be a decomposition of `g` as ComputeTrussDecomposition or
+  // ComputeTrussDecompositionOnSubset reports it: edges with trussness
+  // kAnchoredTrussness are the anchors, and edges with trussness
   // kTrussnessNotComputed are treated as removed. When `triangles` is
   // non-null, every triangle walk of every mutation reads it — the region
   // seeding and re-peel as well as ApplyAnchor's follower recount. It must
@@ -93,7 +93,6 @@ class IncrementalTruss {
   // one, the walks use ForEachTriangleOfEdge and the first ApplyAnchor
   // builds an index for its recount.
   IncrementalTruss(const Graph& g, TrussDecomposition seed,
-                   std::vector<bool> anchored = {},
                    const TriangleIndex* triangles = nullptr);
 
   // Copyable so parallel candidate evaluation can clone one engine per
@@ -143,12 +142,6 @@ class IncrementalTruss {
   // same affected-region machinery (with the full-rebuild fallback).
   // Returns the trussness the inserted edge settles at.
   uint32_t InsertEdge(EdgeId e);
-
-  // Streaming-arrival flavor: resolves {u, v} against the topology.
-  // kNotFound when the topology has no such slot (materialize a new
-  // snapshot with Graph::ApplyEdits first), kFailedPrecondition when the
-  // edge is already alive. Returns the edge id on success.
-  StatusOr<EdgeId> InsertEdge(VertexId u, VertexId v);
 
   // Undo-log cursor for speculative apply/rollback. Rolling back restores
   // the decomposition, anchor set, and alive set byte-identically; marks
@@ -222,7 +215,7 @@ class IncrementalTruss {
   };
 
   void InitScratch();
-  void AdoptSeed(TrussDecomposition seed, std::vector<bool> anchored);
+  void AdoptSeed(TrussDecomposition seed);
 
   // Histogram + running-total bookkeeping around every edge-state write.
   void HistAdd(uint32_t trussness);

@@ -63,12 +63,6 @@ class ByteWriter {
     for (const uint64_t x : v) WriteU64(x);
   }
 
-  // Overwrites 4 bytes at `offset` (already written) with `v`; used to
-  // back-patch length/checksum fields after the payload is known.
-  void PatchU32(size_t offset, uint32_t v) {
-    for (int i = 0; i < 4; ++i) buffer_[offset + i] = uint8_t(v >> (8 * i));
-  }
-
   size_t size() const { return buffer_.size(); }
   const std::vector<uint8_t>& buffer() const { return buffer_; }
   std::vector<uint8_t> TakeBuffer() { return std::move(buffer_); }

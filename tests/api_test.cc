@@ -412,173 +412,6 @@ TEST(Engine, UnknownSolverNameFlowsBackAsStatus) {
             StatusCode::kNotFound);
 }
 
-// --- Mutable session mode -----------------------------------------------
-
-TEST(Session, DecompositionCacheSurvivesAnchorCommits) {
-  AtrEngine engine(MakeFig3Graph());
-  const Graph& g = engine.graph();
-  const TrussDecomposition before = engine.Decomposition();
-  EXPECT_EQ(engine.decomposition_builds(), 1u);
-
-  const EdgeId x = Fig3Edge(g, 5, 8);
-  StatusOr<uint32_t> gain = engine.ApplyAnchor(x);
-  ASSERT_TRUE(gain.ok()) << gain.status().message();
-  EXPECT_EQ(*gain, TrussnessGain(g, before, {}, {x}));
-
-  // The cache was updated in place, not invalidated: no rebuild, and the
-  // served decomposition reflects the committed anchor.
-  EXPECT_EQ(engine.decomposition_builds(), 1u);
-  EXPECT_EQ(engine.Decomposition().trussness[x], kAnchoredTrussness);
-  const TrussDecomposition oracle =
-      ComputeTrussDecomposition(g, engine.session()->anchored());
-  EXPECT_EQ(engine.Decomposition().trussness, oracle.trussness);
-  EXPECT_EQ(engine.Decomposition().layer, oracle.layer);
-  EXPECT_EQ(engine.decomposition_builds(), 1u);
-}
-
-TEST(Session, ApplyAnchorValidatesItsEdge) {
-  AtrEngine engine(MakeFig3Graph());
-  EXPECT_EQ(engine.ApplyAnchor(engine.graph().NumEdges()).status().code(),
-            StatusCode::kInvalidArgument);
-  ASSERT_TRUE(engine.ApplyAnchor(0).ok());
-  EXPECT_EQ(engine.ApplyAnchor(0).status().code(),
-            StatusCode::kInvalidArgument);  // already anchored
-  ASSERT_TRUE(engine.RemoveEdge(1).ok());
-  EXPECT_EQ(engine.ApplyAnchor(1).status().code(),
-            StatusCode::kInvalidArgument);  // removed
-  EXPECT_EQ(engine.RemoveEdge(0).status().code(),
-            StatusCode::kInvalidArgument);  // anchored edges stay
-}
-
-TEST(Session, RollbackRestoresThePristineState) {
-  AtrEngine engine(MakeFig3Graph());
-  const TrussDecomposition before = engine.Decomposition();
-  const AtrEngine::SessionCheckpoint cp = engine.MarkRollbackPoint();
-  EXPECT_EQ(cp.position, 0u);
-  ASSERT_TRUE(engine.ApplyAnchor(3).ok());
-  ASSERT_TRUE(engine.RemoveEdge(7).ok());
-  ASSERT_TRUE(engine.RollbackTo(cp).ok());
-  EXPECT_EQ(engine.Decomposition().trussness, before.trussness);
-  EXPECT_EQ(engine.Decomposition().layer, before.layer);
-  EXPECT_EQ(engine.decomposition_builds(), 1u);
-}
-
-TEST(Session, StaleCheckpointsAreRejectedNotRestored) {
-  // A checkpoint invalidated by a deeper rollback must not validate again
-  // once the undo log regrows past its position — restoring it would land
-  // the cached decomposition mid-mutation.
-  AtrEngine engine(MakeFig3Graph());
-  ASSERT_TRUE(engine.ApplyAnchor(0).ok());
-  const AtrEngine::SessionCheckpoint cp = engine.MarkRollbackPoint();
-  ASSERT_TRUE(engine.ApplyAnchor(1).ok());
-  ASSERT_TRUE(engine.RollbackTo(AtrEngine::SessionCheckpoint{}).ok());
-  ASSERT_TRUE(engine.ApplyAnchor(2).ok());  // fresh history past cp
-  EXPECT_EQ(engine.RollbackTo(cp).code(), StatusCode::kInvalidArgument);
-  // The session state is still coherent.
-  const TrussDecomposition oracle = ComputeTrussDecomposition(
-      engine.graph(), engine.session()->anchored());
-  EXPECT_EQ(engine.Decomposition().trussness, oracle.trussness);
-  EXPECT_EQ(engine.Decomposition().layer, oracle.layer);
-}
-
-TEST(Session, NestedRollbacksStayValid) {
-  // Rolling back to a later checkpoint keeps earlier ones usable.
-  AtrEngine engine(MakeFig3Graph());
-  ASSERT_TRUE(engine.ApplyAnchor(0).ok());
-  const AtrEngine::SessionCheckpoint outer = engine.MarkRollbackPoint();
-  ASSERT_TRUE(engine.ApplyAnchor(1).ok());
-  const AtrEngine::SessionCheckpoint inner = engine.MarkRollbackPoint();
-  ASSERT_TRUE(engine.ApplyAnchor(2).ok());
-  ASSERT_TRUE(engine.RollbackTo(inner).ok());
-  ASSERT_TRUE(engine.RollbackTo(outer).ok());
-  EXPECT_TRUE(engine.session()->IsAnchored(0));
-  EXPECT_FALSE(engine.session()->IsAnchored(1));
-  EXPECT_FALSE(engine.session()->IsAnchored(2));
-}
-
-TEST(Session, GreedySolversRunOnTheCommittedState) {
-  // Committing the greedy's first pick and then solving for budget b-1
-  // must line up with a fresh budget-b solve of the full problem.
-  const Graph g = MakeFig3Graph();
-  SolverOptions options;
-  options.budget = 3;
-  const SolveResult fresh = MustSolve("gas", g, options);
-
-  AtrEngine engine(MakeFig3Graph());
-  StatusOr<uint32_t> gain = engine.ApplyAnchor(fresh.anchor_edges[0]);
-  ASSERT_TRUE(gain.ok());
-  EXPECT_EQ(*gain, fresh.rounds[0].gain);
-  for (const char* solver : {"base", "base+", "gas"}) {
-    SolverOptions rest;
-    rest.budget = 2;
-    StatusOr<SolveResult> result = engine.Run(solver, rest);
-    ASSERT_TRUE(result.ok()) << result.status().message();
-    EXPECT_EQ(result->anchor_edges,
-              (std::vector<EdgeId>{fresh.anchor_edges[1],
-                                   fresh.anchor_edges[2]}))
-        << solver;
-    EXPECT_EQ(result->total_gain,
-              fresh.rounds[1].gain + fresh.rounds[2].gain)
-        << solver;
-  }
-  EXPECT_EQ(engine.decomposition_builds(), 1u);
-}
-
-TEST(Session, NonGreedySolversRejectMutatedSessions) {
-  AtrEngine engine(MakeFig3Graph());
-  ASSERT_TRUE(engine.ApplyAnchor(0).ok());
-  SolverOptions options;
-  options.budget = 2;
-  for (const char* solver : {"exact", "rand", "sup", "tur", "akt:4"}) {
-    EXPECT_EQ(engine.Run(solver, options).status().code(),
-              StatusCode::kFailedPrecondition)
-        << solver;
-  }
-  // The greedy family still runs.
-  EXPECT_TRUE(engine.Run("base+", options).ok());
-}
-
-TEST(Session, GreedySolversAgreeOnMutatedSessions) {
-  // A session with a committed anchor AND a removed edge: BASE+ and GAS
-  // seed their incremental engine from initial anchors and a
-  // kTrussnessNotComputed edge, and must walk the same residual greedy as
-  // the brute-force BASE reference.
-  SolveResult results[3];
-  const char* solvers[] = {"base", "base+", "gas"};
-  for (int i = 0; i < 3; ++i) {
-    AtrEngine engine(MakeFig3Graph());
-    const Graph& g = engine.graph();
-    ASSERT_TRUE(engine.ApplyAnchor(Fig3Edge(g, 5, 8)).ok());
-    ASSERT_TRUE(engine.RemoveEdge(Fig3Edge(g, 9, 10)).ok());
-    SolverOptions options;
-    options.budget = 3;
-    StatusOr<SolveResult> result = engine.Run(solvers[i], options);
-    ASSERT_TRUE(result.ok()) << solvers[i] << ": "
-                             << result.status().message();
-    results[i] = *std::move(result);
-  }
-  ASSERT_EQ(results[0].rounds.size(), 3u);
-  for (int i = 1; i < 3; ++i) {
-    EXPECT_EQ(results[0].anchor_edges, results[i].anchor_edges)
-        << solvers[i];
-    EXPECT_EQ(results[0].total_gain, results[i].total_gain) << solvers[i];
-    ASSERT_EQ(results[0].rounds.size(), results[i].rounds.size())
-        << solvers[i];
-    for (size_t r = 0; r < results[0].rounds.size(); ++r) {
-      const AnchorRound& want = results[0].rounds[r];
-      const AnchorRound& got = results[i].rounds[r];
-      EXPECT_EQ(want.gain, got.gain) << solvers[i] << " round " << r;
-      // BASE lists followers in brute-force edge order, the follower
-      // search in route order: compare the trussness multisets.
-      std::vector<uint32_t> want_t = want.follower_trussness;
-      std::vector<uint32_t> got_t = got.follower_trussness;
-      std::sort(want_t.begin(), want_t.end());
-      std::sort(got_t.begin(), got_t.end());
-      EXPECT_EQ(want_t, got_t) << solvers[i] << " round " << r;
-    }
-  }
-}
-
 // The repository's central property, exercised end-to-end through the
 // registry: BASE, BASE+, and GAS are one greedy algorithm and must select
 // identical anchor sequences with identical per-round gains.

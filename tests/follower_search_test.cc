@@ -305,20 +305,20 @@ TEST_P(ReadSetRuleTest, KeptCountsEqualFreshSearches) {
   for (const uint64_t seed : RuleSeeds(GetParam())) {
     const Graph g = MakePropertyGraph(seed);
     const TriangleIndex triangles = BuildTriangleIndex(g);
-    IncrementalTruss inc(g, ComputeTrussDecomposition(g), {}, &triangles);
+    IncrementalTruss inc(g, ComputeTrussDecomposition(g), &triangles);
     ASSERT_NO_FATAL_FAILURE(CheckReadSetRule(g, triangles, inc, seed));
   }
 }
 
 TEST_P(ReadSetRuleTest, KeptCountsEqualFreshSearchesWithAnchorsAndRemoval) {
-  // A session state: two anchors committed and one edge removed before the
+  // A state with two anchors committed and one edge removed before the
   // records are taken (their writes are not part of any marked commit).
   for (const uint64_t seed : RuleSeeds(GetParam())) {
     const Graph g = MakePropertyGraph(seed);
     const uint32_t m = g.NumEdges();
     if (m < 6) continue;
     const TriangleIndex triangles = BuildTriangleIndex(g);
-    IncrementalTruss inc(g, ComputeTrussDecomposition(g), {}, &triangles);
+    IncrementalTruss inc(g, ComputeTrussDecomposition(g), &triangles);
     for (const EdgeId a : {static_cast<EdgeId>(seed % m),
                            static_cast<EdgeId>((seed * 17 + 3) % m)}) {
       if (!inc.IsAnchored(a)) inc.ApplyAnchor(a);

@@ -111,7 +111,7 @@ void RunEpisode(uint64_t seed, bool use_index) {
   const TriangleIndex triangles = BuildTriangleIndex(g);
   IncrementalTruss inc = use_index
                              ? IncrementalTruss(g, ComputeTrussDecomposition(g),
-                                                {}, &triangles)
+                                                &triangles)
                              : IncrementalTruss(g);
   ExpectByteIdentical(inc, seed, -1);
 
@@ -245,6 +245,28 @@ TEST(IncrementalTruss, ClearUndoLogInvalidatesAllCheckpoints) {
   EXPECT_FALSE(inc.IsAnchored(1));
 }
 
+TEST(IncrementalTruss, RollbackPastACheckpointInvalidatesIt) {
+  // Rolling back to a checkpoint keeps every earlier one usable. A later
+  // checkpoint the rollback unwound stays invalid once the log regrows
+  // past its position: restoring it would land mid-mutation.
+  const Graph g = MakeFig3Graph();
+  IncrementalTruss inc(g);
+  inc.ApplyAnchor(0);
+  const IncrementalTruss::Checkpoint outer = inc.MarkRollbackPoint();
+  inc.ApplyAnchor(1);
+  const IncrementalTruss::Checkpoint inner = inc.MarkRollbackPoint();
+  inc.ApplyAnchor(2);
+  inc.RollbackTo(inner);
+  ASSERT_TRUE(inc.IsValidCheckpoint(outer));
+  inc.RollbackTo(outer);
+  EXPECT_TRUE(inc.IsAnchored(0));
+  EXPECT_FALSE(inc.IsAnchored(1));
+  EXPECT_FALSE(inc.IsAnchored(2));
+  inc.ApplyAnchor(3);
+  EXPECT_FALSE(inc.IsValidCheckpoint(inner));
+  ASSERT_NO_FATAL_FAILURE(ExpectByteIdentical(inc, 0, 0));
+}
+
 TEST(IncrementalTruss, CopiesAreIndependent) {
   const Graph g = MakeFig3Graph();
   IncrementalTruss inc(g);
@@ -283,7 +305,7 @@ TEST(IncrementalTruss, SharedTriangleIndexMatchesOwnIndex) {
     const TriangleIndex triangles = BuildTriangleIndex(g);
     const TrussDecomposition start = ComputeTrussDecomposition(g);
     IncrementalTruss own(g, start);
-    IncrementalTruss shared(g, start, {}, &triangles);
+    IncrementalTruss shared(g, start, &triangles);
     Rng rng(seed + 17);
     std::vector<EdgeId> removed;
     for (int step = 0; step < 16; ++step) {
@@ -347,7 +369,7 @@ TEST(IncrementalTrussDeath, RejectsTriangleIndexOfAnotherGraph) {
   ASSERT_NE(other.NumEdges(), g.NumEdges());
   const TriangleIndex wrong = BuildTriangleIndex(other);
   EXPECT_DEATH(
-      { IncrementalTruss inc(g, ComputeTrussDecomposition(g), {}, &wrong); },
+      { IncrementalTruss inc(g, ComputeTrussDecomposition(g), &wrong); },
       "triangle index is not of this graph");
 }
 
@@ -358,6 +380,16 @@ TEST(IncrementalTruss, SeededConstructorAdoptsDecomposition) {
   EXPECT_EQ(inc.decomposition().trussness, seed.trussness);
   const uint32_t gain = inc.ApplyAnchor(Fig3Edge(g, 5, 8));
   EXPECT_EQ(gain, TrussnessGain(g, seed, {}, {Fig3Edge(g, 5, 8)}));
+
+  // An anchored seed: the engine reads its anchors off kAnchoredTrussness.
+  const TrussDecomposition anchored_seed =
+      ComputeTrussDecomposition(g, inc.anchored());
+  IncrementalTruss seeded(g, anchored_seed);
+  EXPECT_EQ(seeded.anchored(), inc.anchored());
+  EXPECT_EQ(seeded.total_trussness(), inc.total_trussness());
+  const EdgeId next = Fig3Edge(g, 9, 10);
+  EXPECT_EQ(seeded.ApplyAnchor(next),
+            TrussnessGain(g, anchored_seed, inc.anchored(), {next}));
 }
 
 }  // namespace

@@ -263,7 +263,11 @@ TEST(FairSchedulerTenants, IdleTenantsAreForgotten) {
 
 // --- Service integration: the result memo vs the serial oracle ------------
 
-Graph SchedGraph(uint64_t seed = 11) { return HolmeKimGraph(60, 4, 0.7, seed); }
+// With the default seed, GAS gains 5, 3, 2 and 1 in its first four
+// rounds, so a wrong prefix or checkpoint gain cannot pass for a right one.
+Graph SchedGraph(uint64_t seed = 100) {
+  return HolmeKimGraph(60, 4, 0.7, seed);
+}
 
 void ExpectSameResult(const SolveResult& expected, const SolveResult& actual,
                       const std::string& label) {
@@ -343,6 +347,7 @@ TEST(ServiceResultMemo, GreedySweepMatchesSerialOracle) {
   for (size_t i = 0; i < specs.size(); ++i) {
     StatusOr<SolveResult> oracle = engine.Run("gas", specs[i]);
     ASSERT_TRUE(oracle.ok());
+    EXPECT_GT(oracle->total_gain, 0u) << "spec " << i;
     ExpectSameResult(*oracle, swept[i], "gas sweep spec " + std::to_string(i));
   }
 
@@ -472,8 +477,7 @@ TEST(ServiceResultMemo, LaterJobsReadTheLongestWalkAtAnyThreadCount) {
   AtrService::Options options;
   options.workers = 1;
   AtrService service(options);
-  // Seed 100's walk gains in every round, so each prefix is distinct.
-  ASSERT_TRUE(service.AddGraph("g", SchedGraph(100)).ok());
+  ASSERT_TRUE(service.AddGraph("g", SchedGraph()).ok());
 
   // Each job waits for the one before it, so no two are ever queued
   // together: only a memo can answer a later job from an earlier walk.
@@ -487,7 +491,7 @@ TEST(ServiceResultMemo, LaterJobsReadTheLongestWalkAtAnyThreadCount) {
   specs[3].budget = 4;
   specs[3].budget_checkpoints = {1, 4};
   specs[3].threads = 0;
-  AtrEngine engine(SchedGraph(100));
+  AtrEngine engine(SchedGraph());
   for (size_t i = 0; i < specs.size(); ++i) {
     StatusOr<JobHandle> job = service.Submit("g", "gas", specs[i]);
     ASSERT_TRUE(job.ok()) << job.status().message();
@@ -528,7 +532,7 @@ TEST(ServiceResultMemo, UpdatedVersionStartsEmpty) {
   AtrService::Options options;
   options.workers = 1;
   AtrService service(options);
-  ASSERT_TRUE(service.AddGraph("g", SchedGraph(100)).ok());
+  ASSERT_TRUE(service.AddGraph("g", SchedGraph()).ok());
 
   SolverOptions three;
   three.budget = 3;

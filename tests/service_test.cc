@@ -3,8 +3,8 @@
 // one decomposition build per graph), the async job lifecycle (Wait /
 // TryGet / Cancel / Progress), cancellation and wall-clock early stop
 // across every registered solver, graph catalog semantics under eviction,
-// and copy-on-write session checkouts. The whole file runs under the
-// nightly TSan leg.
+// and versioned streaming updates. The whole file runs under the nightly
+// TSan leg.
 
 #include <gtest/gtest.h>
 
@@ -175,13 +175,38 @@ TEST(ServiceCatalog, InfoTracksLazySingleBuild) {
   EXPECT_EQ(after->jobs_submitted, 1u);
 }
 
+// An engine built from a snapshot shares its graph and decomposition,
+// builds nothing, and keeps them alive after the graph is unlisted.
+TEST(ServiceCatalog, SnapshotPrimedEngineNeverRebuilds) {
+  AtrService service;
+  ASSERT_TRUE(service.AddGraph("g", MakeServiceGraph()).ok());
+  std::unique_ptr<AtrEngine> engine;
+  {
+    StatusOr<GraphSnapshot> snapshot = service.Snapshot("g");
+    ASSERT_TRUE(snapshot.ok());
+    engine = std::make_unique<AtrEngine>(snapshot->graph,
+                                         snapshot->decomposition);
+  }
+  ASSERT_TRUE(service.RemoveGraph("g").ok());
+
+  SolverOptions options;
+  options.budget = 2;
+  StatusOr<SolveResult> result = engine->Run("gas", options);
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  EXPECT_EQ(engine->decomposition_builds(), 0u);
+  AtrEngine oracle(MakeServiceGraph());
+  StatusOr<SolveResult> expected = oracle.Run("gas", options);
+  ASSERT_TRUE(expected.ok());
+  ExpectSameResult(*expected, *result, "snapshot-primed engine");
+}
+
 // --- Snapshot isolation (the acceptance property) -------------------------
 
 TEST(ServiceSnapshotIsolation, ConcurrentMixedJobsMatchSerialEngine) {
   const Graph g = MakeServiceGraph();
   const std::vector<JobSpec> specs = MixedSpecs();
 
-  // Serial oracle: one single-session engine, one solve per spec.
+  // Serial oracle: one engine, one solve per spec.
   std::vector<SolveResult> oracle;
   {
     AtrEngine engine(MakeServiceGraph());
@@ -522,97 +547,6 @@ TEST(ServiceCatalog, RemoveGraphKeepsInFlightJobsAlive) {
   EXPECT_EQ(result->anchor_edges.size(), 2u);
 }
 
-// --- Copy-on-write session checkouts --------------------------------------
-
-TEST(ServiceSessions, CheckoutIsCopyOnWriteAndIsolated) {
-  const Graph g = MakeServiceGraph();
-  AtrService service;
-  ASSERT_TRUE(service.AddGraph("g", g).ok());
-
-  StatusOr<std::unique_ptr<AtrEngine>> a = service.CheckoutSession("g");
-  StatusOr<std::unique_ptr<AtrEngine>> b = service.CheckoutSession("g");
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  // Checkouts are primed from the shared snapshot: no private builds.
-  EXPECT_EQ((*a)->decomposition_builds(), 0u);
-  EXPECT_EQ((*b)->decomposition_builds(), 0u);
-
-  // Mutate session a; session b and the served snapshot stay pristine.
-  ASSERT_TRUE((*a)->ApplyAnchor(0).ok());
-  EXPECT_EQ((*a)->Decomposition().trussness[0], kAnchoredTrussness);
-  EXPECT_NE((*b)->Decomposition().trussness[0], kAnchoredTrussness);
-
-  StatusOr<GraphSnapshot> snapshot = service.Snapshot("g");
-  ASSERT_TRUE(snapshot.ok());
-  EXPECT_NE(snapshot->decomposition->trussness[0], kAnchoredTrussness);
-
-  // Reader jobs submitted while a mutated session exists are untouched.
-  SolverOptions options;
-  options.budget = 2;
-  StatusOr<JobHandle> job = service.Submit("g", "gas", options);
-  ASSERT_TRUE(job.ok());
-  StatusOr<SolveResult> via_service = job->Wait();
-  ASSERT_TRUE(via_service.ok());
-  AtrEngine oracle(MakeServiceGraph());
-  StatusOr<SolveResult> direct = oracle.Run("gas", options);
-  ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(via_service->anchor_edges, direct->anchor_edges);
-
-  // The session solves its own residual problem on the committed state.
-  StatusOr<SolveResult> residual = (*a)->Run("gas", options);
-  ASSERT_TRUE(residual.ok()) << residual.status().message();
-
-  // Still exactly one service-side build, ever.
-  StatusOr<AtrService::GraphInfo> info = service.Info("g");
-  ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->decomposition_builds, 1u);
-}
-
-TEST(ServiceSessions, CheckoutSurvivesGraphRemoval) {
-  AtrService service;
-  ASSERT_TRUE(service.AddGraph("g", MakeServiceGraph()).ok());
-  StatusOr<std::unique_ptr<AtrEngine>> session = service.CheckoutSession("g");
-  ASSERT_TRUE(session.ok());
-  ASSERT_TRUE(service.RemoveGraph("g").ok());
-  // The checkout owns its snapshot; the catalog entry is gone.
-  ASSERT_TRUE((*session)->ApplyAnchor(0).ok());
-  SolverOptions options;
-  options.budget = 1;
-  EXPECT_TRUE((*session)->Run("gas", options).ok());
-  EXPECT_EQ(service.CheckoutSession("g").status().code(),
-            StatusCode::kNotFound);
-}
-
-TEST(ServiceSessions, CheckoutSolvesReadTheVersionsTriangleIndex) {
-  AtrService service;
-  ASSERT_TRUE(service.AddGraph("g", MakeServiceGraph()).ok());
-  StatusOr<GraphSnapshot> snapshot = service.Snapshot("g");
-  ASSERT_TRUE(snapshot.ok());
-  SolverOptions options;
-  options.budget = 2;
-
-  // A job builds the version's index...
-  StatusOr<JobHandle> job = service.Submit("g", "gas", options);
-  ASSERT_TRUE(job.ok());
-  StatusOr<SolveResult> served = job->Wait();
-  ASSERT_TRUE(served.ok()) << served.status().message();
-  ASSERT_TRUE(snapshot->triangles->built());
-
-  // ...and a later checkout's greedy solves read it instead of building.
-  StatusOr<std::unique_ptr<AtrEngine>> session = service.CheckoutSession("g");
-  ASSERT_TRUE(session.ok());
-  StatusOr<SolveResult> gas = (*session)->Run("gas", options);
-  ASSERT_TRUE(gas.ok()) << gas.status().message();
-  StatusOr<SolveResult> base_plus = (*session)->Run("base+", options);
-  ASSERT_TRUE(base_plus.ok()) << base_plus.status().message();
-  EXPECT_EQ((*session)->triangle_index_builds(), 0u);
-  ExpectSameResult(*served, *gas, "checkout gas");
-  AtrEngine local(*snapshot->graph);
-  StatusOr<SolveResult> expected = local.Run("base+", options);
-  ASSERT_TRUE(expected.ok());
-  ExpectSameResult(*expected, *base_plus, "checkout base+");
-}
-
 // A finished job must pin only its result: once the graph is removed,
 // outstanding JobHandle copies do not keep the snapshot (graph +
 // decomposition) or the solver alive.
@@ -904,44 +838,6 @@ TEST(ServiceStreaming, ConcurrentUpdateGraphAndSubmit) {
   // stays the one from-scratch build.
   EXPECT_EQ(service.Info("g")->decomposition_builds, 1u);
   EXPECT_EQ(service.Info("g")->delta_updates, 12u);
-}
-
-TEST(ServiceStreaming, CheckoutSessionInsertEdgeRoundTrip) {
-  AtrService service;
-  ASSERT_TRUE(service.AddGraph("g", MakeServiceGraph()).ok());
-  StatusOr<std::unique_ptr<AtrEngine>> session = service.CheckoutSession("g");
-  ASSERT_TRUE(session.ok());
-  AtrEngine& engine = **session;
-  const EdgeEndpoints ends = engine.graph().Edge(3);
-  ASSERT_TRUE(engine.RemoveEdge(3).ok());
-  StatusOr<uint32_t> trussness = engine.InsertEdge(ends.u, ends.v);
-  ASSERT_TRUE(trussness.ok());
-  // Same alive set again: the session matches the untouched snapshot.
-  StatusOr<GraphSnapshot> snapshot = service.Snapshot("g");
-  ASSERT_TRUE(snapshot.ok());
-  EXPECT_EQ(engine.Decomposition().trussness, snapshot->decomposition->trussness);
-  EXPECT_EQ(*trussness, snapshot->decomposition->trussness[3]);
-}
-
-TEST(ServiceStreaming, FailedInsertProbeLeavesSessionPristine) {
-  // The documented arrival flow probes InsertEdge and falls back to
-  // Graph::ApplyEdits on kNotFound; the failed probe must not create a
-  // session (which would make non-greedy solvers reject the engine).
-  AtrService service;
-  ASSERT_TRUE(service.AddGraph("g", MakeServiceGraph()).ok());
-  StatusOr<std::unique_ptr<AtrEngine>> session = service.CheckoutSession("g");
-  ASSERT_TRUE(session.ok());
-  AtrEngine& engine = **session;
-  StatusOr<uint32_t> no_slot =
-      engine.InsertEdge(0, engine.graph().NumVertices() + 3);
-  EXPECT_EQ(no_slot.status().code(), StatusCode::kNotFound);
-  const EdgeEndpoints alive = engine.graph().Edge(0);
-  StatusOr<uint32_t> already = engine.InsertEdge(alive.u, alive.v);
-  EXPECT_EQ(already.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(engine.HasSessionMutations());
-  SolverOptions options;
-  options.budget = 1;
-  EXPECT_TRUE(engine.Run("exact", options).ok());  // not a mutated session
 }
 
 // Drain really waits for everything submitted so far.
