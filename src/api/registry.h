@@ -1,6 +1,7 @@
-// String-keyed factory for the unified solvers (api/solver.h).
+// The fixed name table of the solvers (api/solver.h); api/solvers.cc
+// holds it.
 //
-// Built-in names:
+// Names:
 //   "base"    — greedy with brute-force gain computation (Algorithm 2)
 //   "base+"   — greedy with upward-route follower search (paper §IV)
 //   "gas"     — greedy with follower search + read-set reuse (Alg. 6)
@@ -16,22 +17,12 @@
 // checked against; base+ and gas commit each round's anchor through the
 // incremental engine (truss/incremental.h).
 //
-// Additional solvers can be registered at runtime (Register /
-// RegisterPrefix); names are case-sensitive and registration of a taken
-// name replaces the previous factory.
-//
-// Thread-safety: all four entry points may be called concurrently from any
-// thread. The registry state is mutex-protected and the builtin set is
-// installed through std::call_once on first lookup, so concurrent
-// first-touch Create calls each see the full builtin table
-// (tests/api_test.cc, Registry.ConcurrentCreateAndRegisterAreSafe).
-// Factories themselves run outside the lock and must be thread-safe if
-// shared.
+// Names are case-sensitive. The table is immutable, so both entry points
+// may be called concurrently from any thread.
 
 #ifndef ATR_API_REGISTRY_H_
 #define ATR_API_REGISTRY_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,24 +34,13 @@ namespace atr {
 
 class SolverRegistry {
  public:
-  // Receives the full requested name (so prefix factories can parse their
-  // parameter, e.g. the k of "akt:5").
-  using Factory =
-      std::function<StatusOr<std::unique_ptr<Solver>>(const std::string&)>;
-
-  // Creates the solver registered under `name`. Exact-name matches win;
-  // otherwise the longest matching registered prefix handles the name.
-  // Unknown names return NotFound listing the known solvers; malformed
-  // parameterized names (e.g. "akt:x") return InvalidArgument.
+  // Creates the solver named `name`. Unknown names return NotFound listing
+  // the known solvers; malformed parameterized names (e.g. "akt:x") return
+  // InvalidArgument.
   static StatusOr<std::unique_ptr<Solver>> Create(const std::string& name);
 
-  // The registered names, sorted; prefix entries are listed with a
-  // "<k>"-style placeholder (e.g. "akt:<k>").
+  // The known names, sorted; the AKT family is listed as "akt:<k>".
   static std::vector<std::string> KnownSolvers();
-
-  // Registers `factory` under an exact name / a name prefix.
-  static void Register(const std::string& name, Factory factory);
-  static void RegisterPrefix(const std::string& prefix, Factory factory);
 };
 
 }  // namespace atr

@@ -22,8 +22,9 @@ namespace internal {
 class ResultMemo {
  public:
   // The `options.budget`-round prefix of the stored walk, with the totals
-  // and checkpoint gains GreedySolver reports for a solo run
-  // (api/solvers.cc), or nullopt when no stored walk reaches the budget.
+  // and checkpoint gains a solo greedy run reports
+  // (core/greedy_internal.h), or nullopt when no stored walk reaches the
+  // budget.
   // A hit ran no solver, so its `seconds` is 0.
   std::optional<SolveResult> Find(const std::string& solver,
                                   const SolverOptions& options) const {

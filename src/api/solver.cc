@@ -105,25 +105,6 @@ Status ValidateOptionsWithBudgetLimit(const Graph& g,
 
 }  // namespace
 
-std::vector<uint32_t> EffectiveCheckpoints(const SolverOptions& options) {
-  if (!options.budget_checkpoints.empty()) return options.budget_checkpoints;
-  return {options.budget};
-}
-
-std::vector<uint64_t> PrefixGains(const std::vector<AnchorRound>& rounds,
-                                  const std::vector<uint32_t>& checkpoints) {
-  std::vector<uint64_t> gains;
-  gains.reserve(checkpoints.size());
-  for (uint32_t c : checkpoints) {
-    uint64_t gain = 0;
-    for (size_t r = 0; r < rounds.size() && r < c; ++r) {
-      gain += rounds[r].gain;
-    }
-    gains.push_back(gain);
-  }
-  return gains;
-}
-
 StatusOr<SolveResult> Solver::Solve(const Graph& g,
                                     const SolverOptions& options) const {
   SolverContext context(g);

@@ -1,20 +1,23 @@
-// Unified solver API for the ATR problem family.
+// The solver interface for the ATR problem family.
 //
 // Every selection algorithm in the repository — the greedy family (BASE,
 // BASE+, GAS), the exhaustive Exact solver, the randomized baselines
-// (Rand/Sup/Tur), and the AKT vertex-anchoring baseline — is exposed as an
-// atr::Solver behind one options struct and one result struct, so benches,
-// examples, and services call every algorithm the same way:
+// (Rand/Sup/Tur), and the AKT vertex-anchoring baseline — is an
+// atr::Solver that takes one options struct and returns one result struct
+// (SolverOptions, SolveResult: core/atr_problem.h), so benches, examples,
+// and services call every algorithm the same way:
 //
 //   StatusOr<std::unique_ptr<Solver>> solver = SolverRegistry::Create("gas");
 //   SolverOptions options;
 //   options.budget = 100;
 //   StatusOr<SolveResult> result = (*solver)->Solve(graph, options);
 //
-// Solvers validate their inputs and report recoverable failures through
-// atr::Status; they never abort on bad options. Long-running solves can be
-// observed and cancelled through SolverOptions::progress / ::cancel, and
-// bounded with ::wall_clock_limit_seconds.
+// A Solver validates its options, installs SolverOptions::threads and
+// fetches its inputs from the SolverContext; the core entry it calls does
+// the rest. Solvers report recoverable failures through atr::Status and
+// never abort on bad options. Long-running solves can be observed and
+// cancelled through SolverOptions::progress / ::cancel, and bounded with
+// ::wall_clock_limit_seconds.
 //
 // SolverContext carries the lazily-computed, cached anchor-free truss
 // decomposition of a graph and its full-graph triangle index. AtrEngine
@@ -26,12 +29,9 @@
 #ifndef ATR_API_SOLVER_H_
 #define ATR_API_SOLVER_H_
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/atr_problem.h"
 #include "graph/graph.h"
@@ -40,86 +40,6 @@
 #include "util/status.h"
 
 namespace atr {
-
-// Progress event delivered to SolverOptions::progress after each completed
-// round of a round-based solver (greedy family, AKT). Exact emits one
-// event per finished checkpoint; the randomized baselines emit a single
-// completion event (their trials run as one parallel batch, though the
-// cancel flag and wall-clock limit are still checked between trials).
-struct SolveProgress {
-  std::string solver;          // registry name of the running solver
-  uint32_t round = 0;          // 1-based round / checkpoint just completed
-  uint32_t budget = 0;         // effective budget of the run
-  uint64_t total_gain = 0;     // cumulative trussness gain so far
-  double elapsed_seconds = 0.0;
-};
-
-// Options shared by every solver. Fields a solver does not use are
-// ignored (e.g. `trials` outside the randomized baselines); fields it does
-// use are validated and rejected with InvalidArgument when out of range.
-struct SolverOptions {
-  // Number of anchors to select. Must satisfy 1 <= budget <= |E| (AKT:
-  // <= |V|).
-  uint32_t budget = 1;
-  // Optional ascending budgets at which the gain is additionally reported
-  // in SolveResult::gain_at_checkpoint. When empty, {budget} is used. When
-  // provided, checkpoints must be strictly ascending, start at >= 1, and
-  // end exactly at `budget`.
-  std::vector<uint32_t> budget_checkpoints;
-  // Randomized baselines: deterministic stream seed and number of
-  // independent draws (best draw is reported, as in the paper's Exp-1).
-  uint64_t seed = 1;
-  uint32_t trials = 100;
-  // When positive, round-based solvers stop before the next round once the
-  // elapsed wall clock exceeds this; the result is a valid greedy prefix
-  // with stopped_early set.
-  double wall_clock_limit_seconds = 0.0;
-  // Worker threads for the parallel inner loops, including the truss
-  // decomposition itself (the round-synchronous parallel peel is
-  // byte-identical to the serial result at every thread count, so results
-  // never depend on this setting); 0 keeps the process-wide default
-  // (ATR_THREADS env, else hardware concurrency).
-  int threads = 0;
-  // Called after every round/checkpoint; returning false cancels the run
-  // (result is the prefix selected so far, stopped_early set).
-  std::function<bool(const SolveProgress&)> progress;
-  // When non-null, setting the flag to true cancels the run between
-  // rounds/checkpoints.
-  const std::atomic<bool>* cancel = nullptr;
-};
-
-// Unified result. Exactly one of anchor_edges / anchor_vertices is
-// populated (AKT anchors vertices; everything else anchors edges).
-struct SolveResult {
-  std::string solver;  // registry name of the solver that produced this
-
-  std::vector<EdgeId> anchor_edges;       // in selection order
-  std::vector<VertexId> anchor_vertices;  // AKT only, in selection order
-  // One record per selected anchor for the edge-greedy solvers
-  // (base/base+/gas): marginal gain, cumulative timing, GAS reuse
-  // classification, follower trussness. AnchorRound is edge-typed, so AKT
-  // leaves this empty and reports its per-round cumulative gains through
-  // gain_at_checkpoint instead.
-  std::vector<AnchorRound> rounds;
-  uint64_t total_gain = 0;  // TG(A, G) of the full selection
-
-  // Gain at each effective checkpoint (options.budget_checkpoints, or
-  // {budget}): greedy/AKT report prefix gains of the one run, randomized
-  // baselines the best draw per prefix, Exact one exhaustive run per
-  // checkpoint.
-  std::vector<uint64_t> gain_at_checkpoint;
-
-  double seconds = 0.0;       // wall-clock time of the whole solve
-  bool stopped_early = false; // cancelled / wall-clock limit hit
-
-  // Solver-specific extras (zero elsewhere):
-  uint64_t subsets_evaluated = 0;  // Exact: anchor sets scored
-  uint32_t trials = 0;             // randomized: draws performed
-  // GAS: reuse classification totals over all rounds (Exp-8).
-  uint64_t fully_reusable = 0;
-  uint64_t partially_reusable = 0;
-  uint64_t non_reusable = 0;
-};
 
 // Shared per-graph state handed to solvers: the graph plus its
 // lazily-computed, cached anchor-free truss decomposition and full-graph
@@ -194,17 +114,6 @@ Status ValidateSolverOptions(const Graph& g, const SolverOptions& options);
 // instead of |E|.
 Status ValidateVertexSolverOptions(const Graph& g,
                                    const SolverOptions& options);
-
-// The checkpoint list a solve reports on: options.budget_checkpoints, or
-// {options.budget} when none were requested.
-std::vector<uint32_t> EffectiveCheckpoints(const SolverOptions& options);
-
-// Gains of the greedy prefixes at each checkpoint: a budget-b greedy walk
-// reports every intermediate budget for free (the paper's Fig. 6 sweeps).
-// Solo greedy solves and the service's result memo both report through
-// it, so a memo hit's gains match its solo run.
-std::vector<uint64_t> PrefixGains(const std::vector<AnchorRound>& rounds,
-                                  const std::vector<uint32_t>& checkpoints);
 
 // The solver interface. Implementations are stateless and cheap to create;
 // all per-run state lives in the SolverContext and on the stack.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <string>
 
 #include "graph/triangles.h"
 #include "util/macros.h"
@@ -122,16 +123,15 @@ std::vector<EdgeId> AktFollowers(const Graph& g,
   return followers;
 }
 
-AktResult RunAkt(const Graph& g, const TrussDecomposition& decomp, uint32_t k,
-                 uint32_t budget, const GreedyControl* control) {
+SolveResult RunAkt(const Graph& g, const TrussDecomposition& decomp,
+                   uint32_t k, const SolverOptions& options) {
   ATR_CHECK(k >= 3);
-  AktResult result;
-  result.k = k;
-
-  AnchoredKTrussEngine probe(g, decomp, k);
-  if (probe.hull().empty()) return result;
+  WallTimer timer;
+  SolveResult result;
+  result.solver = "akt:" + std::to_string(k);
 
   // Candidate vertices: endpoints of (k-1)-hull edges.
+  AnchoredKTrussEngine probe(g, decomp, k);
   std::vector<VertexId> candidates;
   for (EdgeId e : probe.hull()) {
     candidates.push_back(g.Edge(e).u);
@@ -142,12 +142,11 @@ AktResult RunAkt(const Graph& g, const TrussDecomposition& decomp, uint32_t k,
                    candidates.end());
 
   std::vector<bool> anchored_vertex(g.NumVertices(), false);
-  uint64_t current_gain = 0;
-  budget = std::min<uint32_t>(budget, candidates.size());
-
-  WallTimer timer;
+  std::vector<uint64_t> gain_after;  // cumulative gain after each round
+  const uint32_t budget =
+      std::min<uint32_t>(options.budget, candidates.size());
   for (uint32_t round = 0; round < budget; ++round) {
-    if (control != nullptr && control->ShouldStop(timer.ElapsedSeconds())) {
+    if (StopRequested(options, timer.ElapsedSeconds())) {
       result.stopped_early = true;
       break;
     }
@@ -185,24 +184,22 @@ AktResult RunAkt(const Graph& g, const TrussDecomposition& decomp, uint32_t k,
     }
     ATR_CHECK(best.vertex != kInvalidVertex);
     anchored_vertex[best.vertex] = true;
-    const uint64_t marginal = best.gain - current_gain;
-    current_gain = best.gain;
-    result.anchors.push_back(best.vertex);
-    result.gain_after.push_back(current_gain);
-    if (control != nullptr && control->on_round) {
-      GreedyProgress progress;
-      progress.round = round + 1;
-      progress.budget = budget;
-      progress.gain = static_cast<uint32_t>(marginal);
-      progress.total_gain = current_gain;
-      progress.elapsed_seconds = timer.ElapsedSeconds();
-      if (!control->on_round(progress)) {
-        result.stopped_early = true;
-        break;
-      }
+    result.anchor_vertices.push_back(best.vertex);
+    result.total_gain = best.gain;
+    gain_after.push_back(best.gain);
+    if (!NotifyRound(options, result, round + 1, budget,
+                     timer.ElapsedSeconds())) {
+      result.stopped_early = true;
+      break;
     }
   }
-  result.total_gain = current_gain;
+  for (uint32_t c : EffectiveCheckpoints(options)) {
+    result.gain_at_checkpoint.push_back(
+        gain_after.empty()
+            ? 0
+            : gain_after[std::min<size_t>(c, gain_after.size()) - 1]);
+  }
+  result.seconds = timer.ElapsedSeconds();
   return result;
 }
 

@@ -23,22 +23,15 @@
 
 namespace atr {
 
-struct AktResult {
-  uint32_t k = 0;
-  std::vector<VertexId> anchors;      // chosen vertices, in order
-  std::vector<uint64_t> gain_after;   // cumulative gain after each round
-  uint64_t total_gain = 0;            // followers of the final anchor set
-  // True when a GreedyControl stopped the run before the budget was
-  // exhausted; the anchors selected so far are a valid greedy prefix.
-  bool stopped_early = false;
-};
-
-// Runs the AKT greedy for one k. `decomp` must be the plain decomposition
-// of g. Returns zero gain when the (k-1)-hull is empty. `control` may carry
-// a per-round progress callback, a cancellation flag, and a wall-clock
-// limit (GreedyProgress::anchor is kInvalidEdge — AKT anchors vertices).
-AktResult RunAkt(const Graph& g, const TrussDecomposition& decomp, uint32_t k,
-                 uint32_t budget, const GreedyControl* control = nullptr);
+// Runs the AKT greedy ("akt:<k>") for one k >= 3 against `decomp`, the
+// anchor-free decomposition of `g`. `options` must pass
+// ValidateVertexSolverOptions (api/solver.h); the budget is further capped
+// at the number of candidate vertices, and the run gains nothing when the
+// (k-1)-hull is empty. gain_at_checkpoint reads the cumulative gain after
+// each checkpoint's round (the last round's for checkpoints past it). The
+// cancel flag and wall-clock limit are checked between rounds.
+SolveResult RunAkt(const Graph& g, const TrussDecomposition& decomp,
+                   uint32_t k, const SolverOptions& options);
 
 // Follower edges (trussness k-1, in the anchored k-truss) for a given
 // anchor-vertex set; exposed for tests and the Fig. 7 case study.

@@ -30,22 +30,18 @@ Best MergeBests(const std::vector<Best>& bests) {
 
 }  // namespace
 
-AnchorResult RunBaseGreedy(const Graph& g, uint32_t budget,
-                           const GreedyControl* control,
-                           const TrussDecomposition* seed_decomposition) {
+SolveResult RunBaseGreedy(const Graph& g, const TrussDecomposition& seed,
+                          const SolverOptions& options) {
   const uint32_t m = g.NumEdges();
-  AnchorResult result;
-  if (m == 0) return result;
-  budget = std::min<uint32_t>(budget, m);
-
+  const uint32_t budget = options.budget;
   WallTimer timer;
+  SolveResult result;
+  result.solver = "base";
   std::vector<bool> anchored(m, false);
-  TrussDecomposition current = seed_decomposition != nullptr
-                                   ? *seed_decomposition
-                                   : ComputeTrussDecomposition(g);
+  TrussDecomposition current = seed;
 
-  while (result.anchors.size() < budget) {
-    if (control != nullptr && control->ShouldStop(timer.ElapsedSeconds())) {
+  while (result.anchor_edges.size() < budget) {
+    if (StopRequested(options, timer.ElapsedSeconds())) {
       result.stopped_early = true;
       break;
     }
@@ -80,11 +76,9 @@ AnchorResult RunBaseGreedy(const Graph& g, uint32_t budget,
     anchored[best.edge] = true;
     current = ComputeTrussDecomposition(g, anchored);
     round.cumulative_seconds = timer.ElapsedSeconds();
-    result.total_gain += best.gain;
-    result.anchors.push_back(best.edge);
-    result.rounds.push_back(std::move(round));
-    if (!NotifyRound(control, budget, result)) break;
+    if (!RecordRound(options, budget, std::move(round), result)) break;
   }
+  FinishGreedyResult(options, timer.ElapsedSeconds(), result);
   return result;
 }
 

@@ -14,15 +14,12 @@
 
 namespace atr {
 
-// Runs BASE with the given budget. Candidate evaluation is parallelized
-// across edges (deterministic reduction). `control` may carry a per-round
-// progress callback, a cancellation flag, and a wall-clock limit.
-// `seed_decomposition`, when non-null, must be the anchor-free
-// decomposition of `g` and replaces the round-1 computation (the api layer
-// passes its cached copy).
-AnchorResult RunBaseGreedy(
-    const Graph& g, uint32_t budget, const GreedyControl* control = nullptr,
-    const TrussDecomposition* seed_decomposition = nullptr);
+// Runs BASE ("base") from `seed`, the anchor-free decomposition of `g`.
+// `options` must pass ValidateSolverOptions (api/solver.h); the cancel
+// flag and wall-clock limit are checked between rounds. Candidate
+// evaluation is parallelized across edges (deterministic reduction).
+SolveResult RunBaseGreedy(const Graph& g, const TrussDecomposition& seed,
+                          const SolverOptions& options);
 
 }  // namespace atr
 

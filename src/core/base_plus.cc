@@ -11,24 +11,22 @@
 
 namespace atr {
 
-AnchorResult RunBasePlus(const Graph& g, const TriangleIndex& triangles,
-                         uint32_t budget, const GreedyControl* control,
-                         const TrussDecomposition* seed_decomposition) {
+SolveResult RunBasePlus(const Graph& g, const TrussDecomposition& seed,
+                        const TriangleIndex& triangles,
+                        const SolverOptions& options) {
   const uint32_t m = g.NumEdges();
-  AnchorResult result;
-  if (m == 0) return result;
-  budget = std::min<uint32_t>(budget, m);
-
+  const uint32_t budget = options.budget;
   WallTimer timer;
+  SolveResult result;
+  result.solver = "base+";
   // The committed (decomposition, anchors) state, updated in place by each
   // commit; the workers' searches read it between commits.
-  IncrementalTruss engine =
-      MakeGreedyEngine(g, triangles, seed_decomposition);
+  IncrementalTruss engine(g, seed, &triangles);
   const TrussDecomposition* current = &engine.decomposition();
   const std::vector<bool>* anchored = &engine.anchored();
 
-  while (result.anchors.size() < budget) {
-    if (control != nullptr && control->ShouldStop(timer.ElapsedSeconds())) {
+  while (result.anchor_edges.size() < budget) {
+    if (StopRequested(options, timer.ElapsedSeconds())) {
       result.stopped_early = true;
       break;
     }
@@ -81,11 +79,9 @@ AnchorResult RunBasePlus(const Graph& g, const TriangleIndex& triangles,
     }
     engine.ClearUndoLog();
     round.cumulative_seconds = timer.ElapsedSeconds();
-    result.total_gain += best.gain;
-    result.anchors.push_back(best.edge);
-    result.rounds.push_back(std::move(round));
-    if (!NotifyRound(control, budget, result)) break;
+    if (!RecordRound(options, budget, std::move(round), result)) break;
   }
+  FinishGreedyResult(options, timer.ElapsedSeconds(), result);
   return result;
 }
 

@@ -15,21 +15,17 @@
 
 namespace atr {
 
-// Runs BASE+ with the given budget. Candidate evaluation is parallelized
-// across edges with one FollowerSearch instance per worker; the searches
-// and the engine's commits all read `triangles`, which must be
-// BuildTriangleIndex(g) (the api layer passes the graph version's cached
-// one). Workers claim candidate blocks dynamically and their bests fold
-// under BetterCandidate's total order (deterministic at every thread
-// count). `control` may carry a per-round
-// progress callback, a cancellation flag, and a wall-clock limit.
-// `seed_decomposition`, when non-null, must be the anchor-free
-// decomposition of `g` and replaces the round-1 computation (the api layer
-// passes its cached copy).
-AnchorResult RunBasePlus(
-    const Graph& g, const TriangleIndex& triangles, uint32_t budget,
-    const GreedyControl* control = nullptr,
-    const TrussDecomposition* seed_decomposition = nullptr);
+// Runs BASE+ ("base+") from `seed`, the anchor-free decomposition of `g`.
+// The searches and the engine's commits all read `triangles`, which must
+// be BuildTriangleIndex(g) (the api layer passes the graph version's
+// cached one). `options` must pass ValidateSolverOptions (api/solver.h);
+// the cancel flag and wall-clock limit are checked between rounds.
+// Candidate evaluation runs one FollowerSearch per worker; workers claim
+// candidate blocks dynamically and their bests fold under
+// BetterCandidate's total order (deterministic at every thread count).
+SolveResult RunBasePlus(const Graph& g, const TrussDecomposition& seed,
+                        const TriangleIndex& triangles,
+                        const SolverOptions& options);
 
 }  // namespace atr
 

@@ -6,6 +6,7 @@
 #include "truss/gain.h"
 #include "util/macros.h"
 #include "util/parallel_for.h"
+#include "util/timer.h"
 
 namespace atr {
 namespace {
@@ -53,16 +54,11 @@ void Enumerate(const Graph& g, const TrussDecomposition& base,
   }
 }
 
-}  // namespace
-
-ExactResult RunExact(const Graph& g, uint32_t budget,
-                     const TrussDecomposition* base_decomposition) {
+// The best `budget`-subset of all C(m, budget).
+BestSet BestSubset(const Graph& g, const TrussDecomposition& base,
+                   uint32_t budget) {
   const uint32_t m = g.NumEdges();
   ATR_CHECK(budget >= 1 && budget <= m);
-  const TrussDecomposition base = base_decomposition != nullptr
-                                      ? *base_decomposition
-                                      : ComputeTrussDecomposition(g);
-
   std::vector<BestSet> partials;
   std::mutex mu;
   // Parallelize over the first subset element; each worker enumerates the
@@ -83,7 +79,36 @@ ExactResult RunExact(const Graph& g, uint32_t budget,
   BestSet best;
   for (const BestSet& p : partials) best.Merge(p);
   ATR_CHECK(!best.anchors.empty());
-  return ExactResult{best.anchors, best.gain, best.evaluated};
+  return best;
+}
+
+}  // namespace
+
+SolveResult RunExact(const Graph& g, const TrussDecomposition& base,
+                     const SolverOptions& options) {
+  WallTimer timer;
+  SolveResult result;
+  result.solver = "exact";
+  const std::vector<uint32_t> checkpoints = EffectiveCheckpoints(options);
+  for (size_t c = 0; c < checkpoints.size(); ++c) {
+    // The first checkpoint always runs unless cancelled.
+    if (StopRequested(options, c == 0 ? 0.0 : timer.ElapsedSeconds())) {
+      result.stopped_early = true;
+      break;
+    }
+    BestSet best = BestSubset(g, base, checkpoints[c]);
+    result.gain_at_checkpoint.push_back(best.gain);
+    result.subsets_evaluated += best.evaluated;
+    result.anchor_edges = std::move(best.anchors);
+    result.total_gain = best.gain;
+    if (!NotifyRound(options, result, static_cast<uint32_t>(c + 1),
+                     options.budget, timer.ElapsedSeconds())) {
+      result.stopped_early = true;
+      break;
+    }
+  }
+  result.seconds = timer.ElapsedSeconds();
+  return result;
 }
 
 }  // namespace atr

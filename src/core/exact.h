@@ -6,28 +6,25 @@
 #ifndef ATR_CORE_EXACT_H_
 #define ATR_CORE_EXACT_H_
 
-#include <cstdint>
-#include <vector>
-
+#include "core/atr_problem.h"
 #include "graph/graph.h"
 #include "truss/decomposition.h"
 
 namespace atr {
 
-struct ExactResult {
-  std::vector<EdgeId> anchors;  // ascending edge ids
-  uint64_t gain = 0;
-  uint64_t subsets_evaluated = 0;
-};
-
-// Evaluates all C(m, budget) anchor sets (parallelized over the first
-// element; deterministic tie-break: max gain, then lexicographically
-// smallest subset). Budget must satisfy 1 <= budget <= m.
-// `base_decomposition`, when non-null, must be the anchor-free
-// decomposition of `g` and replaces the internal computation (the api
-// layer passes its cached copy).
-ExactResult RunExact(const Graph& g, uint32_t budget,
-                     const TrussDecomposition* base_decomposition = nullptr);
+// Runs Exact ("exact") against `base`, the anchor-free decomposition of
+// `g`: one independent exhaustive run per effective checkpoint (a b-subset
+// optimum is not a prefix of a (b+1)-subset optimum), which is exactly the
+// Fig. 5 usage, RunSweep("exact", {1, 2, 3}). The result carries the last
+// finished checkpoint's best set (ascending edge ids) and gain, and the
+// subsets scored over all of them. Each run evaluates all C(m, b) anchor
+// sets, parallelized over the first element, with the deterministic
+// tie-break max gain, then lexicographically smallest subset. `options`
+// must pass ValidateSolverOptions (api/solver.h). The cancel flag and the
+// wall-clock limit are checked between checkpoints only — a checkpoint in
+// flight always completes.
+SolveResult RunExact(const Graph& g, const TrussDecomposition& base,
+                     const SolverOptions& options);
 
 }  // namespace atr
 

@@ -63,15 +63,13 @@
 
 namespace atr {
 
-// Runs GAS with the given budget. `triangles` must be BuildTriangleIndex(g);
-// the solve only reads it. `control` may carry a per-round progress
-// callback, a cancellation flag, and a wall-clock limit.
-// `seed_decomposition`, when non-null, must be the anchor-free
-// decomposition of `g` and replaces the round-1 computation (the api layer
-// passes its cached copy).
-AnchorResult RunGas(const Graph& g, const TriangleIndex& triangles,
-                    uint32_t budget, const GreedyControl* control = nullptr,
-                    const TrussDecomposition* seed_decomposition = nullptr);
+// Runs GAS ("gas") from `seed`, the anchor-free decomposition of `g`.
+// `triangles` must be BuildTriangleIndex(g); the solve only reads it.
+// `options` must pass ValidateSolverOptions (api/solver.h); the cancel
+// flag and wall-clock limit are checked between rounds.
+SolveResult RunGas(const Graph& g, const TrussDecomposition& seed,
+                   const TriangleIndex& triangles,
+                   const SolverOptions& options);
 
 }  // namespace atr
 

@@ -1,13 +1,12 @@
 // Shared round-state plumbing of the greedy family (BASE, BASE+, GAS): the
 // candidate filter, the candidate-sweep cursor, GAS's read-set rule, and
-// the incremental engine that holds a BASE+ or GAS solve's committed
-// state, seeded from an optional cached decomposition.
+// the bookkeeping that turns committed rounds into a SolveResult.
 //
-// BASE+ and GAS commit every anchor through that engine
-// (truss/incremental.h), whose affected-region update is byte-identical to
-// a from-scratch decomposition. BASE recomputes from scratch after each
-// commit: it is the paper's brute-force reference the others are checked
-// against.
+// BASE+ and GAS commit every anchor through an IncrementalTruss seeded
+// from the caller's anchor-free decomposition (truss/incremental.h), whose
+// affected-region update is byte-identical to a from-scratch
+// decomposition. BASE recomputes from scratch after each commit: it is the
+// paper's brute-force reference the others are checked against.
 
 #ifndef ATR_CORE_GREEDY_INTERNAL_H_
 #define ATR_CORE_GREEDY_INTERNAL_H_
@@ -16,8 +15,10 @@
 #include <atomic>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "core/atr_problem.h"
 #include "graph/graph.h"
 #include "graph/triangle_index.h"
 #include "truss/decomposition.h"
@@ -120,16 +121,34 @@ inline bool ReadsCommitWrites(const std::vector<uint8_t>& marks, EdgeId x,
   return false;
 }
 
-// The committed (decomposition, anchors) state of a BASE+ or GAS solve.
-// `seed`, when non-null, must be the anchor-free decomposition of `g`.
-// Every commit walks `triangles`, the solve's BuildTriangleIndex(g), which
-// must outlive the engine: the region seeding and re-peel as well as the
-// follower recount.
-inline IncrementalTruss MakeGreedyEngine(const Graph& g,
-                                         const TriangleIndex& triangles,
-                                         const TrussDecomposition* seed) {
-  return IncrementalTruss(
-      g, seed != nullptr ? *seed : ComputeTrussDecomposition(g), &triangles);
+// Appends a committed round to `result` and reports it to
+// options.progress. Returns false, with stopped_early set, when the
+// callback asks the solve to stop.
+inline bool RecordRound(const SolverOptions& options, uint32_t budget,
+                        AnchorRound round, SolveResult& result) {
+  result.total_gain += round.gain;
+  result.anchor_edges.push_back(round.anchor);
+  result.rounds.push_back(std::move(round));
+  if (NotifyRound(options, result, static_cast<uint32_t>(result.rounds.size()),
+                  budget, result.rounds.back().cumulative_seconds)) {
+    return true;
+  }
+  result.stopped_early = true;
+  return false;
+}
+
+// Fills what a finished walk derives from its rounds: the reuse totals,
+// the prefix gains at the effective checkpoints, and `seconds`.
+inline void FinishGreedyResult(const SolverOptions& options, double seconds,
+                               SolveResult& result) {
+  for (const AnchorRound& round : result.rounds) {
+    result.fully_reusable += round.fully_reusable;
+    result.partially_reusable += round.partially_reusable;
+    result.non_reusable += round.non_reusable;
+  }
+  result.gain_at_checkpoint =
+      PrefixGains(result.rounds, EffectiveCheckpoints(options));
+  result.seconds = seconds;
 }
 
 }  // namespace atr

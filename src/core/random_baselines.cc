@@ -38,6 +38,19 @@ std::vector<EdgeId> TopFractionByScore(const std::vector<uint64_t>& score) {
   return order;
 }
 
+// The registry name of the solver that draws from `kind`'s pool.
+const char* PoolSolverName(RandomPoolKind kind) {
+  switch (kind) {
+    case RandomPoolKind::kAllEdges:
+      return "rand";
+    case RandomPoolKind::kTopSupport:
+      return "sup";
+    case RandomPoolKind::kTopRouteSize:
+      return "tur";
+  }
+  return "";
+}
+
 }  // namespace
 
 uint32_t BaselinePoolCapacity(const Graph& g, RandomPoolKind kind) {
@@ -46,8 +59,9 @@ uint32_t BaselinePoolCapacity(const Graph& g, RandomPoolKind kind) {
   return static_cast<uint32_t>(TopPoolKeepCount(m));
 }
 
-std::vector<EdgeId> BaselinePool(const Graph& g, RandomPoolKind kind,
-                                 const TrussDecomposition* base) {
+std::vector<EdgeId> BaselinePool(const Graph& g,
+                                 const TrussDecomposition& base,
+                                 RandomPoolKind kind) {
   const uint32_t m = g.NumEdges();
   switch (kind) {
     case RandomPoolKind::kAllEdges: {
@@ -61,16 +75,11 @@ std::vector<EdgeId> BaselinePool(const Graph& g, RandomPoolKind kind,
       return TopFractionByScore(score);
     }
     case RandomPoolKind::kTopRouteSize: {
-      TrussDecomposition local;
-      if (base == nullptr) {
-        local = ComputeTrussDecomposition(g);
-        base = &local;
-      }
       std::vector<uint64_t> score(m, 0);
       const TriangleIndex triangles = BuildTriangleIndex(g);
       ParallelFor(m, [&](int64_t begin, int64_t end) {
         FollowerSearch search(g, triangles);
-        search.SetState(base, nullptr);
+        search.SetState(&base, nullptr);
         for (int64_t i = begin; i < end; ++i) {
           score[i] = search.RouteSize(static_cast<EdgeId>(i));
         }
@@ -81,60 +90,18 @@ std::vector<EdgeId> BaselinePool(const Graph& g, RandomPoolKind kind,
   return {};
 }
 
-namespace {
-
-// Input checks shared by both entry points; cheap, so they run before any
-// decomposition work.
-Status ValidateRandomBaselineInputs(
-    uint32_t num_edges, const std::vector<uint32_t>& budget_checkpoints,
-    uint32_t trials) {
-  if (num_edges == 0) {
-    return Status::InvalidArgument("random baseline: graph has no edges");
-  }
-  if (budget_checkpoints.empty()) {
-    return Status::InvalidArgument(
-        "random baseline: budget_checkpoints must be non-empty");
-  }
-  for (size_t i = 1; i < budget_checkpoints.size(); ++i) {
-    if (budget_checkpoints[i] <= budget_checkpoints[i - 1]) {
-      return Status::InvalidArgument(
-          "random baseline: budget_checkpoints must be strictly ascending");
-    }
-  }
-  if (budget_checkpoints.front() < 1 || budget_checkpoints.back() > num_edges) {
-    return Status::InvalidArgument(
-        "random baseline: checkpoints must satisfy 1 <= b <= |E| (|E| = " +
-        std::to_string(num_edges) + ")");
-  }
-  if (trials == 0) {
+StatusOr<SolveResult> RunRandomBaseline(const Graph& g,
+                                        const TrussDecomposition& base,
+                                        RandomPoolKind kind,
+                                        const SolverOptions& options) {
+  if (options.trials == 0) {
     return Status::InvalidArgument("random baseline: trials must be >= 1");
   }
-  return Status::Ok();
-}
-
-}  // namespace
-
-StatusOr<RandomBaselineResult> RunRandomBaseline(
-    const Graph& g, RandomPoolKind kind,
-    const std::vector<uint32_t>& budget_checkpoints, uint32_t trials,
-    uint64_t seed, const GreedyControl* control) {
-  Status status =
-      ValidateRandomBaselineInputs(g.NumEdges(), budget_checkpoints, trials);
-  if (!status.ok()) return status;
-  const TrussDecomposition base = ComputeTrussDecomposition(g);
-  return RunRandomBaseline(g, base, kind, budget_checkpoints, trials, seed,
-                           control);
-}
-
-StatusOr<RandomBaselineResult> RunRandomBaseline(
-    const Graph& g, const TrussDecomposition& base, RandomPoolKind kind,
-    const std::vector<uint32_t>& budget_checkpoints, uint32_t trials,
-    uint64_t seed, const GreedyControl* control) {
-  Status status =
-      ValidateRandomBaselineInputs(g.NumEdges(), budget_checkpoints, trials);
-  if (!status.ok()) return status;
-  const uint32_t budget = budget_checkpoints.back();
-  const std::vector<EdgeId> pool = BaselinePool(g, kind, &base);
+  // `seconds` and the wall-clock limit both count the pool build.
+  WallTimer timer;
+  const std::vector<uint32_t> checkpoints = EffectiveCheckpoints(options);
+  const uint32_t budget = checkpoints.back();
+  const std::vector<EdgeId> pool = BaselinePool(g, base, kind);
   ATR_CHECK(!pool.empty());
   // Sup/Tur draw from the top-20% pool, so their effective budget ceiling
   // is the pool size — reject rather than silently drawing fewer anchors
@@ -154,38 +121,34 @@ StatusOr<RandomBaselineResult> RunRandomBaseline(
   };
   std::vector<TrialBest> partials;
   std::mutex mu;
-  WallTimer timer;
   std::atomic<bool> stopped{false};
   std::atomic<uint32_t> trials_done{0};
 
-  ParallelFor(trials, [&](int64_t begin, int64_t end) {
+  ParallelFor(options.trials, [&](int64_t begin, int64_t end) {
     TrialBest local;
-    local.checkpoint_gain.assign(budget_checkpoints.size(), 0);
+    local.checkpoint_gain.assign(checkpoints.size(), 0);
     for (int64_t trial = begin; trial < end; ++trial) {
-      if (control != nullptr && control->ShouldStop(timer.ElapsedSeconds())) {
+      if (StopRequested(options, timer.ElapsedSeconds())) {
         stopped.store(true, std::memory_order_relaxed);
         break;
       }
       trials_done.fetch_add(1, std::memory_order_relaxed);
       // Independent deterministic stream per trial.
-      Rng rng(seed ^ (0x9e3779b97f4a7c15ULL * (trial + 1)));
-      const uint32_t draw = std::min<uint32_t>(budget, pool.size());
+      Rng rng(options.seed ^ (0x9e3779b97f4a7c15ULL * (trial + 1)));
       std::vector<uint32_t> picks = rng.SampleWithoutReplacement(
-          static_cast<uint32_t>(pool.size()), draw);
+          static_cast<uint32_t>(pool.size()), budget);
       rng.Shuffle(picks);  // checkpoint prefixes must be a random order
       std::vector<EdgeId> anchors;
-      anchors.reserve(draw);
+      anchors.reserve(budget);
       for (uint32_t p : picks) anchors.push_back(pool[p]);
 
       // Evaluate each checkpoint prefix.
-      for (size_t c = 0; c < budget_checkpoints.size(); ++c) {
-        const uint32_t prefix =
-            std::min<uint32_t>(budget_checkpoints[c], draw);
+      for (size_t c = 0; c < checkpoints.size(); ++c) {
         std::vector<EdgeId> subset(anchors.begin(),
-                                   anchors.begin() + prefix);
+                                   anchors.begin() + checkpoints[c]);
         const uint64_t gain = TrussnessGain(g, base, {}, subset);
         local.checkpoint_gain[c] = std::max(local.checkpoint_gain[c], gain);
-        if (c + 1 == budget_checkpoints.size()) {
+        if (c + 1 == checkpoints.size()) {
           const uint32_t t32 = static_cast<uint32_t>(trial);
           if (gain > local.gain || (gain == local.gain && t32 < local.trial)) {
             local.gain = gain;
@@ -199,10 +162,11 @@ StatusOr<RandomBaselineResult> RunRandomBaseline(
     partials.push_back(std::move(local));
   });
 
-  RandomBaselineResult result;
+  SolveResult result;
+  result.solver = PoolSolverName(kind);
   result.trials = trials_done.load(std::memory_order_relaxed);
   result.stopped_early = stopped.load(std::memory_order_relaxed);
-  result.gain_at_checkpoint.assign(budget_checkpoints.size(), 0);
+  result.gain_at_checkpoint.assign(checkpoints.size(), 0);
   uint32_t best_trial = 0xffffffffu;
   for (const TrialBest& p : partials) {
     for (size_t c = 0; c < result.gain_at_checkpoint.size(); ++c) {
@@ -210,13 +174,18 @@ StatusOr<RandomBaselineResult> RunRandomBaseline(
           std::max(result.gain_at_checkpoint[c], p.checkpoint_gain[c]);
     }
     if (p.trial == 0xffffffffu) continue;
-    if (p.gain > result.best_gain ||
-        (p.gain == result.best_gain && p.trial < best_trial)) {
-      result.best_gain = p.gain;
-      result.best_anchors = p.anchors;
+    if (p.gain > result.total_gain ||
+        (p.gain == result.total_gain && p.trial < best_trial)) {
+      result.total_gain = p.gain;
+      result.anchor_edges = p.anchors;
       best_trial = p.trial;
     }
   }
+  result.seconds = timer.ElapsedSeconds();
+  // The run has finished, so the callback's answer changes nothing.
+  NotifyRound(options, result,
+              static_cast<uint32_t>(result.gain_at_checkpoint.size()),
+              options.budget, result.seconds);
   return result;
 }
 

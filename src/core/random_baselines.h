@@ -18,56 +18,36 @@
 
 namespace atr {
 
-struct RandomBaselineResult {
-  uint64_t best_gain = 0;
-  std::vector<EdgeId> best_anchors;
-  // Draws actually performed (== the requested trials unless a
-  // GreedyControl stopped the run early).
-  uint32_t trials = 0;
-  // best_gain at each requested budget checkpoint (ascending budgets), so
-  // one call serves a whole Fig. 6 sweep. Entry i corresponds to
-  // budget_checkpoints[i] anchors (prefixes of each trial's draw).
-  std::vector<uint64_t> gain_at_checkpoint;
-  // True when a GreedyControl stopped the run before all trials finished;
-  // the result then reflects only the trials completed by that point.
-  bool stopped_early = false;
-};
-
 enum class RandomPoolKind {
   kAllEdges,       // Rand
   kTopSupport,     // Sup: top 20% by support
   kTopRouteSize,   // Tur: top 20% by upward-route size
 };
 
-// Runs the baseline. Returns InvalidArgument (instead of aborting) when the
-// graph has no edges, `budget_checkpoints` is empty, not strictly
-// ascending, starts below 1, or ends beyond |E| — or beyond the candidate
-// pool size for the top-20% pools (Sup/Tur) — or `trials` is zero. The
-// final checkpoint is the full budget b. Deterministic in `seed` (trials
-// are independent streams; parallelized with ordered reduction) as long as
-// `control` does not interrupt the run. `control->cancel` and the
-// wall-clock limit are checked between trials on every worker; the
-// per-round progress callback is unused (trials are not rounds).
-StatusOr<RandomBaselineResult> RunRandomBaseline(
-    const Graph& g, RandomPoolKind kind,
-    const std::vector<uint32_t>& budget_checkpoints, uint32_t trials,
-    uint64_t seed, const GreedyControl* control = nullptr);
-
-// As above, but reuses `base` — the anchor-free truss decomposition of `g`
-// — instead of recomputing it (the Tur pool and all gain evaluations need
-// one). This is the entry point the api/ solvers use so an AtrEngine's
-// cached decomposition is shared.
-StatusOr<RandomBaselineResult> RunRandomBaseline(
-    const Graph& g, const TrussDecomposition& base, RandomPoolKind kind,
-    const std::vector<uint32_t>& budget_checkpoints, uint32_t trials,
-    uint64_t seed, const GreedyControl* control = nullptr);
+// Runs the baseline ("rand", "sup" or "tur", after `kind`) against `base`,
+// the anchor-free decomposition of `g`: `options.trials` independent draws
+// of `options.budget` anchors each, reporting the best draw and, per
+// effective checkpoint, the best gain of any draw's prefix, so one call
+// serves a whole Fig. 6 sweep. `options` must pass ValidateSolverOptions
+// (api/solver.h); on top of that this returns InvalidArgument when
+// `trials` is zero or the budget exceeds the candidate pool (the top-20%
+// pools of Sup/Tur). Deterministic in `options.seed` (trials are
+// independent streams; parallelized with ordered reduction) as long as
+// the cancel flag and the wall-clock limit, checked between trials on
+// every worker, do not stop the run; a stopped run reports the trials
+// finished by then. The progress callback gets one completion event,
+// whose return value is ignored.
+StatusOr<SolveResult> RunRandomBaseline(const Graph& g,
+                                        const TrussDecomposition& base,
+                                        RandomPoolKind kind,
+                                        const SolverOptions& options);
 
 // The candidate pool used by `kind` (exposed for tests): all edges, or the
 // top-20% edge ids under the respective score, descending score order.
-// When `base` is non-null it is used for the route-size scores instead of
-// a fresh decomposition.
-std::vector<EdgeId> BaselinePool(const Graph& g, RandomPoolKind kind,
-                                 const TrussDecomposition* base = nullptr);
+// `base`, the anchor-free decomposition of `g`, scores the route sizes.
+std::vector<EdgeId> BaselinePool(const Graph& g,
+                                 const TrussDecomposition& base,
+                                 RandomPoolKind kind);
 
 // Number of candidates in the pool `kind` draws from — |E| for Rand, the
 // top-20% count for Sup/Tur — without computing the pool. This is the

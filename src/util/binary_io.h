@@ -3,10 +3,10 @@
 //
 // ByteWriter appends fixed-width integers, length-prefixed strings, and
 // POD vectors to a growable buffer. ByteReader is the bounds-checked
-// mirror: every Read* reports truncation through its bool return (or a
-// Status helper) instead of reading past the end — both the snapshot/delta
-// readers and the frame decoder are fed attacker-controlled bytes, so
-// nothing here may abort or overflow on malformed input.
+// mirror: every Read* reports truncation through its bool return instead
+// of reading past the end — both the snapshot/delta readers and the frame
+// decoder are fed attacker-controlled bytes, so nothing here may abort or
+// overflow on malformed input.
 //
 // All multi-byte values are little-endian on the wire and on disk,
 // regardless of host endianness.
@@ -19,8 +19,6 @@
 #include <span>
 #include <string>
 #include <vector>
-
-#include "util/status.h"
 
 namespace atr {
 
@@ -140,13 +138,6 @@ class ByteReader {
     out->resize(count);
     for (uint32_t i = 0; i < count; ++i) ReadU64(&(*out)[i]);
     return ok_;
-  }
-
-  // Status adapter for readers that report through util/status.h.
-  Status TruncationStatus(const char* what) const {
-    return ok_ ? Status::Ok()
-               : Status::InvalidArgument(std::string(what) +
-                                         ": truncated or malformed input");
   }
 
  private:

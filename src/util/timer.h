@@ -12,8 +12,6 @@ class WallTimer {
  public:
   WallTimer() : start_(Clock::now()) {}
 
-  void Restart() { start_ = Clock::now(); }
-
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <thread>
 
 #include "api/engine.h"
 #include "api/registry.h"
@@ -47,40 +46,24 @@ TEST(Registry, KnownSolversListsTheBuiltins) {
   }
 }
 
-// Registration and lookup are thread-safe: concurrent Create / KnownSolvers
-// / Register calls from many threads (including first-touch builtin
-// registration) must neither race nor miss solvers. Run under TSan in the
-// nightly leg.
-TEST(Registry, ConcurrentCreateAndRegisterAreSafe) {
-  constexpr int kThreads = 8;
-  constexpr int kIters = 50;
-  std::vector<std::thread> threads;
-  std::atomic<int> failures{0};
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([t, &failures] {
-      const std::string mine = "custom-" + std::to_string(t);
-      SolverRegistry::Register(
-          mine, [](const std::string&) -> StatusOr<std::unique_ptr<Solver>> {
-            return SolverRegistry::Create("gas");
-          });
-      for (int i = 0; i < kIters; ++i) {
-        for (const char* name : {"gas", "base+", "akt:5", "rand"}) {
-          if (!SolverRegistry::Create(name).ok()) failures.fetch_add(1);
-        }
-        if (!SolverRegistry::Create(mine).ok()) failures.fetch_add(1);
-        if (SolverRegistry::Create("missing-" + std::to_string(i)).ok()) {
-          failures.fetch_add(1);
-        }
-        const std::vector<std::string> known = SolverRegistry::KnownSolvers();
-        if (std::find(known.begin(), known.end(), "gas") == known.end()) {
-          failures.fetch_add(1);
-        }
-      }
-    });
+// Every solver stamps its registry name on its result and on each of its
+// progress events.
+TEST(Registry, EveryBuiltinReportsItsName) {
+  const Graph g = MakeFig3Graph();
+  for (const char* name :
+       {"base", "base+", "gas", "exact", "rand", "sup", "tur", "akt:4"}) {
+    SolverOptions options;
+    options.budget = 2;
+    uint32_t events = 0;
+    options.progress = [&](const SolveProgress& progress) {
+      EXPECT_EQ(progress.solver, name);
+      ++events;
+      return true;
+    };
+    const SolveResult result = MustSolve(name, g, options);
+    EXPECT_EQ(result.solver, name);
+    EXPECT_GT(events, 0u) << name;
   }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(failures.load(), 0);
 }
 
 TEST(Registry, UnknownNameIsNotFound) {
@@ -127,6 +110,12 @@ TEST(Options, CheckpointRulesAreEnforced) {
   EXPECT_EQ((*solver)->Solve(g, not_ascending).status().code(),
             StatusCode::kInvalidArgument);
 
+  SolverOptions zero_start;
+  zero_start.budget = 4;
+  zero_start.budget_checkpoints = {0, 2, 4};
+  EXPECT_EQ((*solver)->Solve(g, zero_start).status().code(),
+            StatusCode::kInvalidArgument);
+
   SolverOptions wrong_tail;
   wrong_tail.budget = 4;
   wrong_tail.budget_checkpoints = {1, 3};
@@ -155,8 +144,9 @@ TEST(Api, GasThroughRegistryMatchesDirectCall) {
   SolverOptions options;
   options.budget = 3;
   const SolveResult via_api = MustSolve("gas", g, options);
-  const AnchorResult direct = RunGas(g, BuildTriangleIndex(g), 3);
-  EXPECT_EQ(via_api.anchor_edges, direct.anchors);
+  const SolveResult direct =
+      RunGas(g, ComputeTrussDecomposition(g), BuildTriangleIndex(g), options);
+  EXPECT_EQ(via_api.anchor_edges, direct.anchor_edges);
   EXPECT_EQ(via_api.total_gain, direct.total_gain);
   ASSERT_EQ(via_api.rounds.size(), direct.rounds.size());
   for (size_t i = 0; i < direct.rounds.size(); ++i) {
@@ -223,8 +213,11 @@ TEST(Api, ProgressCallbackCanCancelAfterFirstRound) {
   EXPECT_TRUE(gas.stopped_early);
   EXPECT_EQ(gas.anchor_edges.size(), 1u);
   // The single selected anchor is still the greedy's first choice.
+  SolverOptions one;
+  one.budget = 1;
   EXPECT_EQ(gas.anchor_edges[0],
-            RunGas(g, BuildTriangleIndex(g), 1).anchors[0]);
+            RunGas(g, ComputeTrussDecomposition(g), BuildTriangleIndex(g), one)
+                .anchor_edges[0]);
 }
 
 TEST(Api, CancelFlagStopsBeforeAnyRound) {
@@ -271,7 +264,8 @@ TEST(Engine, TriangleIndexIsBuiltOnceAcrossGreedySolves) {
 
   // The first greedy solve builds it; later ones, a sweep included, reuse
   // it and select what a direct call on a fresh index selects.
-  const AnchorResult direct = RunGas(g, BuildTriangleIndex(g), 3);
+  const SolveResult direct =
+      RunGas(g, ComputeTrussDecomposition(g), BuildTriangleIndex(g), options);
   StatusOr<SolveResult> gas = engine.Run("gas", options);
   ASSERT_TRUE(gas.ok()) << gas.status().message();
   EXPECT_EQ(engine.triangle_index_builds(), 1u);
@@ -281,9 +275,9 @@ TEST(Engine, TriangleIndexIsBuiltOnceAcrossGreedySolves) {
   ASSERT_TRUE(sweep.ok()) << sweep.status().message();
   EXPECT_EQ(engine.triangle_index_builds(), 1u);
   EXPECT_EQ(engine.decomposition_builds(), 1u);
-  EXPECT_EQ(gas->anchor_edges, direct.anchors);
-  EXPECT_EQ(base_plus->anchor_edges, direct.anchors);
-  EXPECT_EQ(sweep->anchor_edges, direct.anchors);
+  EXPECT_EQ(gas->anchor_edges, direct.anchor_edges);
+  EXPECT_EQ(base_plus->anchor_edges, direct.anchor_edges);
+  EXPECT_EQ(sweep->anchor_edges, direct.anchor_edges);
   EXPECT_EQ(gas->total_gain, direct.total_gain);
 }
 

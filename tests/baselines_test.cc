@@ -23,25 +23,38 @@
 namespace atr {
 namespace {
 
+SolverOptions Budget(uint32_t budget) {
+  SolverOptions options;
+  options.budget = budget;
+  return options;
+}
+
+SolveResult DirectGas(const Graph& g, uint32_t budget) {
+  return RunGas(g, ComputeTrussDecomposition(g), BuildTriangleIndex(g),
+                Budget(budget));
+}
+
 TEST(Exact, MatchesGreedyOnFig3ForBudgetOne) {
   // With b = 1 greedy is optimal by definition of the greedy step.
   const Graph g = MakeFig3Graph();
-  const ExactResult exact = RunExact(g, 1);
-  const AnchorResult gas = RunGas(g, BuildTriangleIndex(g), 1);
-  EXPECT_EQ(exact.gain, gas.total_gain);
+  const SolveResult exact =
+      RunExact(g, ComputeTrussDecomposition(g), Budget(1));
+  const SolveResult gas = DirectGas(g, 1);
+  EXPECT_EQ(exact.total_gain, gas.total_gain);
   EXPECT_EQ(exact.subsets_evaluated, g.NumEdges());
 }
 
 TEST(Exact, BudgetTwoDominatesGreedy) {
   const Graph g = MakeFig3Graph();
-  const ExactResult exact = RunExact(g, 2);
-  const AnchorResult gas = RunGas(g, BuildTriangleIndex(g), 2);
-  EXPECT_GE(exact.gain, gas.total_gain);
+  const SolveResult exact =
+      RunExact(g, ComputeTrussDecomposition(g), Budget(2));
+  const SolveResult gas = DirectGas(g, 2);
+  EXPECT_GE(exact.total_gain, gas.total_gain);
   // C(32, 2) subsets.
   EXPECT_EQ(exact.subsets_evaluated, 32u * 31u / 2u);
   // The exact answer itself must be reproducible by re-decomposition.
   const TrussDecomposition base = ComputeTrussDecomposition(g);
-  EXPECT_EQ(exact.gain, TrussnessGain(g, base, {}, exact.anchors));
+  EXPECT_EQ(exact.total_gain, TrussnessGain(g, base, {}, exact.anchor_edges));
 }
 
 // Witness graph for Theorem 2 (non-submodularity), in the spirit of the
@@ -107,10 +120,13 @@ TEST(GainFunction, WitnessJointAnchorLiftsTheSharedEdge) {
 
 TEST(RandomBaselines, PoolsMatchTheirDefinitions) {
   const Graph g = MakeFig3Graph();
-  const std::vector<EdgeId> all = BaselinePool(g, RandomPoolKind::kAllEdges);
+  const TrussDecomposition base = ComputeTrussDecomposition(g);
+  const std::vector<EdgeId> all =
+      BaselinePool(g, base, RandomPoolKind::kAllEdges);
   EXPECT_EQ(all.size(), g.NumEdges());
 
-  const std::vector<EdgeId> sup = BaselinePool(g, RandomPoolKind::kTopSupport);
+  const std::vector<EdgeId> sup =
+      BaselinePool(g, base, RandomPoolKind::kTopSupport);
   EXPECT_EQ(sup.size(), static_cast<size_t>(g.NumEdges() * 0.2));
   const std::vector<uint32_t> support = ComputeSupport(g);
   uint32_t min_in_pool = 0xffffffffu;
@@ -124,70 +140,38 @@ TEST(RandomBaselines, PoolsMatchTheirDefinitions) {
   EXPECT_GE(min_in_pool, excluded_max > 0 ? excluded_max - 1 : 0);
 
   const std::vector<EdgeId> tur =
-      BaselinePool(g, RandomPoolKind::kTopRouteSize);
+      BaselinePool(g, base, RandomPoolKind::kTopRouteSize);
   EXPECT_EQ(tur.size(), static_cast<size_t>(g.NumEdges() * 0.2));
+}
+
+SolveResult DirectRand(const Graph& g, std::vector<uint32_t> checkpoints,
+                       uint32_t trials, uint64_t seed) {
+  SolverOptions options = Budget(checkpoints.back());
+  options.budget_checkpoints = std::move(checkpoints);
+  options.trials = trials;
+  options.seed = seed;
+  StatusOr<SolveResult> result = RunRandomBaseline(
+      g, ComputeTrussDecomposition(g), RandomPoolKind::kAllEdges, options);
+  EXPECT_TRUE(result.ok()) << result.status().message();
+  return *std::move(result);
 }
 
 TEST(RandomBaselines, BestGainIsReproducible) {
   const Graph g = MakeFig3Graph();
-  const RandomBaselineResult r1 =
-      *RunRandomBaseline(g, RandomPoolKind::kAllEdges, {2}, 50, 99);
-  const RandomBaselineResult r2 =
-      *RunRandomBaseline(g, RandomPoolKind::kAllEdges, {2}, 50, 99);
-  EXPECT_EQ(r1.best_gain, r2.best_gain);
-  EXPECT_EQ(r1.best_anchors, r2.best_anchors);
+  const SolveResult r1 = DirectRand(g, {2}, 50, 99);
+  const SolveResult r2 = DirectRand(g, {2}, 50, 99);
+  EXPECT_EQ(r1.total_gain, r2.total_gain);
+  EXPECT_EQ(r1.anchor_edges, r2.anchor_edges);
   // Reported gain matches a re-decomposition of the reported anchors.
   const TrussDecomposition base = ComputeTrussDecomposition(g);
-  EXPECT_EQ(r1.best_gain, TrussnessGain(g, base, {}, r1.best_anchors));
+  EXPECT_EQ(r1.total_gain, TrussnessGain(g, base, {}, r1.anchor_edges));
 }
 
 TEST(RandomBaselines, CheckpointsTrackPrefixes) {
   const Graph g = MakeFig3Graph();
-  const RandomBaselineResult r =
-      *RunRandomBaseline(g, RandomPoolKind::kAllEdges, {1, 2, 3}, 30, 7);
+  const SolveResult r = DirectRand(g, {1, 2, 3}, 30, 7);
   ASSERT_EQ(r.gain_at_checkpoint.size(), 3u);
-  EXPECT_EQ(r.gain_at_checkpoint.back(), r.best_gain);
-}
-
-TEST(RandomBaselines, InvalidInputsAreRejectedWithStatus) {
-  const Graph g = MakeFig3Graph();
-  // Empty checkpoints.
-  EXPECT_EQ(RunRandomBaseline(g, RandomPoolKind::kAllEdges, {}, 10, 1)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  // Not strictly ascending.
-  EXPECT_EQ(RunRandomBaseline(g, RandomPoolKind::kAllEdges, {2, 2}, 10, 1)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  // Budget beyond |E|.
-  EXPECT_EQ(RunRandomBaseline(g, RandomPoolKind::kAllEdges,
-                              {g.NumEdges() + 1}, 10, 1)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  // Zero checkpoint.
-  EXPECT_EQ(RunRandomBaseline(g, RandomPoolKind::kAllEdges, {0, 2}, 10, 1)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  // Zero trials.
-  EXPECT_EQ(RunRandomBaseline(g, RandomPoolKind::kAllEdges, {2}, 0, 1)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(RandomBaselines, PrecomputedDecompositionMatchesFreshOne) {
-  const Graph g = MakeFig3Graph();
-  const TrussDecomposition base = ComputeTrussDecomposition(g);
-  const RandomBaselineResult fresh =
-      *RunRandomBaseline(g, RandomPoolKind::kTopRouteSize, {2}, 25, 3);
-  const RandomBaselineResult reused =
-      *RunRandomBaseline(g, base, RandomPoolKind::kTopRouteSize, {2}, 25, 3);
-  EXPECT_EQ(fresh.best_gain, reused.best_gain);
-  EXPECT_EQ(fresh.best_anchors, reused.best_anchors);
+  EXPECT_EQ(r.gain_at_checkpoint.back(), r.total_gain);
 }
 
 TEST(Akt, FollowersAreHullEdgesInsideAnchoredKTruss) {
@@ -211,9 +195,11 @@ TEST(Akt, NoAnchorsMeansNoFollowers) {
 TEST(Akt, GreedyGainIsMonotoneInRounds) {
   const Graph g = MakePropertyGraph(1);
   const TrussDecomposition d = ComputeTrussDecomposition(g);
-  const AktResult result = RunAkt(g, d, 4, 4);
-  for (size_t i = 1; i < result.gain_after.size(); ++i) {
-    EXPECT_GE(result.gain_after[i], result.gain_after[i - 1]);
+  SolverOptions options = Budget(4);
+  options.budget_checkpoints = {1, 2, 3, 4};
+  const SolveResult result = RunAkt(g, d, 4, options);
+  for (size_t i = 1; i < result.gain_at_checkpoint.size(); ++i) {
+    EXPECT_GE(result.gain_at_checkpoint[i], result.gain_at_checkpoint[i - 1]);
   }
 }
 
@@ -237,8 +223,9 @@ TEST(Akt, LiftsOnlyTheSingleHullLevel) {
   // (k-1)-trussness edges, whatever vertices it anchors.
   const Graph g = MakePropertyGraph(2);
   const TrussDecomposition d = ComputeTrussDecomposition(g);
-  const AktResult result = RunAkt(g, d, 4, 3);
-  const std::vector<EdgeId> followers = AktFollowers(g, d, 4, result.anchors);
+  const SolveResult result = RunAkt(g, d, 4, Budget(3));
+  const std::vector<EdgeId> followers =
+      AktFollowers(g, d, 4, result.anchor_vertices);
   for (EdgeId e : followers) EXPECT_EQ(d.trussness[e], 3u);
   EXPECT_EQ(result.total_gain, followers.size());
 }
@@ -261,7 +248,7 @@ TEST(EdgeDeletion, IsWeakerThanGasOnClusteredGraphs) {
   // The case-study claim: deletion-critical edges are poor anchors.
   const Graph g = MakePropertyGraph(2);
   const EdgeDeletionResult deletion = RunEdgeDeletionBaseline(g, 3);
-  const AnchorResult gas = RunGas(g, BuildTriangleIndex(g), 3);
+  const SolveResult gas = DirectGas(g, 3);
   EXPECT_GE(gas.total_gain, deletion.total_gain);
 }
 

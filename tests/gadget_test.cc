@@ -83,20 +83,26 @@ TEST(MaxCoverageGadget, AnchoringElementOrCliqueEdgesGainsNothing) {
 TEST(MaxCoverageGadget, ExactBudgetOneSolvesMaxCoverage) {
   // Best single set is T2 with 3 elements; the ATR optimum must match.
   const MaxCoverageGadget gadget = MakePaperInstance();
-  const ExactResult exact = RunExact(gadget.graph, 1);
-  EXPECT_EQ(exact.gain, 3u);
-  ASSERT_EQ(exact.anchors.size(), 1u);
-  EXPECT_EQ(exact.anchors[0], gadget.set_edges[1]);
+  SolverOptions options;
+  options.budget = 1;
+  const SolveResult exact = RunExact(
+      gadget.graph, ComputeTrussDecomposition(gadget.graph), options);
+  EXPECT_EQ(exact.total_gain, 3u);
+  ASSERT_EQ(exact.anchor_edges.size(), 1u);
+  EXPECT_EQ(exact.anchor_edges[0], gadget.set_edges[1]);
 }
 
 TEST(MaxCoverageGadget, GreedyBudgetTwoCoversAllElements) {
   // Greedy coverage: T2 (3 elements) then T3 (adds e4) = 4 = optimum.
   const MaxCoverageGadget gadget = MakePaperInstance();
-  const AnchorResult gas =
-      RunGas(gadget.graph, BuildTriangleIndex(gadget.graph), 2);
+  SolverOptions options;
+  options.budget = 2;
+  const SolveResult gas =
+      RunGas(gadget.graph, ComputeTrussDecomposition(gadget.graph),
+             BuildTriangleIndex(gadget.graph), options);
   EXPECT_EQ(gas.total_gain, 4u);
-  EXPECT_EQ(gas.anchors[0], gadget.set_edges[1]);
-  EXPECT_EQ(gas.anchors[1], gadget.set_edges[2]);
+  EXPECT_EQ(gas.anchor_edges[0], gadget.set_edges[1]);
+  EXPECT_EQ(gas.anchor_edges[1], gadget.set_edges[2]);
 }
 
 TEST(MaxCoverageGadget, OverlappingSetsDoNotDoubleCount)  {
