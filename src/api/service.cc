@@ -520,6 +520,22 @@ bool Memoizable(const std::string& solver_name, const SolverOptions& options) {
          options.wall_clock_limit_seconds == 0.0;
 }
 
+// Publishes the job's answer from `memo` when a stored walk reaches its
+// budget, and counts the hit. A hit runs no solver and emits no progress
+// event. An invalid job is never a hit, so it fails with exactly the
+// solver's own error.
+bool AnswerFromMemo(const std::shared_ptr<internal::JobState>& state,
+                    const Graph& graph, const internal::ResultMemo& memo,
+                    std::atomic<uint64_t>& memo_hits) {
+  if (!ValidateSolverOptions(graph, state->options).ok()) return false;
+  std::optional<SolveResult> hit =
+      memo.Find(state->solver_name, state->options);
+  if (!hit.has_value()) return false;
+  memo_hits.fetch_add(1, std::memory_order_relaxed);
+  internal::PublishResult(state, std::move(*hit), JobHandle::State::kDone);
+  return true;
+}
+
 }  // namespace
 
 StatusOr<JobHandle> AtrService::SubmitInternal(const std::string& graph_name,
@@ -548,6 +564,13 @@ StatusOr<JobHandle> AtrService::SubmitInternal(const std::string& graph_name,
   std::shared_ptr<GraphVersion> version = entry->Current();
   state->snapshot = [entry, version] { return SnapshotOf(*entry, *version); };
   if (Memoizable(solver_name, options)) {
+    // A hit is answered here, before queue admission; `done` runs on this
+    // thread.
+    if (AnswerFromMemo(state, *version->graph, version->memo, memo_hits_)) {
+      submit_hits_.fetch_add(1, std::memory_order_relaxed);
+      entry->jobs_submitted.fetch_add(1, std::memory_order_relaxed);
+      return JobHandle(state);
+    }
     state->memo =
         std::shared_ptr<internal::ResultMemo>(version, &version->memo);
   }
@@ -577,9 +600,11 @@ size_t AtrService::QueueLoad() const { return scheduler_.Load(); }
 int AtrService::Workers() const { return scheduler_.workers(); }
 
 AtrService::SchedulerStats AtrService::Stats() const {
-  return SchedulerStats{scheduler_.jobs_executed(),
-                        solver_runs_.load(std::memory_order_relaxed),
-                        memo_hits_.load(std::memory_order_relaxed)};
+  return SchedulerStats{
+      scheduler_.jobs_executed() +
+          submit_hits_.load(std::memory_order_relaxed),
+      solver_runs_.load(std::memory_order_relaxed),
+      memo_hits_.load(std::memory_order_relaxed)};
 }
 
 void AtrService::Drain() { scheduler_.WaitIdle(); }
@@ -596,17 +621,10 @@ void AtrService::RunJob(const std::shared_ptr<internal::JobState>& state) {
   }
 
   const GraphSnapshot snapshot = state->snapshot();
-  // A memo hit runs no solver and emits no progress event. An invalid job
-  // always runs, so it fails with exactly the solver's own error.
+  // The job missed at submit; a walk may have been stored since.
   if (state->memo != nullptr &&
-      ValidateSolverOptions(*snapshot.graph, state->options).ok()) {
-    std::optional<SolveResult> hit =
-        state->memo->Find(state->solver_name, state->options);
-    if (hit.has_value()) {
-      memo_hits_.fetch_add(1, std::memory_order_relaxed);
-      internal::PublishResult(state, std::move(*hit), JobHandle::State::kDone);
-      return;
-    }
+      AnswerFromMemo(state, *snapshot.graph, *state->memo, memo_hits_)) {
+    return;
   }
   solver_runs_.fetch_add(1, std::memory_order_relaxed);
 

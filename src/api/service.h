@@ -18,8 +18,9 @@
 // its anchor-free truss decomposition (std::call_once), every later job —
 // no matter how many run concurrently — forks a cheap per-job SolverContext
 // primed with the same immutable SharedTrussDecomposition snapshot. The
-// full-graph triangle index that BASE+ and GAS walk is held the same way,
-// one per graph version, built by the first job that reads it. Results
+// full-graph triangle index that every edge solver but BASE walks (BASE+,
+// GAS, Exact and the randomized baselines) is held the same way, one per
+// graph version, built by the first job that reads it. Results
 // are byte-identical to a serial AtrEngine::Run because solver results
 // never depend on scheduling or thread count (see docs/API.md, threading
 // and determinism).
@@ -27,7 +28,8 @@
 // Jobs are asynchronous: Submit enqueues onto a bounded FairScheduler
 // (util/scheduler.h) whose workers split the machine's thread budget with
 // the solvers' inner ParallelFor loops, and returns a JobHandle with
-// Wait() / TryGet() / Cancel() and a polled Progress() snapshot.
+// Wait() / TryGet() / Cancel() and a polled Progress() snapshot. A memo
+// hit (below) is the exception: it is answered before Submit returns.
 //
 // Fair-share dispatch: every Submit may carry a SubmitOptions{tenant,
 // priority}, and the one scheduler serves tenants with weighted deficit
@@ -37,10 +39,13 @@
 // greedy solver (base, base+, gas). A greedy job with no caller-owned
 // progress/cancel/wall-clock hook whose budget that walk reaches is
 // answered with the walk's prefix instead of solved, at any thread count;
-// otherwise it runs and its walk is kept if longer. A hit is carved
-// exactly as if the job had run alone (the scheduler differential tests
-// assert byte-identity), but it reports seconds = 0 and emits no progress
-// event. A job that must run carries one of those hooks.
+// otherwise it runs and its walk is kept if longer. Submit checks the
+// memo first: a hit is answered on the submitting thread and never
+// queued, and a job that misses checks again when a worker picks it up.
+// A hit is carved exactly as if the job had run alone (the scheduler
+// differential tests assert byte-identity), but it reports seconds = 0
+// and emits no progress event. A job that must run carries one of those
+// hooks.
 //
 // RemoveGraph only unlists a graph — jobs in flight keep the snapshot
 // alive through their shared_ptr.
@@ -88,8 +93,9 @@ struct GraphSnapshot {
   std::shared_ptr<const Graph> graph;
   SharedTrussDecomposition decomposition;
   // The version's triangle index holder. Taking a snapshot never builds
-  // the index: the first job whose solver reads it does (BASE+ and GAS),
-  // on its worker, and every later job on the version reuses it.
+  // the index: the first job whose solver reads it does (every solver but
+  // base and akt), on its worker, and every later job on the version
+  // reuses it.
   std::shared_ptr<LazyTriangleIndex> triangles;
   // 1 for the AddGraph snapshot, bumped by every successful UpdateGraph.
   uint64_t version = 1;
@@ -267,10 +273,12 @@ class AtrService {
 
   // --- Async jobs ---------------------------------------------------------
 
-  // Enqueues `solver_name` against graph `graph_name`. Unknown graph /
-  // solver names fail synchronously (kNotFound / kInvalidArgument); option
-  // validation errors surface in the JobHandle result. Blocks while the
-  // pending queue is full. `options.cancel` stays under the caller's
+  // Enqueues `solver_name` against graph `graph_name`, or answers it at
+  // once when it is a memo hit (the handle is then Done() on return).
+  // Unknown graph / solver names fail synchronously (kNotFound /
+  // kInvalidArgument); option validation errors surface in the JobHandle
+  // result. Blocks while the pending queue is full, unless the job is a
+  // memo hit. `options.cancel` stays under the caller's
   // control and is additionally observed at progress-event granularity;
   // `options.progress` is invoked from the worker thread.
   StatusOr<JobHandle> Submit(const std::string& graph_name,
@@ -278,11 +286,13 @@ class AtrService {
                              const SolverOptions& options);
 
   // Submit under a fair-share identity (tenant + priority), with an
-  // optional completion hook: `done` is invoked exactly once, from the
-  // worker thread, after the job's result became observable (Wait/TryGet
-  // return it). A job cancelled before running still invokes it. The
-  // networked front end uses this to push Wait responses instead of
-  // blocking a thread per pending job.
+  // optional completion hook: `done` is invoked exactly once, after the
+  // job's result became observable (Wait/TryGet return it) — from the
+  // worker thread, or, for a memo hit, from the submitting thread before
+  // Submit returns (so before the caller has the handle or its id). A job
+  // cancelled before running still invokes it. The networked front end
+  // uses this to push Wait responses instead of blocking a thread per
+  // pending job.
   StatusOr<JobHandle> Submit(const std::string& graph_name,
                              const std::string& solver_name,
                              const SolverOptions& options,
@@ -291,7 +301,8 @@ class AtrService {
 
   // Non-blocking admission-controlled Submit: where Submit would block on
   // a full pending queue, this rejects with kResourceExhausted (the
-  // server layer turns that into a structured retry-after response).
+  // server layer turns that into a structured retry-after response). A
+  // memo hit skips admission and is answered even while the queue is full.
   StatusOr<JobHandle> TrySubmit(const std::string& graph_name,
                                 const std::string& solver_name,
                                 const SolverOptions& options,
@@ -310,9 +321,10 @@ class AtrService {
   size_t QueueLoad() const;
   int Workers() const;
 
-  // Scheduler counters. jobs_executed counts finished jobs,
-  // batches_executed the jobs that ran a solver, and memo_hits the jobs
-  // answered from their version's result memo.
+  // Scheduler counters. jobs_executed counts finished jobs, memo hits
+  // answered at submit included; batches_executed the jobs that ran a
+  // solver; and memo_hits the jobs answered from their version's result
+  // memo, at submit or on a worker.
   struct SchedulerStats {
     uint64_t jobs_executed = 0;
     uint64_t batches_executed = 0;
@@ -355,6 +367,8 @@ class AtrService {
   std::atomic<JobId> next_job_id_{1};
   std::atomic<uint64_t> solver_runs_{0};
   std::atomic<uint64_t> memo_hits_{0};
+  // Memo hits answered at submit: finished jobs the scheduler never saw.
+  std::atomic<uint64_t> submit_hits_{0};
   mutable Mutex listener_mu_;
   std::shared_ptr<const UpdateListener> update_listener_
       ATR_GUARDED_BY(listener_mu_);

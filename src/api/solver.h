@@ -77,9 +77,9 @@ class SolverContext {
   void PrimeDecomposition(TrussDecomposition decomposition);
   void PrimeDecomposition(SharedTrussDecomposition decomposition);
 
-  // Full-graph triangle index of the graph, read by BASE+ and GAS; built
-  // through the context's holder on first call. Without a primed holder
-  // the context makes its own.
+  // Full-graph triangle index of the graph, read by every solver but BASE
+  // and AKT; built through the context's holder on first call. Without a
+  // primed holder the context makes its own.
   const TriangleIndex& Triangles();
 
   // Adopts a shared holder (the service's per-version one); whichever

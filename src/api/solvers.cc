@@ -1,9 +1,9 @@
 // The registry's fixed name table (api/registry.h) and the adapters behind
 // it. An adapter validates the options, installs SolverOptions::threads,
-// and fetches the context's anchor-free decomposition (and, for base+ and
-// gas, its triangle index) before it calls the solver's core entry, which
-// fills the whole SolveResult; `seconds` therefore measures the solve on
-// warm shared state.
+// and fetches the context's anchor-free decomposition (and, for every
+// solver but base and akt, its triangle index) before it calls the
+// solver's core entry, which fills the whole SolveResult; `seconds`
+// therefore measures the solve on warm shared state.
 
 #include <memory>
 #include <string>
@@ -46,7 +46,8 @@ const Builtin kBuiltins[] = {
      }},
     {"exact",
      [](SolverContext& c, const SolverOptions& o) -> StatusOr<SolveResult> {
-       return RunExact(c.graph(), c.Decomposition(), o);
+       const TrussDecomposition& base = c.Decomposition();
+       return RunExact(c.graph(), base, c.Triangles(), o);
      }},
     {"gas",
      [](SolverContext& c, const SolverOptions& o) -> StatusOr<SolveResult> {
@@ -55,17 +56,20 @@ const Builtin kBuiltins[] = {
      }},
     {"rand",
      [](SolverContext& c, const SolverOptions& o) {
-       return RunRandomBaseline(c.graph(), c.Decomposition(),
+       const TrussDecomposition& base = c.Decomposition();
+       return RunRandomBaseline(c.graph(), base, c.Triangles(),
                                 RandomPoolKind::kAllEdges, o);
      }},
     {"sup",
      [](SolverContext& c, const SolverOptions& o) {
-       return RunRandomBaseline(c.graph(), c.Decomposition(),
+       const TrussDecomposition& base = c.Decomposition();
+       return RunRandomBaseline(c.graph(), base, c.Triangles(),
                                 RandomPoolKind::kTopSupport, o);
      }},
     {"tur",
      [](SolverContext& c, const SolverOptions& o) {
-       return RunRandomBaseline(c.graph(), c.Decomposition(),
+       const TrussDecomposition& base = c.Decomposition();
+       return RunRandomBaseline(c.graph(), base, c.Triangles(),
                                 RandomPoolKind::kTopRouteSize, o);
      }},
 };

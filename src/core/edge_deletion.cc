@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "truss/decomposition.h"
-#include "truss/gain.h"
 #include "truss/incremental.h"
 #include "util/macros.h"
 #include "util/parallel_for.h"
@@ -14,11 +12,10 @@ namespace atr {
 EdgeDeletionResult RunEdgeDeletionBaseline(const Graph& g, uint32_t budget) {
   const uint32_t m = g.NumEdges();
   EdgeDeletionResult result;
-  if (m == 0) return result;
+  if (m == 0 || budget == 0) return result;
   budget = std::min<uint32_t>(budget, m);
 
-  const IncrementalTruss engine(g);
-  const TrussDecomposition& base = engine.decomposition();
+  IncrementalTruss engine(g);
 
   // Deletion impact of each edge: the trussness lost by the *other* edges
   // when it is removed. Impacts are independent per candidate, so the
@@ -44,7 +41,10 @@ EdgeDeletionResult RunEdgeDeletionBaseline(const Graph& g, uint32_t budget) {
     return impact[a] != impact[b] ? impact[a] > impact[b] : a < b;
   });
   result.anchors.assign(order.begin(), order.begin() + budget);
-  result.total_gain = TrussnessGain(g, base, {}, result.anchors);
+  const uint32_t whole_set[] = {budget};
+  uint64_t gain[1];
+  engine.ScoreAnchorSet(result.anchors, whole_set, gain);
+  result.total_gain = gain[0];
   return result;
 }
 

@@ -20,8 +20,10 @@ struct EdgeDeletionResult {
   uint64_t total_gain = 0;      // TG of anchoring the selected edges
 };
 
-// Brute-force greedy (one decomposition per candidate per round); intended
-// for the case-study-sized graphs only.
+// Ranks every edge by a speculative RemoveEdge + rollback on the
+// incremental engine, then scores the top `budget` as one anchor set on the
+// same engine (IncrementalTruss::ScoreAnchorSet); intended for the
+// case-study-sized graphs only.
 EdgeDeletionResult RunEdgeDeletionBaseline(const Graph& g, uint32_t budget);
 
 }  // namespace atr

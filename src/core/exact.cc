@@ -2,8 +2,9 @@
 
 #include <mutex>
 
+#include "route/follower_search.h"
 #include "truss/decomposition.h"
-#include "truss/gain.h"
+#include "truss/incremental.h"
 #include "util/macros.h"
 #include "util/parallel_for.h"
 #include "util/timer.h"
@@ -36,44 +37,63 @@ struct BestSet {
   }
 };
 
-// Enumerates all extensions of `prefix` with `remaining` more edges drawn
-// from ids > prefix.back().
-void Enumerate(const Graph& g, const TrussDecomposition& base,
-               std::vector<EdgeId>& prefix, uint32_t remaining,
-               BestSet& best) {
-  if (remaining == 0) {
-    best.Consider(TrussnessGain(g, base, {}, prefix), prefix);
-    return;
+// One worker's depth-first walk over the subsets of its first-element
+// range. `engine` holds the anchors of `prefix` applied on top of `base`,
+// and `search` reads the engine's state.
+struct SubsetWalk {
+  SubsetWalk(const Graph& g, const TrussDecomposition& base,
+             const TriangleIndex& triangles)
+      : base(base), engine(g, base, &triangles), search(g, triangles) {
+    search.SetState(&engine.decomposition(), &engine.anchored());
   }
-  const EdgeId start = prefix.empty() ? 0 : prefix.back() + 1;
-  // Leave room for the rest of the subset.
-  for (EdgeId e = start; e + remaining <= g.NumEdges(); ++e) {
+
+  // Scores every subset that extends `prefix`, whose Definition-4 gain is
+  // `running`, by edge `e` and then `remaining` more edges with larger
+  // ids. Anchoring e adds its follower count and drops its own rise since
+  // `base` from the sum, as IncrementalTruss::ScoreAnchorSet does.
+  void Extend(EdgeId e, uint64_t running, uint32_t remaining) {
+    const uint32_t rise =
+        engine.decomposition().trussness[e] - base.trussness[e];
     prefix.push_back(e);
-    Enumerate(g, base, prefix, remaining - 1, best);
+    if (remaining == 0) {
+      best.Consider(running + search.CountFollowers(e) - rise, prefix);
+    } else {
+      const IncrementalTruss::Checkpoint cp = engine.MarkRollbackPoint();
+      const uint64_t gain = running + engine.ApplyAnchor(e) - rise;
+      const uint32_t m = engine.graph().NumEdges();
+      for (EdgeId next = e + 1; next + remaining <= m; ++next) {
+        Extend(next, gain, remaining - 1);
+      }
+      engine.RollbackTo(cp);
+    }
     prefix.pop_back();
   }
-}
+
+  const TrussDecomposition& base;
+  IncrementalTruss engine;
+  FollowerSearch search;
+  std::vector<EdgeId> prefix;
+  BestSet best;
+};
 
 // The best `budget`-subset of all C(m, budget).
 BestSet BestSubset(const Graph& g, const TrussDecomposition& base,
-                   uint32_t budget) {
+                   const TriangleIndex& triangles, uint32_t budget) {
   const uint32_t m = g.NumEdges();
   ATR_CHECK(budget >= 1 && budget <= m);
   std::vector<BestSet> partials;
   std::mutex mu;
   // Parallelize over the first subset element; each worker enumerates the
-  // completions of its first-element range.
+  // completions of its first-element range, in lexicographic order.
   ParallelFor(m, [&](int64_t begin, int64_t end) {
-    BestSet local;
-    std::vector<EdgeId> prefix;
+    SubsetWalk walk(g, base, triangles);
     for (int64_t i = begin; i < end; ++i) {
       const EdgeId first = static_cast<EdgeId>(i);
       if (first + budget > m) continue;  // not enough ids left to complete
-      prefix.assign(1, first);
-      Enumerate(g, base, prefix, budget - 1, local);
+      walk.Extend(first, 0, budget - 1);
     }
     std::lock_guard<std::mutex> lock(mu);
-    partials.push_back(std::move(local));
+    partials.push_back(std::move(walk.best));
   });
 
   BestSet best;
@@ -85,6 +105,7 @@ BestSet BestSubset(const Graph& g, const TrussDecomposition& base,
 }  // namespace
 
 SolveResult RunExact(const Graph& g, const TrussDecomposition& base,
+                     const TriangleIndex& triangles,
                      const SolverOptions& options) {
   WallTimer timer;
   SolveResult result;
@@ -96,7 +117,7 @@ SolveResult RunExact(const Graph& g, const TrussDecomposition& base,
       result.stopped_early = true;
       break;
     }
-    BestSet best = BestSubset(g, base, checkpoints[c]);
+    BestSet best = BestSubset(g, base, triangles, checkpoints[c]);
     result.gain_at_checkpoint.push_back(best.gain);
     result.subsets_evaluated += best.evaluated;
     result.anchor_edges = std::move(best.anchors);

@@ -6,11 +6,9 @@
 #include <numeric>
 #include <string>
 
-#include "graph/triangle_index.h"
-#include "graph/triangles.h"
 #include "route/follower_search.h"
 #include "truss/decomposition.h"
-#include "truss/gain.h"
+#include "truss/incremental.h"
 #include "util/macros.h"
 #include "util/parallel_for.h"
 #include "util/prng.h"
@@ -61,8 +59,10 @@ uint32_t BaselinePoolCapacity(const Graph& g, RandomPoolKind kind) {
 
 std::vector<EdgeId> BaselinePool(const Graph& g,
                                  const TrussDecomposition& base,
+                                 const TriangleIndex& triangles,
                                  RandomPoolKind kind) {
   const uint32_t m = g.NumEdges();
+  ATR_CHECK(triangles.NumEdges() == m);
   switch (kind) {
     case RandomPoolKind::kAllEdges: {
       std::vector<EdgeId> all(m);
@@ -70,13 +70,15 @@ std::vector<EdgeId> BaselinePool(const Graph& g,
       return all;
     }
     case RandomPoolKind::kTopSupport: {
-      const std::vector<uint32_t> support = ComputeSupport(g);
-      std::vector<uint64_t> score(support.begin(), support.end());
+      // An edge's support is the length of its triangle list.
+      std::vector<uint64_t> score(m);
+      for (EdgeId e = 0; e < m; ++e) {
+        score[e] = triangles.offsets[e + 1] - triangles.offsets[e];
+      }
       return TopFractionByScore(score);
     }
     case RandomPoolKind::kTopRouteSize: {
       std::vector<uint64_t> score(m, 0);
-      const TriangleIndex triangles = BuildTriangleIndex(g);
       ParallelFor(m, [&](int64_t begin, int64_t end) {
         FollowerSearch search(g, triangles);
         search.SetState(&base, nullptr);
@@ -92,6 +94,7 @@ std::vector<EdgeId> BaselinePool(const Graph& g,
 
 StatusOr<SolveResult> RunRandomBaseline(const Graph& g,
                                         const TrussDecomposition& base,
+                                        const TriangleIndex& triangles,
                                         RandomPoolKind kind,
                                         const SolverOptions& options) {
   if (options.trials == 0) {
@@ -101,7 +104,7 @@ StatusOr<SolveResult> RunRandomBaseline(const Graph& g,
   WallTimer timer;
   const std::vector<uint32_t> checkpoints = EffectiveCheckpoints(options);
   const uint32_t budget = checkpoints.back();
-  const std::vector<EdgeId> pool = BaselinePool(g, base, kind);
+  const std::vector<EdgeId> pool = BaselinePool(g, base, triangles, kind);
   ATR_CHECK(!pool.empty());
   // Sup/Tur draw from the top-20% pool, so their effective budget ceiling
   // is the pool size — reject rather than silently drawing fewer anchors
@@ -125,6 +128,8 @@ StatusOr<SolveResult> RunRandomBaseline(const Graph& g,
   std::atomic<uint32_t> trials_done{0};
 
   ParallelFor(options.trials, [&](int64_t begin, int64_t end) {
+    IncrementalTruss engine(g, base, &triangles);
+    std::vector<uint64_t> gains(checkpoints.size());
     TrialBest local;
     local.checkpoint_gain.assign(checkpoints.size(), 0);
     for (int64_t trial = begin; trial < end; ++trial) {
@@ -142,20 +147,17 @@ StatusOr<SolveResult> RunRandomBaseline(const Graph& g,
       anchors.reserve(budget);
       for (uint32_t p : picks) anchors.push_back(pool[p]);
 
-      // Evaluate each checkpoint prefix.
+      // Score every checkpoint prefix; the last one is the whole draw.
+      engine.ScoreAnchorSet(anchors, checkpoints, gains);
       for (size_t c = 0; c < checkpoints.size(); ++c) {
-        std::vector<EdgeId> subset(anchors.begin(),
-                                   anchors.begin() + checkpoints[c]);
-        const uint64_t gain = TrussnessGain(g, base, {}, subset);
-        local.checkpoint_gain[c] = std::max(local.checkpoint_gain[c], gain);
-        if (c + 1 == checkpoints.size()) {
-          const uint32_t t32 = static_cast<uint32_t>(trial);
-          if (gain > local.gain || (gain == local.gain && t32 < local.trial)) {
-            local.gain = gain;
-            local.trial = t32;
-            local.anchors = subset;
-          }
-        }
+        local.checkpoint_gain[c] = std::max(local.checkpoint_gain[c], gains[c]);
+      }
+      const uint64_t gain = gains.back();
+      const uint32_t t32 = static_cast<uint32_t>(trial);
+      if (gain > local.gain || (gain == local.gain && t32 < local.trial)) {
+        local.gain = gain;
+        local.trial = t32;
+        local.anchors = std::move(anchors);
       }
     }
     std::lock_guard<std::mutex> lock(mu);

@@ -3,7 +3,11 @@
 //  * Sup  — b anchors uniform over the top 20% of edges by support;
 //  * Tur  — b anchors uniform over the top 20% by upward-route size.
 // Each runs `trials` independent draws and reports the best trussness gain
-// found (the paper uses 2000 trials and reports the maximum).
+// found (the paper uses 2000 trials and reports the maximum). A draw is
+// scored on a per-worker IncrementalTruss (ScoreAnchorSet), so it costs
+// its anchors' follower searches and localized updates, every checkpoint
+// prefix included, instead of one whole re-decomposition per checkpoint;
+// the re-decomposition of truss/gain.h is the tests' oracle for them.
 
 #ifndef ATR_CORE_RANDOM_BASELINES_H_
 #define ATR_CORE_RANDOM_BASELINES_H_
@@ -13,6 +17,7 @@
 
 #include "core/atr_problem.h"
 #include "graph/graph.h"
+#include "graph/triangle_index.h"
 #include "truss/decomposition.h"
 #include "util/status.h"
 
@@ -25,7 +30,8 @@ enum class RandomPoolKind {
 };
 
 // Runs the baseline ("rand", "sup" or "tur", after `kind`) against `base`,
-// the anchor-free decomposition of `g`: `options.trials` independent draws
+// the anchor-free decomposition of `g`, and `triangles`, its full-graph
+// triangle index (BuildTriangleIndex(g)): `options.trials` independent draws
 // of `options.budget` anchors each, reporting the best draw and, per
 // effective checkpoint, the best gain of any draw's prefix, so one call
 // serves a whole Fig. 6 sweep. `options` must pass ValidateSolverOptions
@@ -39,14 +45,18 @@ enum class RandomPoolKind {
 // whose return value is ignored.
 StatusOr<SolveResult> RunRandomBaseline(const Graph& g,
                                         const TrussDecomposition& base,
+                                        const TriangleIndex& triangles,
                                         RandomPoolKind kind,
                                         const SolverOptions& options);
 
 // The candidate pool used by `kind` (exposed for tests): all edges, or the
 // top-20% edge ids under the respective score, descending score order.
-// `base`, the anchor-free decomposition of `g`, scores the route sizes.
+// `triangles`, the full-graph triangle index of `g`, gives the supports;
+// with `base`, the anchor-free decomposition of `g`, it scores the route
+// sizes.
 std::vector<EdgeId> BaselinePool(const Graph& g,
                                  const TrussDecomposition& base,
+                                 const TriangleIndex& triangles,
                                  RandomPoolKind kind);
 
 // Number of candidates in the pool `kind` draws from — |E| for Rand, the

@@ -8,8 +8,8 @@
 // O(min d · log max d) per edge. The flat peel (truss/flat_peel.h) builds
 // an alive-subset index per decomposition. The full-graph index is built
 // at most once per graph version through a LazyTriangleIndex, and every
-// greedy solve on that version shares it read-only across its workers and
-// its commits.
+// solve that reads it on that version (BASE+, GAS, Exact, Rand/Sup/Tur)
+// shares it read-only across its workers and its commits.
 //
 // Pair orientation and the order within a list are deterministic but
 // differ from ForEachTriangleOfEdge's; every consumer treats the two

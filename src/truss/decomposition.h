@@ -39,7 +39,7 @@ inline constexpr uint32_t kAnchoredTrussness = 0xffffffffu;
 // edge" or fold it into hull/gain arithmetic: a sentinel read where a real
 // trussness was expected means the caller queried an edge it previously
 // removed. Precedes/StrictlyPrecedes DCHECK against such queries, and
-// HullSizes / TrussnessGain / BruteForceFollowers reject or skip them.
+// HullSizes and the gain oracles of truss/gain.h reject or skip them.
 inline constexpr uint32_t kTrussnessNotComputed = 0;
 
 // Decomposition result; indexed by EdgeId.

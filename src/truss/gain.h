@@ -1,7 +1,10 @@
 // Trussness-gain oracle (Definition 4) computed by full anchored truss
 // decomposition. This is the ground truth the fast follower machinery is
-// verified against, and the engine behind the BASE algorithm, the Exact
-// algorithm, and the randomized baselines.
+// verified against, and the engine behind the BASE algorithm (the paper's
+// brute-force reference). Exact and the randomized baselines score their
+// sets on the incremental engine instead
+// (IncrementalTruss::ScoreAnchorSet), which the test suites check against
+// these oracles.
 
 #ifndef ATR_TRUSS_GAIN_H_
 #define ATR_TRUSS_GAIN_H_

@@ -1,6 +1,7 @@
 #include "truss/incremental.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "graph/triangle_index.h"
 #include "graph/triangles.h"
@@ -187,10 +188,14 @@ bool IncrementalTruss::PresentNow(EdgeId z, uint32_t phase,
 void IncrementalTruss::SimulateRegion() {
   ++sim_pass_;
   events_.clear();
+  visited_triangles_.clear();
 
   // Initial supports: triangles whose partners are all present at the very
   // start of the peel, i.e. alive (region edges are alive by construction).
-  // Alive non-anchored out-of-region partners become context events.
+  // Alive non-anchored out-of-region partners become context events, and
+  // each such triangle is recorded for its context edge: these are the
+  // only triangles of a context edge that hold a region edge. A triangle
+  // with two region edges is met from both and recorded once.
   uint32_t max_sup = 0;
   for (const EdgeId e : region_) {
     sim_support_[e] = 0;
@@ -200,12 +205,17 @@ void IncrementalTruss::SimulateRegion() {
         return;
       }
       ++sim_support_[e];
-      for (const EdgeId c : {p, q}) {
-        if (region_epoch_[c] == region_pass_ || anchored_[c]) continue;
-        if (event_epoch_[c] == sim_pass_) continue;
-        event_epoch_[c] = sim_pass_;
-        events_.push_back(
-            ContextEvent{decomp_.trussness[c], decomp_.layer[c], c});
+      for (const auto& [c, other] : {std::pair{p, q}, std::pair{q, p}}) {
+        if (InRegion(c) || anchored_[c]) continue;
+        if (InRegion(other) && other < e) continue;
+        if (event_epoch_[c] != sim_pass_) {
+          event_epoch_[c] = sim_pass_;
+          events_.push_back(
+              ContextEvent{decomp_.trussness[c], decomp_.layer[c], c});
+          sim_support_[c] = 0;
+        }
+        ++sim_support_[c];
+        visited_triangles_.push_back(ContextTriangle{c, e, other});
       }
     });
     max_sup = std::max(max_sup, sim_support_[e]);
@@ -216,6 +226,20 @@ void IncrementalTruss::SimulateRegion() {
               if (a.layer != b.layer) return a.layer < b.layer;
               return a.edge < b.edge;
             });
+  // Group the recorded triangles by event, in event order. Afterwards the
+  // triangles of events_[i] run from where those of events_[i - 1] end up
+  // to the support slot of events_[i].edge.
+  ATR_CHECK(visited_triangles_.size() <= std::numeric_limits<uint32_t>::max());
+  uint32_t filled = 0;
+  for (const ContextEvent& event : events_) {
+    const uint32_t count = sim_support_[event.edge];
+    sim_support_[event.edge] = filled;
+    filled += count;
+  }
+  context_triangles_.resize(filled);
+  for (const ContextTriangle& t : visited_triangles_) {
+    context_triangles_[sim_support_[t.context]++] = t;
+  }
 
   if (buckets_.size() < static_cast<size_t>(max_sup) + 1) {
     buckets_.resize(max_sup + 1);
@@ -223,38 +247,35 @@ void IncrementalTruss::SimulateRegion() {
   for (auto& bucket : buckets_) bucket.clear();
   for (const EdgeId e : region_) buckets_[sim_support_[e]].push_back(e);
 
-  // Removing edge x during round r decrements the support of every partner
-  // in a still-standing triangle; Peel()'s sequential mark-then-scan makes
-  // each lost triangle count exactly once per surviving partner, which
-  // this replays (only region supports are tracked — context edges carry
-  // their removal time instead of a support).
-  auto scan_removal = [&](EdgeId x, uint32_t phase, uint32_t round,
-                          uint32_t threshold) {
-    ForEachTriangle(x, [&](EdgeId p, EdgeId q) {
-      if (!PresentNow(p, phase, round) || !PresentNow(q, phase, round)) {
-        return;
-      }
-      for (const EdgeId z : {p, q}) {
-        if (region_epoch_[z] != region_pass_ ||
-            removed_epoch_[z] == sim_pass_) {
-          continue;
+  // Removing an edge during round r decrements the support of every
+  // partner in a still-standing triangle {removed, p, q}; Peel()'s
+  // sequential mark-then-scan makes each lost triangle count exactly once
+  // per surviving partner, which this replays (only region supports are
+  // tracked — context edges carry their removal time instead of a
+  // support). Which edge of a round decrements first changes no (t, l).
+  auto lose_triangle = [&](EdgeId p, EdgeId q, uint32_t phase, uint32_t round,
+                           uint32_t threshold) {
+    if (!PresentNow(p, phase, round) || !PresentNow(q, phase, round)) {
+      return;
+    }
+    for (const EdgeId z : {p, q}) {
+      if (!InRegion(z) || removed_epoch_[z] == sim_pass_) continue;
+      ATR_DCHECK(sim_support_[z] > 0);
+      const uint32_t s = --sim_support_[z];
+      if (s <= threshold) {
+        if (queued_epoch_[z] != sim_pass_) {
+          queued_epoch_[z] = sim_pass_;
+          next_frontier_.push_back(z);
         }
-        ATR_DCHECK(sim_support_[z] > 0);
-        const uint32_t s = --sim_support_[z];
-        if (s <= threshold) {
-          if (queued_epoch_[z] != sim_pass_) {
-            queued_epoch_[z] = sim_pass_;
-            next_frontier_.push_back(z);
-          }
-        } else {
-          buckets_[s].push_back(z);
-        }
+      } else {
+        buckets_[s].push_back(z);
       }
-    });
+    }
   };
 
   uint32_t unassigned = static_cast<uint32_t>(region_.size());
   size_t ev = 0;
+  uint32_t replayed = 0;  // context triangles of the events consumed so far
   uint32_t k = 2;
   while (unassigned > 0) {
     const uint32_t threshold = k - 2;
@@ -312,13 +333,17 @@ void IncrementalTruss::SimulateRegion() {
         sim_t_[e] = k;
         sim_l_[e] = round;
         --unassigned;
-        scan_removal(e, k, round, threshold);
+        ForEachTriangle(e, [&](EdgeId p, EdgeId q) {
+          lose_triangle(p, q, k, round, threshold);
+        });
       }
       while (ev < ev_end && events_[ev].layer == round) {
-        const EdgeId c = events_[ev].edge;
-        ++ev;
+        const EdgeId c = events_[ev++].edge;
         removed_epoch_[c] = sim_pass_;
-        scan_removal(c, k, round, threshold);
+        for (; replayed < sim_support_[c]; ++replayed) {
+          lose_triangle(context_triangles_[replayed].p,
+                        context_triangles_[replayed].q, k, round, threshold);
+        }
       }
       frontier_.swap(next_frontier_);
       ++round;
@@ -401,6 +426,16 @@ uint32_t IncrementalTruss::RunLocalizedUpdate() {
   return trussness_changes;
 }
 
+FollowerSearch& IncrementalTruss::Search() {
+  if (search_ == nullptr) {
+    search_ = triangles_ != nullptr
+                  ? std::make_unique<FollowerSearch>(*g_, *triangles_)
+                  : std::make_unique<FollowerSearch>(*g_);
+  }
+  search_->SetState(&decomp_, &anchored_);
+  return *search_;
+}
+
 uint32_t IncrementalTruss::ApplyAnchor(EdgeId e,
                                        std::vector<EdgeId>* followers) {
   ATR_CHECK(e < g_->NumEdges());
@@ -408,14 +443,8 @@ uint32_t IncrementalTruss::ApplyAnchor(EdgeId e,
   ATR_CHECK_MSG(!anchored_[e], "ApplyAnchor: edge is already anchored");
   ++stats_.anchors_applied;
 
-  if (search_ == nullptr) {
-    search_ = triangles_ != nullptr
-                  ? std::make_unique<FollowerSearch>(*g_, *triangles_)
-                  : std::make_unique<FollowerSearch>(*g_);
-  }
-  search_->SetState(&decomp_, &anchored_);
   follower_scratch_.clear();
-  const uint32_t gain = search_->CountFollowers(e, &follower_scratch_);
+  const uint32_t gain = Search().CountFollowers(e, &follower_scratch_);
   if (followers != nullptr) *followers = follower_scratch_;
 
   const uint32_t old_t = decomp_.trussness[e];
@@ -470,6 +499,42 @@ uint32_t IncrementalTruss::ApplyAnchor(EdgeId e,
   }
   RecomputeMaxTrussness();
   return gain;
+}
+
+void IncrementalTruss::ScoreAnchorSet(std::span<const EdgeId> anchors,
+                                      std::span<const uint32_t> prefix_lengths,
+                                      std::span<uint64_t> gains) {
+  ATR_CHECK(!prefix_lengths.empty() &&
+            prefix_lengths.size() == gains.size() &&
+            prefix_lengths.back() <= anchors.size());
+  const std::span<const EdgeId> scored =
+      anchors.first(prefix_lengths.back());
+  // An anchor's rise is read against its trussness before the first apply.
+  std::vector<uint32_t> start_trussness;
+  start_trussness.reserve(scored.size());
+  for (const EdgeId x : scored) {
+    ATR_CHECK_MSG(x < g_->NumEdges() && IsAlive(x) && !anchored_[x],
+                  "ScoreAnchorSet: anchor is unknown, removed or anchored");
+    start_trussness.push_back(decomp_.trussness[x]);
+  }
+
+  const Checkpoint start = MarkRollbackPoint();
+  uint64_t running = 0;
+  size_t c = 0;
+  for (size_t i = 0; i < scored.size(); ++i) {
+    const EdgeId x = scored[i];
+    const uint32_t rise = decomp_.trussness[x] - start_trussness[i];
+    const uint32_t followers = i + 1 == scored.size()
+                                   ? Search().CountFollowers(x)
+                                   : ApplyAnchor(x);
+    running = running + followers - rise;
+    for (; c < prefix_lengths.size() && prefix_lengths[c] == i + 1; ++c) {
+      gains[c] = running;
+    }
+  }
+  ATR_CHECK_MSG(c == prefix_lengths.size(),
+                "ScoreAnchorSet: prefix lengths must ascend from 1");
+  RollbackTo(start);
 }
 
 uint32_t IncrementalTruss::InsertEdge(EdgeId e) {

@@ -46,15 +46,22 @@
 //   const uint32_t gain = inc.ApplyAnchor(e);   // trussness gain of e
 //   inc.RollbackTo(cp);                          // state byte-identical
 //
+// ScoreAnchorSet packages that pattern for a whole anchor set: it reports
+// the set's Definition-4 gain (and its prefixes') for the cost of the
+// set's followers, where truss/gain.h's oracle re-decomposes the whole
+// graph. The Exact and randomized baselines score every set they draw
+// this way.
+//
 // Instances are single-threaded; they are copyable so per-worker clones
 // can evaluate candidates in parallel (the edge-deletion baseline's
-// speculative RemoveEdge + rollback).
+// speculative RemoveEdge + rollback, the baselines' set scoring).
 
 #ifndef ATR_TRUSS_INCREMENTAL_H_
 #define ATR_TRUSS_INCREMENTAL_H_
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -89,7 +96,7 @@ class IncrementalTruss {
   // non-null, every triangle walk of every mutation reads it — the region
   // seeding and re-peel as well as ApplyAnchor's follower recount. It must
   // be BuildTriangleIndex(g) (its edge count is checked here) and outlive
-  // the engine and its copies, as a greedy solve's index does. Without
+  // the engine and its copies, as a solve's shared index does. Without
   // one, the walks use ForEachTriangleOfEdge and the first ApplyAnchor
   // builds an index for its recount.
   IncrementalTruss(const Graph& g, TrussDecomposition seed,
@@ -131,6 +138,22 @@ class IncrementalTruss {
   // receives their edge ids (post-anchor trussness minus 1 recovers the
   // pre-anchor value).
   uint32_t ApplyAnchor(EdgeId e, std::vector<EdgeId>* followers = nullptr);
+
+  // Scores anchoring `anchors` in order on top of the current state, then
+  // restores that state. gains[c] receives the Definition-4 gain of the
+  // first prefix_lengths[c] anchors against the current state: what the
+  // re-decomposition oracle of truss/gain.h returns for that prefix when
+  // the current state is its base. Anchoring x adds its follower count
+  // (Lemma 1: each follower rises by exactly 1) and drops x's own rise
+  // since the call from the sum, which covers unanchored edges only; so
+  // one anchor can lower the running gain by 1, while no prefix reads
+  // below 0. The anchors must be distinct, alive and unanchored;
+  // `prefix_lengths` must ascend within [1, anchors.size()], one per slot
+  // of `gains`. Only anchors up to the longest prefix are read, and the
+  // last of them is counted, not applied.
+  void ScoreAnchorSet(std::span<const EdgeId> anchors,
+                      std::span<const uint32_t> prefix_lengths,
+                      std::span<uint64_t> gains);
 
   // Removes `e` (alive, not anchored) from the maintained subgraph and
   // updates the decomposition locally. Returns the total trussness lost by
@@ -213,6 +236,13 @@ class IncrementalTruss {
     uint32_t layer;
     EdgeId edge;
   };
+  // A triangle {context, p, q} that holds a region edge, replayed when the
+  // out-of-region edge `context` is removed.
+  struct ContextTriangle {
+    EdgeId context;
+    EdgeId p;
+    EdgeId q;
+  };
 
   void InitScratch();
   void AdoptSeed(TrussDecomposition seed);
@@ -236,9 +266,14 @@ class IncrementalTruss {
   bool InRegion(EdgeId e) const { return region_epoch_[e] == region_pass_; }
   void AddToRegion(EdgeId e);
 
+  // The engine's follower search, bound to the current state (created on
+  // first use, building its own triangle index unless `triangles_` is set).
+  FollowerSearch& Search();
+
   // Replays the batch peel over the current region; fills sim_t_ / sim_l_
   // for region edges. Out-of-region edges act as context removed at their
-  // stored (t, l).
+  // stored (t, l); a context removal replays only its triangles that hold
+  // a region edge, since no other triangle decrements a tracked support.
   void SimulateRegion();
 
   // Appends out-of-region boundary edges whose peel could be affected by a
@@ -278,9 +313,8 @@ class IncrementalTruss {
   // The caller's index, read by every walk and by the follower recount;
   // null when the engine walks adjacency lists and the recount owns one.
   const TriangleIndex* triangles_ = nullptr;
-  // Created by the first ApplyAnchor (building its own triangle index
-  // unless `triangles_` is set), so engines that only insert and remove
-  // edges never build an index.
+  // Created by Search(), so engines that only insert and remove edges
+  // never build an index.
   std::unique_ptr<FollowerSearch> search_;
 
   // --- re-peel scratch (epoch-stamped; excluded from copies) -------------
@@ -291,10 +325,17 @@ class IncrementalTruss {
   std::vector<uint32_t> removed_epoch_;  // edge removed in current sim pass
   std::vector<uint32_t> queued_epoch_;   // edge queued in current frontier
   std::vector<uint32_t> event_epoch_;    // context event already recorded
+  // Region supports. During a pass a context edge's slot is free: it
+  // counts the edge's recorded triangles, then ends their range in
+  // context_triangles_.
   std::vector<uint32_t> sim_support_;
   std::vector<uint32_t> sim_t_;
   std::vector<uint32_t> sim_l_;
   std::vector<ContextEvent> events_;
+  // Each pass records its context triangles in visit order, then groups
+  // them by event, in event order: count, prefix sum, fill.
+  std::vector<ContextTriangle> visited_triangles_;
+  std::vector<ContextTriangle> context_triangles_;
   std::vector<std::vector<EdgeId>> buckets_;
   std::vector<EdgeId> frontier_;
   std::vector<EdgeId> next_frontier_;

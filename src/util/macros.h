@@ -7,8 +7,8 @@
 //
 // ATR_CHECK is active in every build type: truss/anchor algorithms are
 // intricate enough that silent invariant corruption is far more expensive
-// than the branch. ATR_DCHECK compiles away outside debug builds and guards
-// the hot inner loops.
+// than the branch. ATR_DCHECK guards the hot inner loops and is not
+// evaluated outside debug builds.
 
 #ifndef ATR_UTIL_MACROS_H_
 #define ATR_UTIL_MACROS_H_
@@ -35,8 +35,11 @@
   } while (false)
 
 #ifdef NDEBUG
-#define ATR_DCHECK(condition) \
-  do {                        \
+// The condition stays compiled (type-checked, and its operands count as
+// used) but is never evaluated.
+#define ATR_DCHECK(condition)   \
+  do {                          \
+    (void)sizeof(condition);    \
   } while (false)
 #else
 #define ATR_DCHECK(condition) ATR_CHECK(condition)

@@ -11,7 +11,9 @@
 #include "api/engine.h"
 #include "api/registry.h"
 #include "api/solver.h"
+#include "core/exact.h"
 #include "core/gas.h"
+#include "core/random_baselines.h"
 #include "tests/paper_fixtures.h"
 #include "tests/test_helpers.h"
 #include "truss/gain.h"
@@ -253,19 +255,33 @@ TEST(Engine, DecompositionIsComputedOnceAcrossSolvers) {
 
 TEST(Engine, TriangleIndexIsBuiltOnceAcrossGreedySolves) {
   const Graph g = MakeFig3Graph();
+  const TrussDecomposition base = ComputeTrussDecomposition(g);
+  const TriangleIndex triangles = BuildTriangleIndex(g);
   AtrEngine engine(MakeFig3Graph());
   SolverOptions options;
   options.budget = 3;
-  // Solvers that walk no index leave it unbuilt.
-  ASSERT_TRUE(engine.Run("rand", options).ok());
+  // AKT walks no index and leaves it unbuilt.
   ASSERT_TRUE(engine.Run("akt:3", options).ok());
-  ASSERT_TRUE(engine.Run("exact", options).ok());
   EXPECT_EQ(engine.triangle_index_builds(), 0u);
 
-  // The first greedy solve builds it; later ones, a sweep included, reuse
-  // it and select what a direct call on a fresh index selects.
-  const SolveResult direct =
-      RunGas(g, ComputeTrussDecomposition(g), BuildTriangleIndex(g), options);
+  // The first solve that walks it builds it, here rand's set scorer; exact
+  // and the greedy solves, a sweep included, reuse it, and each selects
+  // what a direct call on a fresh index selects.
+  StatusOr<SolveResult> rand = engine.Run("rand", options);
+  ASSERT_TRUE(rand.ok()) << rand.status().message();
+  EXPECT_EQ(engine.triangle_index_builds(), 1u);
+  StatusOr<SolveResult> exact = engine.Run("exact", options);
+  ASSERT_TRUE(exact.ok()) << exact.status().message();
+  StatusOr<SolveResult> direct_rand = RunRandomBaseline(
+      g, base, triangles, RandomPoolKind::kAllEdges, options);
+  ASSERT_TRUE(direct_rand.ok()) << direct_rand.status().message();
+  EXPECT_EQ(rand->anchor_edges, direct_rand->anchor_edges);
+  EXPECT_EQ(rand->total_gain, direct_rand->total_gain);
+  const SolveResult direct_exact = RunExact(g, base, triangles, options);
+  EXPECT_EQ(exact->anchor_edges, direct_exact.anchor_edges);
+  EXPECT_EQ(exact->total_gain, direct_exact.total_gain);
+
+  const SolveResult direct = RunGas(g, base, triangles, options);
   StatusOr<SolveResult> gas = engine.Run("gas", options);
   ASSERT_TRUE(gas.ok()) << gas.status().message();
   EXPECT_EQ(engine.triangle_index_builds(), 1u);

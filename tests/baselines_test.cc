@@ -1,17 +1,25 @@
 // Tests for Exact, the randomized baselines (Rand/Sup/Tur), the AKT
-// vertex-anchoring baseline, the edge-deletion baseline, and the
+// vertex-anchoring baseline, the edge-deletion baseline, the incremental
+// set scorer they share (IncrementalTruss::ScoreAnchorSet), and the
 // non-submodularity of the gain function (Theorem 2).
+//
+// Stress knobs (the CI nightly job turns these up):
+//   ATR_STRESS_ITERS — multiplies the number of scored sets (default 1)
+//   ATR_STRESS_SEED  — offsets the set streams (default 0)
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
 
+#include "api/registry.h"
 #include "core/akt.h"
 #include "core/edge_deletion.h"
 #include "core/exact.h"
 #include "core/gas.h"
 #include "core/random_baselines.h"
+#include "graph/generators/social_profiles.h"
+#include "graph/subgraph.h"
 #include "graph/triangles.h"
 #include "route/follower_search.h"
 #include "tests/paper_fixtures.h"
@@ -19,9 +27,21 @@
 #include "truss/decomposition.h"
 #include "truss/gain.h"
 #include "truss/incremental.h"
+#include "util/env.h"
+#include "util/prng.h"
 
 namespace atr {
 namespace {
+
+uint64_t StressIters() {
+  return static_cast<uint64_t>(
+      std::max<int64_t>(1, GetEnvInt64("ATR_STRESS_ITERS", 1)));
+}
+
+uint64_t StressSeed() {
+  return static_cast<uint64_t>(
+      std::max<int64_t>(0, GetEnvInt64("ATR_STRESS_SEED", 0)));
+}
 
 SolverOptions Budget(uint32_t budget) {
   SolverOptions options;
@@ -37,8 +57,8 @@ SolveResult DirectGas(const Graph& g, uint32_t budget) {
 TEST(Exact, MatchesGreedyOnFig3ForBudgetOne) {
   // With b = 1 greedy is optimal by definition of the greedy step.
   const Graph g = MakeFig3Graph();
-  const SolveResult exact =
-      RunExact(g, ComputeTrussDecomposition(g), Budget(1));
+  const SolveResult exact = RunExact(g, ComputeTrussDecomposition(g),
+                                     BuildTriangleIndex(g), Budget(1));
   const SolveResult gas = DirectGas(g, 1);
   EXPECT_EQ(exact.total_gain, gas.total_gain);
   EXPECT_EQ(exact.subsets_evaluated, g.NumEdges());
@@ -46,8 +66,8 @@ TEST(Exact, MatchesGreedyOnFig3ForBudgetOne) {
 
 TEST(Exact, BudgetTwoDominatesGreedy) {
   const Graph g = MakeFig3Graph();
-  const SolveResult exact =
-      RunExact(g, ComputeTrussDecomposition(g), Budget(2));
+  const SolveResult exact = RunExact(g, ComputeTrussDecomposition(g),
+                                     BuildTriangleIndex(g), Budget(2));
   const SolveResult gas = DirectGas(g, 2);
   EXPECT_GE(exact.total_gain, gas.total_gain);
   // C(32, 2) subsets.
@@ -121,12 +141,13 @@ TEST(GainFunction, WitnessJointAnchorLiftsTheSharedEdge) {
 TEST(RandomBaselines, PoolsMatchTheirDefinitions) {
   const Graph g = MakeFig3Graph();
   const TrussDecomposition base = ComputeTrussDecomposition(g);
+  const TriangleIndex triangles = BuildTriangleIndex(g);
   const std::vector<EdgeId> all =
-      BaselinePool(g, base, RandomPoolKind::kAllEdges);
+      BaselinePool(g, base, triangles, RandomPoolKind::kAllEdges);
   EXPECT_EQ(all.size(), g.NumEdges());
 
   const std::vector<EdgeId> sup =
-      BaselinePool(g, base, RandomPoolKind::kTopSupport);
+      BaselinePool(g, base, triangles, RandomPoolKind::kTopSupport);
   EXPECT_EQ(sup.size(), static_cast<size_t>(g.NumEdges() * 0.2));
   const std::vector<uint32_t> support = ComputeSupport(g);
   uint32_t min_in_pool = 0xffffffffu;
@@ -140,7 +161,7 @@ TEST(RandomBaselines, PoolsMatchTheirDefinitions) {
   EXPECT_GE(min_in_pool, excluded_max > 0 ? excluded_max - 1 : 0);
 
   const std::vector<EdgeId> tur =
-      BaselinePool(g, base, RandomPoolKind::kTopRouteSize);
+      BaselinePool(g, base, triangles, RandomPoolKind::kTopRouteSize);
   EXPECT_EQ(tur.size(), static_cast<size_t>(g.NumEdges() * 0.2));
 }
 
@@ -150,8 +171,9 @@ SolveResult DirectRand(const Graph& g, std::vector<uint32_t> checkpoints,
   options.budget_checkpoints = std::move(checkpoints);
   options.trials = trials;
   options.seed = seed;
-  StatusOr<SolveResult> result = RunRandomBaseline(
-      g, ComputeTrussDecomposition(g), RandomPoolKind::kAllEdges, options);
+  StatusOr<SolveResult> result =
+      RunRandomBaseline(g, ComputeTrussDecomposition(g), BuildTriangleIndex(g),
+                        RandomPoolKind::kAllEdges, options);
   EXPECT_TRUE(result.ok()) << result.status().message();
   return *std::move(result);
 }
@@ -172,6 +194,237 @@ TEST(RandomBaselines, CheckpointsTrackPrefixes) {
   const SolveResult r = DirectRand(g, {1, 2, 3}, 30, 7);
   ASSERT_EQ(r.gain_at_checkpoint.size(), 3u);
   EXPECT_EQ(r.gain_at_checkpoint.back(), r.total_gain);
+}
+
+// --- The incremental set scorer -------------------------------------------
+
+struct NamedGraph {
+  std::string name;
+  Graph graph;
+};
+
+// The paper's running example, a serve_mixed-sized Holme–Kim graph, and an
+// Exact-sized ego-ball extract of the facebook stand-in. The extract grows
+// from the lowest-degree vertex: those around its hubs are near-cliques in
+// which no single anchor has a follower.
+std::vector<NamedGraph> ScorerGraphs() {
+  std::vector<NamedGraph> graphs;
+  graphs.push_back({"fig3", MakeFig3Graph()});
+  graphs.push_back({"holme-kim", HolmeKimGraph(1000, 5, 0.5, 131)});
+  const Graph facebook = MakeSocialProfile("facebook", 0.05, 0);
+  VertexId seed = 0;
+  for (VertexId v = 1; v < facebook.NumVertices(); ++v) {
+    if (facebook.Degree(v) < facebook.Degree(seed)) seed = v;
+  }
+  graphs.push_back(
+      {"facebook extract", ExtractEgoBall(facebook, seed, 150, 250)});
+  return graphs;
+}
+
+TEST(SetScorer, PrefixGainsMatchTheRedecompositionOracle) {
+  // Random anchor sequences from the Rand and Sup pools, b up to 30, with
+  // random checkpoints. Every checkpoint gain must equal TrussnessGain of
+  // that prefix, and the scorer must leave the engine as it found it.
+  uint64_t risen_sets = 0;
+  for (const NamedGraph& named : ScorerGraphs()) {
+    const Graph& g = named.graph;
+    const TrussDecomposition base = ComputeTrussDecomposition(g);
+    const TriangleIndex triangles = BuildTriangleIndex(g);
+    IncrementalTruss engine(g, base, &triangles);
+    const std::vector<EdgeId> pools[] = {
+        BaselinePool(g, base, triangles, RandomPoolKind::kAllEdges),
+        BaselinePool(g, base, triangles, RandomPoolKind::kTopSupport)};
+    // Edges with at least one follower: where a chain of risen anchors can
+    // start.
+    std::vector<EdgeId> lifting;
+    FollowerSearch search(g, triangles);
+    search.SetState(&base, nullptr);
+    for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+      if (search.CountFollowers(e) > 0) lifting.push_back(e);
+    }
+    ASSERT_FALSE(lifting.empty()) << named.name;
+    Rng rng(StressSeed() * 1000003ULL + g.NumEdges());
+    const uint64_t sets = 16 * StressIters();
+    for (uint64_t set = 0; set < sets; ++set) {
+      const std::vector<EdgeId>& pool = pools[set % 2];
+      const uint32_t cap = std::min<uint32_t>(
+          30, static_cast<uint32_t>(pool.size()));
+      const uint32_t b = 1 + static_cast<uint32_t>(rng.NextBounded(cap));
+      std::vector<uint32_t> picks =
+          rng.SampleWithoutReplacement(static_cast<uint32_t>(pool.size()), b);
+      rng.Shuffle(picks);
+      std::vector<EdgeId> anchors;
+      for (const uint32_t p : picks) anchors.push_back(pool[p]);
+      // Replay the set. Every other set is a chain: it starts at an edge
+      // with followers, and each anchor that has followers is followed by
+      // one of them, which has risen by the time it is anchored.
+      const bool chain = set % 2 == 1;
+      auto place = [&anchors](size_t i, EdgeId e) {
+        const auto at = std::find(anchors.begin() + i, anchors.end(), e);
+        if (at != anchors.end()) {
+          std::iter_swap(anchors.begin() + i, at);
+        } else {
+          anchors[i] = e;
+        }
+      };
+      if (chain) place(0, lifting[rng.NextBounded(lifting.size())]);
+      IncrementalTruss replay(engine);
+      std::vector<EdgeId> followers;
+      bool risen = false;
+      for (uint32_t i = 0; i < b; ++i) {
+        risen = risen || replay.decomposition().trussness[anchors[i]] !=
+                             base.trussness[anchors[i]];
+        replay.ApplyAnchor(anchors[i], &followers);
+        if (chain && i + 1 < b && !followers.empty()) {
+          place(i + 1, followers[rng.NextBounded(followers.size())]);
+        }
+      }
+      risen_sets += risen ? 1 : 0;
+      // Checkpoints: a random ascending subset of [1, b], never empty, and
+      // sometimes short of b.
+      std::vector<uint32_t> checkpoints;
+      for (uint32_t c = 1; c <= b; ++c) {
+        if (c == b ? set % 3 != 0 || checkpoints.empty()
+                   : rng.NextBounded(3) == 0) {
+          checkpoints.push_back(c);
+        }
+      }
+      std::vector<uint64_t> gains(checkpoints.size());
+      engine.ScoreAnchorSet(anchors, checkpoints, gains);
+
+      const std::string label = named.name + " set " + std::to_string(set);
+      for (size_t c = 0; c < checkpoints.size(); ++c) {
+        const std::vector<EdgeId> prefix(anchors.begin(),
+                                         anchors.begin() + checkpoints[c]);
+        ASSERT_EQ(gains[c], TrussnessGain(g, base, {}, prefix))
+            << label << " prefix " << checkpoints[c];
+      }
+      ASSERT_EQ(engine.decomposition().trussness, base.trussness) << label;
+      ASSERT_EQ(engine.decomposition().layer, base.layer) << label;
+      ASSERT_EQ(engine.anchored(), std::vector<bool>(g.NumEdges(), false));
+    }
+  }
+  // Sets where an earlier anchor raises a later one; without them,
+  // dropping the rise term would go unnoticed.
+  EXPECT_GT(risen_sets, 0u);
+}
+
+// The trial streams of RunRandomBaseline, each draw scored by
+// re-decomposition: what every draw cost before the incremental scorer.
+SolveResult OracleRandomBaseline(const Graph& g, RandomPoolKind kind,
+                                 const SolverOptions& options) {
+  const TrussDecomposition base = ComputeTrussDecomposition(g);
+  const std::vector<EdgeId> pool =
+      BaselinePool(g, base, BuildTriangleIndex(g), kind);
+  const std::vector<uint32_t> checkpoints = EffectiveCheckpoints(options);
+  SolveResult result;
+  result.trials = options.trials;
+  result.gain_at_checkpoint.assign(checkpoints.size(), 0);
+  bool have_best = false;
+  for (uint32_t trial = 0; trial < options.trials; ++trial) {
+    Rng rng(options.seed ^ (0x9e3779b97f4a7c15ULL * (trial + 1)));
+    std::vector<uint32_t> picks = rng.SampleWithoutReplacement(
+        static_cast<uint32_t>(pool.size()), options.budget);
+    rng.Shuffle(picks);
+    std::vector<EdgeId> anchors;
+    for (const uint32_t p : picks) anchors.push_back(pool[p]);
+    for (size_t c = 0; c < checkpoints.size(); ++c) {
+      const uint64_t gain = TrussnessGain(
+          g, base, {},
+          std::vector<EdgeId>(anchors.begin(),
+                              anchors.begin() + checkpoints[c]));
+      result.gain_at_checkpoint[c] =
+          std::max(result.gain_at_checkpoint[c], gain);
+      if (c + 1 == checkpoints.size() &&
+          (!have_best || gain > result.total_gain)) {
+        have_best = true;
+        result.total_gain = gain;
+        result.anchor_edges = anchors;
+      }
+    }
+  }
+  return result;
+}
+
+// Exact by re-decomposing every subset, one checkpoint after another.
+SolveResult OracleExact(const Graph& g, const SolverOptions& options) {
+  const TrussDecomposition base = ComputeTrussDecomposition(g);
+  const uint32_t m = g.NumEdges();
+  SolveResult result;
+  for (const uint32_t budget : EffectiveCheckpoints(options)) {
+    // Lexicographic enumeration; the first best subset wins ties.
+    std::vector<EdgeId> subset(budget);
+    std::iota(subset.begin(), subset.end(), 0u);
+    bool have_best = false;
+    for (;;) {
+      const uint64_t gain = TrussnessGain(g, base, {}, subset);
+      ++result.subsets_evaluated;
+      if (!have_best || gain > result.total_gain) {
+        have_best = true;
+        result.total_gain = gain;
+        result.anchor_edges = subset;
+      }
+      int i = static_cast<int>(budget) - 1;
+      while (i >= 0 && subset[i] == m - budget + i) --i;
+      if (i < 0) break;
+      ++subset[i];
+      for (uint32_t j = i + 1; j < budget; ++j) subset[j] = subset[j - 1] + 1;
+    }
+    result.gain_at_checkpoint.push_back(result.total_gain);
+  }
+  return result;
+}
+
+TEST(SetScorer, RegistrySolversMatchTheRedecompositionReference) {
+  const std::vector<NamedGraph> graphs = [] {
+    std::vector<NamedGraph> out;
+    out.push_back({"fig3", MakeFig3Graph()});
+    for (const uint64_t seed : {1ull, 2ull, 4ull}) {
+      out.push_back({"property " + std::to_string(seed),
+                     MakePropertyGraph(seed)});
+    }
+    return out;
+  }();
+  const std::pair<const char*, RandomPoolKind> randomized[] = {
+      {"rand", RandomPoolKind::kAllEdges},
+      {"sup", RandomPoolKind::kTopSupport},
+      {"tur", RandomPoolKind::kTopRouteSize}};
+  for (const NamedGraph& named : graphs) {
+    const Graph& g = named.graph;
+    SolverOptions swept;
+    swept.budget = 6;
+    swept.budget_checkpoints = {1, 3, 6};
+    swept.trials = 24;
+    swept.seed = 17;
+    SolverOptions exact;
+    exact.budget = 2;
+    exact.budget_checkpoints = {1, 2};
+    std::vector<std::pair<std::string, SolveResult>> references;
+    for (const auto& [name, kind] : randomized) {
+      references.emplace_back(name, OracleRandomBaseline(g, kind, swept));
+    }
+    references.emplace_back("exact", OracleExact(g, exact));
+
+    for (const int threads : {1, 8}) {
+      for (const auto& [name, reference] : references) {
+        SolverOptions options = name == "exact" ? exact : swept;
+        options.threads = threads;
+        StatusOr<std::unique_ptr<Solver>> solver = SolverRegistry::Create(name);
+        ASSERT_TRUE(solver.ok()) << name;
+        StatusOr<SolveResult> result = (*solver)->Solve(g, options);
+        ASSERT_TRUE(result.ok()) << result.status().message();
+        const std::string label = named.name + " " + name + " at " +
+                                  std::to_string(threads) + " threads";
+        EXPECT_EQ(result->anchor_edges, reference.anchor_edges) << label;
+        EXPECT_EQ(result->total_gain, reference.total_gain) << label;
+        EXPECT_EQ(result->gain_at_checkpoint, reference.gain_at_checkpoint)
+            << label;
+        EXPECT_EQ(result->trials, reference.trials) << label;
+        EXPECT_EQ(result->subsets_evaluated, reference.subsets_evaluated)
+            << label;
+      }
+    }
+  }
 }
 
 TEST(Akt, FollowersAreHullEdgesInsideAnchoredKTruss) {

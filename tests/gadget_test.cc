@@ -85,8 +85,9 @@ TEST(MaxCoverageGadget, ExactBudgetOneSolvesMaxCoverage) {
   const MaxCoverageGadget gadget = MakePaperInstance();
   SolverOptions options;
   options.budget = 1;
-  const SolveResult exact = RunExact(
-      gadget.graph, ComputeTrussDecomposition(gadget.graph), options);
+  const SolveResult exact =
+      RunExact(gadget.graph, ComputeTrussDecomposition(gadget.graph),
+               BuildTriangleIndex(gadget.graph), options);
   EXPECT_EQ(exact.total_gain, 3u);
   ASSERT_EQ(exact.anchor_edges.size(), 1u);
   EXPECT_EQ(exact.anchor_edges[0], gadget.set_edges[1]);

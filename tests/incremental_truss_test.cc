@@ -16,11 +16,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "graph/generators/generators.h"
+#include "graph/generators/social_profiles.h"
 #include "graph/graph.h"
 #include "graph/triangle_index.h"
+#include "graph/triangles.h"
 #include "tests/paper_fixtures.h"
 #include "truss/decomposition.h"
 #include "truss/gain.h"
@@ -166,6 +169,33 @@ TEST(IncrementalDifferential, RandomizedInterleavedOpsMatchOracle) {
     for (const bool use_index : {false, true}) {
       ASSERT_NO_FATAL_FAILURE(RunEpisode(base + i, use_index))
           << "episode " << i << (use_index ? " (index)" : "");
+    }
+  }
+}
+
+TEST(IncrementalDifferential, TopSupportAnchorsOnHubHeavyStandIns) {
+  // Anchoring the highest-support edges of a hub-heavy stand-in grows
+  // regions whose context edges hold many triangles, among them triangles
+  // with two region edges, which a context removal must replay once.
+  for (const char* name : {"facebook", "google"}) {
+    const Graph g = MakeSocialProfile(name, 0.05, 0);
+    const TrussDecomposition base = ComputeTrussDecomposition(g);
+    const TriangleIndex triangles = BuildTriangleIndex(g);
+    const std::vector<uint32_t> support = ComputeSupport(g);
+    std::vector<EdgeId> order(g.NumEdges());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
+      return support[a] != support[b] ? support[a] > support[b] : a < b;
+    });
+    for (const bool use_index : {false, true}) {
+      IncrementalTruss inc = use_index ? IncrementalTruss(g, base, &triangles)
+                                       : IncrementalTruss(g, base);
+      for (int step = 0; step < 10; ++step) {
+        inc.ApplyAnchor(order[step]);
+        ASSERT_NO_FATAL_FAILURE(ExpectByteIdentical(inc, 0, step))
+            << name << (use_index ? " (index)" : "");
+      }
+      EXPECT_EQ(inc.stats().follower_mismatches, 0u) << name;
     }
   }
 }

@@ -656,21 +656,27 @@ TEST(ServiceStreaming, FirstGreedyJobsOnAVersionShareOneTriangleIndex) {
   StatusOr<GraphSnapshot> current = service.Snapshot("g");
   ASSERT_TRUE(current.ok());
   EXPECT_EQ(current->triangles, v2->triangles);
-  SolverOptions rand;
-  rand.budget = 2;
-  rand.trials = 10;
-  StatusOr<JobHandle> rand_job = service.Submit("g", "rand", rand);
-  ASSERT_TRUE(rand_job.ok());
-  ASSERT_TRUE(rand_job->Wait().ok());
+  SolverOptions akt;
+  akt.budget = 2;
+  StatusOr<JobHandle> akt_job = service.Submit("g", "akt:3", akt);
+  ASSERT_TRUE(akt_job.ok());
+  ASSERT_TRUE(akt_job->Wait().ok());
   EXPECT_FALSE(v2->triangles->built());
 
-  // Eight greedy jobs race for the version's first build; every one must
-  // read the finished index and match a private engine on the same graph.
-  auto solver_of = [](int i) { return i % 2 == 0 ? "gas" : "base+"; };
+  // Eight jobs of the four solvers that walk the index (two greedy, exact
+  // and rand, whose per-worker engines read it) race for the version's
+  // first build; every one must read the finished index and match a
+  // private engine on the same graph, which builds its own index once.
+  auto solver_of = [](int i) {
+    const char* const kSolvers[] = {"gas", "base+", "exact", "rand"};
+    return kSolvers[i % 4];
+  };
   auto options_of = [](int i) {
     SolverOptions options;
-    options.budget = 2 + static_cast<uint32_t>(i % 3);
-    // A progress hook keeps the job out of the memo: all eight run a
+    // Exact runs budgets 1 and 2 only: C(m, 3) subsets would dominate.
+    options.budget = 1 + static_cast<uint32_t>(i % 4 == 2 ? i / 4 : i % 3);
+    options.trials = 10;
+    // A progress hook keeps a greedy job out of the memo: all eight run a
     // solver, four at a time, and race for the index build.
     options.progress = [](const SolveProgress&) { return true; };
     return options;
@@ -682,6 +688,7 @@ TEST(ServiceStreaming, FirstGreedyJobsOnAVersionShareOneTriangleIndex) {
     ASSERT_TRUE(solo.ok()) << solo.status().message();
     expected.push_back(*std::move(solo));
   }
+  EXPECT_EQ(local.triangle_index_builds(), 1u);
   std::vector<JobHandle> jobs;
   for (int i = 0; i < 8; ++i) {
     StatusOr<JobHandle> job = service.Submit("g", solver_of(i), options_of(i));
@@ -1006,6 +1013,100 @@ TEST(ServiceJobs, TrySubmitRejectsOnlyWhileSaturated) {
   StatusOr<JobHandle> after = service.TrySubmit("g", "gas", quick, {});
   ASSERT_TRUE(after.ok());  // space again
   EXPECT_TRUE(after->Wait().ok());
+}
+
+TEST(ServiceJobs, MemoHitIsAnsweredAtSubmit) {
+  AtrService::Options options;
+  options.workers = 1;
+  options.queue_capacity = 1;
+  AtrService service(options);
+  ASSERT_TRUE(service.AddGraph("g", MakeServiceGraph()).ok());
+
+  // A budget-4 walk fills the version's memo.
+  SolverOptions walk;
+  walk.budget = 4;
+  StatusOr<JobHandle> first = service.Submit("g", "gas", walk);
+  ASSERT_TRUE(first.ok()) << first.status().message();
+  ASSERT_TRUE(first->Wait().ok());
+  service.Drain();
+  const AtrService::SchedulerStats before = service.Stats();
+
+  // A hit is finished when Submit returns, and its hook already ran, once,
+  // on the submitting thread.
+  SolverOptions shorter;
+  shorter.budget = 3;
+  shorter.budget_checkpoints = {1, 3};
+  int done_calls = 0;
+  std::thread::id done_thread;
+  StatusOr<JobHandle> hit = service.Submit("g", "gas", shorter, {}, [&] {
+    ++done_calls;
+    done_thread = std::this_thread::get_id();
+  });
+  ASSERT_TRUE(hit.ok()) << hit.status().message();
+  EXPECT_TRUE(hit->Done());
+  EXPECT_EQ(hit->state(), JobHandle::State::kDone);
+  EXPECT_EQ(done_calls, 1);
+  EXPECT_EQ(done_thread, std::this_thread::get_id());
+  EXPECT_FALSE(hit->Cancel());
+  StatusOr<SolveResult> result = hit->Wait();
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  AtrEngine engine(MakeServiceGraph());
+  StatusOr<SolveResult> oracle = engine.Run("gas", shorter);
+  ASSERT_TRUE(oracle.ok());
+  ExpectSameResult(*oracle, *result, "hit at submit");
+  EXPECT_EQ(result->seconds, 0.0);
+
+  // Counted as a finished job and a memo hit, not as a solver run.
+  AtrService::SchedulerStats after = service.Stats();
+  EXPECT_EQ(after.memo_hits, before.memo_hits + 1);
+  EXPECT_EQ(after.jobs_executed, before.jobs_executed + 1);
+  EXPECT_EQ(after.batches_executed, before.batches_executed);
+  EXPECT_EQ(service.Info("g")->jobs_submitted, 2u);
+
+  // Park the lone worker and fill the one pending slot: a miss is turned
+  // away, and a hit is still answered.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  SolverOptions blocked;
+  blocked.budget = 2;
+  blocked.progress = [&](const SolveProgress&) {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return release; });
+    return true;
+  };
+  StatusOr<JobHandle> running = service.Submit("g", "gas", blocked);
+  ASSERT_TRUE(running.ok());
+  while (running->state() == JobHandle::State::kQueued) {
+    std::this_thread::yield();
+  }
+  SolverOptions miss;
+  miss.budget = 5;
+  StatusOr<JobHandle> pending = service.TrySubmit("g", "gas", miss, {});
+  ASSERT_TRUE(pending.ok());
+  EXPECT_EQ(service.TrySubmit("g", "gas", miss, {}).status().code(),
+            StatusCode::kResourceExhausted);
+  StatusOr<JobHandle> saturated_hit =
+      service.TrySubmit("g", "gas", shorter, {});
+  ASSERT_TRUE(saturated_hit.ok()) << saturated_hit.status().message();
+  EXPECT_TRUE(saturated_hit->Done());
+  StatusOr<SolveResult> saturated_result = saturated_hit->Wait();
+  ASSERT_TRUE(saturated_result.ok());
+  ExpectSameResult(*oracle, *saturated_result, "hit while saturated");
+
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  ASSERT_TRUE(running->Wait().ok());
+  ASSERT_TRUE(pending->Wait().ok());
+  service.Drain();
+  after = service.Stats();
+  EXPECT_EQ(after.memo_hits, before.memo_hits + 2);
+  // The hit, the blocker, the miss and the saturated hit.
+  EXPECT_EQ(after.jobs_executed, before.jobs_executed + 4);
+  EXPECT_EQ(after.batches_executed, before.batches_executed + 2);
 }
 
 }  // namespace
