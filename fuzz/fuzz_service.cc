@@ -5,8 +5,13 @@
 // incremental truss maintenance behind version publication runs on every
 // mutation. Pass criterion: malformed input comes back as a Status error
 // — never a crash, never a sanitizer report, never unbounded growth (the
-// harness re-seeds the service graph when edits accumulate).
+// harness re-seeds the service graph when edits accumulate). Every
+// accepted update is also checked: the published decomposition must equal
+// a from-scratch serial decomposition of the published graph, and every
+// adjacency list must be strictly ascending with each entry's edge joining
+// its two vertices; a mismatch aborts.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -22,6 +27,7 @@
 #include "graph/edge_list_io.h"
 #include "graph/graph.h"
 #include "net/wire.h"
+#include "truss/decomposition.h"
 
 #include "fuzz/standalone_driver.h"
 
@@ -59,6 +65,30 @@ void ReseedIfLarge(AtrService& service) {
   if (info.ok() && (info->num_edges > 512 || info->num_vertices > 256)) {
     (void)service.RemoveGraph(kGraphName);
     if (!service.AddGraph(kGraphName, SeedGraph()).ok()) std::abort();
+  }
+}
+
+// The write-path oracle: aborts unless `published` (an accepted update) is
+// exactly what a from-scratch build of its graph would serve.
+void CheckPublished(const StatusOr<GraphSnapshot>& published) {
+  if (!published.ok()) return;
+  const Graph& g = *published->graph;
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    const std::span<const AdjEntry> nbrs = g.Neighbors(v);
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      if (i > 0 && nbrs[i - 1].neighbor >= nbrs[i].neighbor) std::abort();
+      const EdgeEndpoints ends = g.Edge(nbrs[i].edge);
+      if (ends.u != std::min(v, nbrs[i].neighbor) ||
+          ends.v != std::max(v, nbrs[i].neighbor)) {
+        std::abort();
+      }
+    }
+  }
+  const TrussDecomposition oracle = ComputeTrussDecompositionSerial(g);
+  const TrussDecomposition& served = *published->decomposition;
+  if (served.trussness != oracle.trussness || served.layer != oracle.layer ||
+      served.max_trussness != oracle.max_trussness) {
+    std::abort();
   }
 }
 
@@ -110,14 +140,14 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     // only size is capped here — validation is ApplyEdits' job.
     if (request->delta.add.size() + request->delta.remove.size() <= 256) {
       // A rejected hostile delta is a pass, not a failure to report.
-      (void)service.UpdateGraph(kGraphName, request->delta);
+      CheckPublished(service.UpdateGraph(kGraphName, request->delta));
     }
   }
 
   // 3) Raw-interpreted delta: dense valid mutations so every iteration
-  //    drives Graph::ApplyEdits + incremental truss maintenance.
-  // Dropped on purpose: both accept and reject are valid outcomes here.
-  (void)service.UpdateGraph(kGraphName, DeltaFromBytes(bytes));
+  //    drives Graph::ApplyEdits + incremental truss maintenance. Both
+  //    accept and reject are valid outcomes here.
+  CheckPublished(service.UpdateGraph(kGraphName, DeltaFromBytes(bytes)));
 
   // Periodically solve on the mutated snapshot: the published version
   // must always be a decomposition a solver can run on.

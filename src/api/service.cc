@@ -382,47 +382,23 @@ StatusOr<GraphSnapshot> AtrService::UpdateGraph(const std::string& name,
   const GraphSnapshot prev_snapshot = SnapshotOf(*entry, *prev);
 
   auto next_graph = std::make_shared<const Graph>(std::move(edited->graph));
-  const uint32_t next_m = next_graph->NumEdges();
 
-  // Retire the delta-removed edges on the OLD topology first: the carried
-  // (t, l) state must describe exactly the surviving edge set before it
-  // can be re-homed under the new edge ids.
-  const TrussDecomposition* carried_source = prev_snapshot.decomposition.get();
-  std::unique_ptr<IncrementalTruss> retire;
-  std::vector<EdgeId> removed_old_ids;
-  for (EdgeId e = 0; e < prev->graph->NumEdges(); ++e) {
-    if (edited->edge_remap[e] == kInvalidEdge) removed_old_ids.push_back(e);
-  }
-  if (!removed_old_ids.empty()) {
-    retire = std::make_unique<IncrementalTruss>(*prev->graph,
-                                                *prev_snapshot.decomposition);
-    for (const EdgeId e : removed_old_ids) retire->RemoveEdge(e);
-    carried_source = &retire->decomposition();
-  }
-
-  // Re-home the surviving state across the remap. Added edges start
-  // removed (kTrussnessNotComputed) and then stream in one at a time: the
-  // subset decomposition over the survivors is identical in both
-  // topologies (same edges, same vertex ids, and the dead additions take
-  // part in no triangle), so this seed is exact.
-  TrussDecomposition carried;
-  carried.trussness.assign(next_m, kTrussnessNotComputed);
-  carried.layer.assign(next_m, 0);
-  carried.max_trussness = carried_source->max_trussness;
-  for (EdgeId e = 0; e < prev->graph->NumEdges(); ++e) {
-    const EdgeId mapped = edited->edge_remap[e];
-    if (mapped == kInvalidEdge) continue;
-    carried.trussness[mapped] = carried_source->trussness[e];
-    carried.layer[mapped] = carried_source->layer[e];
-  }
-  IncrementalTruss maintained(*next_graph, std::move(carried));
-  for (const EdgeId e : edited->added_edges) maintained.InsertEdge(e);
+  // One engine carries the predecessor's decomposition across the edit:
+  // retire the removed edges on the old topology, move the surviving state
+  // onto the new edge ids (added edges start removed), then stream the
+  // additions in. The subset decomposition over the survivors is the same
+  // in both topologies (same edges, same vertex ids, and the dead
+  // additions take part in no triangle), so the result is exact.
+  IncrementalTruss engine(*prev->graph, *prev_snapshot.decomposition);
+  for (const EdgeId e : edited->removed_edges) engine.RemoveEdge(e);
+  engine.CarryAcross(*next_graph, edited->edge_remap);
+  for (const EdgeId e : edited->added_edges) engine.InsertEdge(e);
 
   auto next = std::make_shared<GraphVersion>();
   next->graph = next_graph;
   next->version = prev->version + 1;
-  next->InstallPrebuilt(
-      std::make_shared<TrussDecomposition>(maintained.decomposition()));
+  next->InstallPrebuilt(std::make_shared<const TrussDecomposition>(
+      std::move(engine).decomposition()));
 
   // Write-ahead durability: the persistence listener records the delta
   // BEFORE the version becomes visible. On failure the update aborts and

@@ -52,8 +52,8 @@
 //
 // Streaming updates are VERSIONED snapshots: UpdateGraph(name, delta)
 // applies a GraphDelta through Graph::ApplyEdits and publishes a new
-// immutable snapshot whose decomposition is seeded from the previous
-// version via the edge-id remap plus incremental truss maintenance
+// immutable snapshot whose decomposition is the previous version's,
+// carried across the edge-id remap by one incremental truss engine
 // (truss/incremental.h) — never a from-scratch rebuild, so
 // GraphInfo::decomposition_builds does not move on a delta update. Jobs
 // pin the version that was current when they were submitted; Submits after
@@ -216,10 +216,12 @@ class AtrService {
   StatusOr<GraphSnapshot> Snapshot(const std::string& name);
 
   // Publishes the next version of `name`: `delta` is applied through
-  // Graph::ApplyEdits, and the new snapshot's decomposition is seeded from
-  // the previous version across the edge-id remap, brought up to date with
-  // incremental RemoveEdge/InsertEdge maintenance — decomposition_builds
-  // does NOT increment (a never-used graph pays its one lazy build first).
+  // Graph::ApplyEdits, and one IncrementalTruss seeded with the previous
+  // version's decomposition removes the deleted edges, is carried across
+  // the edge-id remap (IncrementalTruss::CarryAcross) and inserts the added
+  // ones; the new version takes its decomposition by move. So
+  // decomposition_builds does NOT increment (a never-used graph pays its
+  // one lazy build first).
   // In-flight jobs and held snapshots keep the version they pinned;
   // Submits after this returns see the new one. Delta validation errors
   // (kInvalidArgument, see Graph::ApplyEdits) leave the current version

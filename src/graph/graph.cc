@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 
 namespace atr {
@@ -35,27 +36,25 @@ Graph Graph::FromSortedEdges(uint32_t num_vertices,
 
   const uint32_t n = g.num_vertices_;
   const uint32_t m = static_cast<uint32_t>(g.edges_.size());
-  std::vector<uint32_t> degree(n, 0);
+  g.offsets_.assign(size_t{n} + 1, 0);
   for (const EdgeEndpoints& e : g.edges_) {
-    ++degree[e.u];
-    ++degree[e.v];
+    ++g.offsets_[e.u + 1];
+    ++g.offsets_[e.v + 1];
   }
-  g.offsets_.assign(n + 1, 0);
-  for (uint32_t v = 0; v < n; ++v) g.offsets_[v + 1] = g.offsets_[v] + degree[v];
+  for (uint32_t v = 0; v < n; ++v) g.offsets_[v + 1] += g.offsets_[v];
   g.adj_.resize(2ull * m);
   std::vector<uint32_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
+  // Two passes over the (u, v)-sorted edges fill each list in order with
+  // no per-vertex sort: the first appends every vertex's lower neighbours
+  // (the edges (u, v) that end at v arrive in ascending u), the second its
+  // higher ones (the edges that start at u arrive in ascending v).
+  for (EdgeId e = 0; e < m; ++e) {
+    const EdgeEndpoints ends = g.edges_[e];
+    g.adj_[cursor[ends.v]++] = AdjEntry{ends.u, e};
+  }
   for (EdgeId e = 0; e < m; ++e) {
     const EdgeEndpoints ends = g.edges_[e];
     g.adj_[cursor[ends.u]++] = AdjEntry{ends.v, e};
-    g.adj_[cursor[ends.v]++] = AdjEntry{ends.u, e};
-  }
-  // Edges arrive in (u, v) order, so each vertex's higher neighbors are
-  // already sorted, but lower neighbors interleave; sort each range.
-  for (uint32_t v = 0; v < n; ++v) {
-    std::sort(g.adj_.begin() + g.offsets_[v], g.adj_.begin() + g.offsets_[v + 1],
-              [](const AdjEntry& a, const AdjEntry& b) {
-                return a.neighbor < b.neighbor;
-              });
   }
   return g;
 }
@@ -71,7 +70,9 @@ StatusOr<GraphEditResult> Graph::ApplyEdits(
 
   // Resolve removals to old edge ids (absent edges are a caller error — a
   // streaming feed that deletes a never-inserted edge is out of sync).
-  std::vector<bool> removed(old_m, false);
+  GraphEditResult result;
+  std::vector<EdgeId>& removed = result.removed_edges;
+  removed.reserve(removes.size());
   for (const EdgeEndpoints& r : removes) {
     const EdgeId e = FindEdge(r.u, r.v);
     if (e == kInvalidEdge) {
@@ -79,8 +80,10 @@ StatusOr<GraphEditResult> Graph::ApplyEdits(
           "ApplyEdits: removed edge {" + std::to_string(r.u) + ", " +
           std::to_string(r.v) + "} is not in the graph");
     }
-    removed[e] = true;
+    removed.push_back(e);
   }
+  std::sort(removed.begin(), removed.end());
+  removed.erase(std::unique(removed.begin(), removed.end()), removed.end());
 
   // Normalize + dedup the additions; re-adding an existing edge is an
   // idempotent no-op unless the same delta also removes it (ambiguous).
@@ -101,7 +104,7 @@ StatusOr<GraphEditResult> Graph::ApplyEdits(
     }
     const EdgeId existing = FindEdge(a.u, a.v);
     if (existing != kInvalidEdge) {
-      if (removed[existing]) {
+      if (std::binary_search(removed.begin(), removed.end(), existing)) {
         return Status::InvalidArgument(
             "ApplyEdits: edge {" + std::to_string(a.u) + ", " +
             std::to_string(a.v) + "} is both added and removed");
@@ -115,28 +118,41 @@ StatusOr<GraphEditResult> Graph::ApplyEdits(
   pending.erase(std::unique(pending.begin(), pending.end()), pending.end());
 
   // Merge the surviving old edges (edges_ is (u, v)-sorted by construction)
-  // with the sorted additions, assigning new ids in merge order and
-  // recording the remap as each old edge lands.
-  GraphEditResult result;
-  result.edge_remap.assign(old_m, kInvalidEdge);
+  // with the sorted additions, assigning new ids in merge order. Between
+  // two edits the old edges move as one block, with consecutive new ids.
+  result.edge_remap.resize(old_m);
   std::vector<EdgeEndpoints> merged;
-  merged.reserve(old_m + pending.size());
+  merged.reserve(old_m - removed.size() + pending.size());
   EdgeId old_e = 0;
+  size_t remove_i = 0;
   size_t add_i = 0;
-  while (old_e < old_m || add_i < pending.size()) {
-    const bool take_old =
-        add_i == pending.size() ||
-        (old_e < old_m && EndpointsPrecede(edges_[old_e], pending[add_i]));
-    if (take_old) {
-      if (!removed[old_e]) {
-        result.edge_remap[old_e] = static_cast<EdgeId>(merged.size());
-        merged.push_back(edges_[old_e]);
-      }
-      ++old_e;
-    } else {
+  for (;;) {
+    // The next edit: the next removed id, or the old edge the next
+    // addition sorts before.
+    const EdgeId next_removed =
+        remove_i < removed.size() ? removed[remove_i] : old_m;
+    const EdgeId next_added =
+        add_i < pending.size()
+            ? static_cast<EdgeId>(
+                  std::lower_bound(edges_.begin() + old_e, edges_.end(),
+                                   pending[add_i], EndpointsPrecede) -
+                  edges_.begin())
+            : old_m;
+    const EdgeId stop = std::min(next_removed, next_added);
+    std::iota(result.edge_remap.begin() + old_e,
+              result.edge_remap.begin() + stop,
+              static_cast<EdgeId>(merged.size()));
+    merged.insert(merged.end(), edges_.begin() + old_e,
+                  edges_.begin() + stop);
+    old_e = stop;
+    if (add_i < pending.size() && next_added == stop) {
       result.added_edges.push_back(static_cast<EdgeId>(merged.size()));
-      merged.push_back(pending[add_i]);
-      ++add_i;
+      merged.push_back(pending[add_i++]);
+    } else if (remove_i < removed.size()) {
+      result.edge_remap[old_e++] = kInvalidEdge;
+      ++remove_i;
+    } else {
+      break;
     }
   }
   result.graph = FromSortedEdges(new_n, std::move(merged));

@@ -153,6 +153,9 @@ struct GraphEditResult {
   // Indexed by old EdgeId: the edge's id in `graph`, or kInvalidEdge for
   // edges the delta removed.
   std::vector<EdgeId> edge_remap;
+  // Old ids (ascending, each once) of the edges the delta removed: exactly
+  // the ids whose `edge_remap` entry is kInvalidEdge.
+  std::vector<EdgeId> removed_edges;
   // Ids (in `graph`, ascending) of the edges the delta genuinely added —
   // idempotent re-additions of existing edges are not listed.
   std::vector<EdgeId> added_edges;

@@ -78,9 +78,28 @@ void IncrementalTruss::AdoptSeed(TrussDecomposition seed) {
   const uint32_t seed_max = seed.max_trussness;
   decomp_ = std::move(seed);
   anchored_.assign(m, false);
+  // Small trussness values are tallied in four interleaved banks: runs of
+  // edges share a trussness, and a single counter would serialize the
+  // loop on it. Bank slot 0 counts removed edges, which HistAdd skips.
+  constexpr uint32_t kBanked = 64;
+  uint32_t banks[4][kBanked] = {};
   for (EdgeId e = 0; e < m; ++e) {
-    if (decomp_.trussness[e] == kAnchoredTrussness) anchored_[e] = true;
-    HistAdd(decomp_.trussness[e]);
+    const uint32_t t = decomp_.trussness[e];
+    if (t < kBanked) {
+      ++banks[e % 4][t];
+    } else if (t == kAnchoredTrussness) {
+      anchored_[e] = true;
+    } else {
+      HistAdd(t);
+    }
+  }
+  for (uint32_t t = kBanked; t-- > 1;) {
+    const uint32_t count =
+        banks[0][t] + banks[1][t] + banks[2][t] + banks[3][t];
+    if (count == 0) continue;
+    if (t >= hull_count_.size()) hull_count_.resize(t + 1, 0);
+    hull_count_[t] += count;
+    total_trussness_ += uint64_t{t} * count;
   }
   RecomputeMaxTrussness();
   ATR_CHECK_MSG(decomp_.max_trussness == seed_max,
@@ -101,6 +120,51 @@ void IncrementalTruss::InitScratch() {
   sim_t_.assign(m, 0);
   sim_l_.assign(m, 0);
   search_.reset();
+}
+
+void IncrementalTruss::CarryAcross(const Graph& next,
+                                   std::span<const EdgeId> edge_remap) {
+  ATR_CHECK_MSG(triangles_ == nullptr,
+                "CarryAcross: the engine reads the old graph's triangle index");
+  const uint32_t old_m = g_->NumEdges();
+  const uint32_t next_m = next.NumEdges();
+  ATR_CHECK(edge_remap.size() == old_m);
+  std::vector<uint32_t> trussness(next_m, kTrussnessNotComputed);
+  std::vector<uint32_t> layer(next_m, 0);
+  std::vector<bool> anchored(next_m, false);
+  for (EdgeId e = 0; e < old_m; ++e) {
+    const EdgeId mapped = edge_remap[e];
+    if (mapped == kInvalidEdge) {
+      ATR_CHECK_MSG(!IsAlive(e), "CarryAcross: the remap drops an alive edge");
+      continue;
+    }
+    ATR_CHECK(mapped < next_m);
+    ATR_DCHECK(next.Edge(mapped) == g_->Edge(e));
+    trussness[mapped] = decomp_.trussness[e];
+    layer[mapped] = decomp_.layer[e];
+    if (anchored_[e]) anchored[mapped] = true;
+  }
+  // The alive edges keep their state, so the histogram, its total and
+  // max_trussness still describe them.
+  decomp_.trussness = std::move(trussness);
+  decomp_.layer = std::move(layer);
+  anchored_ = std::move(anchored);
+  g_ = &next;
+  ClearUndoLog();
+  search_.reset();
+
+  // Each mutation bumps region_pass_, and each simulation sim_pass_,
+  // before it reads a stamp, so every stored stamp stays below the next
+  // pass whatever edge it now indexes: the stamp arrays need no zeroing,
+  // and an array that must grow need not keep its contents. The sim_*
+  // slots are written before they are read.
+  region_.clear();
+  for (std::vector<uint32_t>* scratch :
+       {&region_epoch_, &removed_epoch_, &queued_epoch_, &event_epoch_,
+        &sim_support_, &sim_t_, &sim_l_}) {
+    if (next_m > scratch->capacity()) scratch->clear();
+    scratch->resize(next_m);
+  }
 }
 
 std::vector<EdgeId> IncrementalTruss::AliveEdges() const {

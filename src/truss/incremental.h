@@ -22,11 +22,16 @@
 // it through edges whose own (trussness, layer) changed.
 //
 // Insertion works over the fixed CSR topology: the inserted edge must have
-// a slot in the Graph (it was removed earlier, or the snapshot was
-// materialized with the edge pre-declared via Graph::ApplyEdits and seeded
-// dead). Arrivals of genuinely new topology go through
-// Graph::ApplyEdits + a seeded engine on the new snapshot — the pattern
-// AtrService::UpdateGraph packages up.
+// a slot in the Graph and be dead (it was removed earlier, or CarryAcross
+// moved the engine onto a snapshot that added it). Arrivals of genuinely
+// new topology go through Graph::ApplyEdits and one engine carried across
+// its remap — the pattern AtrService::UpdateGraph packages up:
+//
+//   IncrementalTruss inc(old_graph, old_decomposition);
+//   for (EdgeId e : edit.removed_edges) inc.RemoveEdge(e);   // old ids
+//   inc.CarryAcross(edit.graph, edit.edge_remap);
+//   for (EdgeId e : edit.added_edges) inc.InsertEdge(e);     // new ids
+//   TrussDecomposition next = std::move(inc).decomposition();
 //
 // The update is exact, not approximate: the affected-region re-peel
 // replays the batch-peeling process of ComputeTrussDecomposition with
@@ -62,6 +67,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -117,7 +123,9 @@ class IncrementalTruss {
 
   // The maintained decomposition. Anchored edges read kAnchoredTrussness,
   // removed edges kTrussnessNotComputed, exactly as the batch APIs report.
-  const TrussDecomposition& decomposition() const { return decomp_; }
+  // On an rvalue engine it is moved out, and the engine is spent.
+  const TrussDecomposition& decomposition() const& { return decomp_; }
+  TrussDecomposition decomposition() && { return std::move(decomp_); }
   const std::vector<bool>& anchored() const { return anchored_; }
 
   bool IsAlive(EdgeId e) const {
@@ -165,6 +173,18 @@ class IncrementalTruss {
   // same affected-region machinery (with the full-rebuild fallback).
   // Returns the trussness the inserted edge settles at.
   uint32_t InsertEdge(EdgeId e);
+
+  // Moves the engine onto `next`, the graph Graph::ApplyEdits made from
+  // this engine's graph, given that call's `edge_remap` (indexed by the
+  // current edge ids). Edge state — trussness, layer, anchor flag —
+  // follows the remap; edges of `next` that no old edge maps to start
+  // removed, ready for InsertEdge. The trussness histogram, its total and
+  // the stats carry over unchanged. The undo log is cleared (outstanding
+  // checkpoints are invalidated) and the follower search is dropped.
+  // Every edge the remap drops must already be removed (RemoveEdge it
+  // first), and the engine must not read a caller's triangle index, which
+  // belongs to the old graph; both abort. `next` must outlive the engine.
+  void CarryAcross(const Graph& next, std::span<const EdgeId> edge_remap);
 
   // Undo-log cursor for speculative apply/rollback. Rolling back restores
   // the decomposition, anchor set, and alive set byte-identically; marks

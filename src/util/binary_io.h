@@ -14,6 +14,7 @@
 #ifndef ATR_UTIL_BINARY_IO_H_
 #define ATR_UTIL_BINARY_IO_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -45,6 +46,12 @@ class ByteWriter {
     WriteU64(bits);
   }
   void WriteBytes(const uint8_t* data, size_t size) {
+    // Growing ahead of the insert (geometrically, as the insert would)
+    // keeps GCC 12 from flagging the insert's reallocation path with a
+    // false -Wstringop-overread once this is inlined.
+    if (buffer_.capacity() - buffer_.size() < size) {
+      buffer_.reserve(std::max(2 * buffer_.capacity(), buffer_.size() + size));
+    }
     buffer_.insert(buffer_.end(), data, data + size);
   }
   // u32 length prefix + raw bytes.

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "graph/triangle_index.h"
 #include "graph/triangles.h"
 #include "tests/test_helpers.h"
+#include "util/prng.h"
 
 namespace atr {
 namespace {
@@ -369,6 +371,52 @@ TEST(ApplyEdits, RejectsInvalidDeltas) {
   overflow.add.push_back(EdgeEndpoints{0, kInvalidVertex});
   EXPECT_EQ(g.ApplyEdits(overflow).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// FindEdge's binary search relies on this CSR invariant: every vertex's
+// list is strictly ascending by neighbour, and each entry's edge joins the
+// vertex and that neighbour.
+void ExpectSortedAdjacency(const Graph& g, uint64_t seed) {
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    const std::span<const AdjEntry> nbrs = g.Neighbors(v);
+    for (size_t i = 0; i < nbrs.size(); ++i) {
+      if (i > 0) {
+        ASSERT_LT(nbrs[i - 1].neighbor, nbrs[i].neighbor)
+            << "seed " << seed << " vertex " << v;
+      }
+      const EdgeEndpoints ends = g.Edge(nbrs[i].edge);
+      ASSERT_EQ(ends, (EdgeEndpoints{std::min(v, nbrs[i].neighbor),
+                                     std::max(v, nbrs[i].neighbor)}))
+          << "seed " << seed << " vertex " << v;
+    }
+  }
+}
+
+TEST(Graph, AdjacencyIsSortedAcrossGeneratorsAndEdits) {
+  for (uint64_t seed = 0; seed < 10; ++seed) {
+    const Graph g = MakePropertyGraph(seed);
+    ASSERT_NO_FATAL_FAILURE(ExpectSortedAdjacency(g, seed));
+
+    // Remove every third edge and add edges between random pairs,
+    // including new vertices past the end.
+    Rng rng(seed + 17);
+    GraphDelta delta;
+    for (EdgeId e = 0; e < g.NumEdges(); e += 3) {
+      delta.remove.push_back(g.Edge(e));
+    }
+    for (int i = 0; i < 40; ++i) {
+      const VertexId u =
+          static_cast<VertexId>(rng.NextBounded(g.NumVertices() + 4));
+      const VertexId v =
+          static_cast<VertexId>(rng.NextBounded(g.NumVertices() + 4));
+      const EdgeId existing = g.FindEdge(u, v);
+      if (u == v || (existing != kInvalidEdge && existing % 3 == 0)) continue;
+      delta.add.push_back(EdgeEndpoints{u, v});
+    }
+    StatusOr<GraphEditResult> edited = g.ApplyEdits(delta);
+    ASSERT_TRUE(edited.ok()) << edited.status().message();
+    ASSERT_NO_FATAL_FAILURE(ExpectSortedAdjacency(edited->graph, seed));
+  }
 }
 
 TEST(GraphBuilderDeath, RejectsVertexIdOverflow) {

@@ -10,10 +10,10 @@
 // fan-out engages on these small graphs.
 //
 // The Graph::ApplyEdits carry differential replays what
-// AtrService::UpdateGraph does — retire removed edges on the old topology,
-// re-home the state across the edge-id remap, stream the added edges in —
-// and checks the result against a from-scratch decomposition of the new
-// snapshot.
+// AtrService::UpdateGraph does — one engine retires the removed edges on
+// the old topology, is carried across the edge-id remap and streams the
+// added edges in — and checks the result against a from-scratch
+// decomposition of the new snapshot.
 //
 // Stress knobs (the CI nightly job turns these up):
 //   ATR_STRESS_ITERS — multiplies the number of random graphs (default 1)
@@ -28,6 +28,7 @@
 
 #include "graph/generators/generators.h"
 #include "graph/graph.h"
+#include "graph/triangle_index.h"
 #include "tests/paper_fixtures.h"
 #include "truss/decomposition.h"
 #include "truss/incremental.h"
@@ -275,33 +276,35 @@ void RunCarryEpisode(uint64_t seed) {
   StatusOr<GraphEditResult> edited = g.ApplyEdits(delta);
   ASSERT_TRUE(edited.ok()) << edited.status().message() << " seed " << seed;
 
-  // Retire removals on the old topology, carry across the remap, stream
-  // the additions in — the UpdateGraph recipe.
-  IncrementalTruss retire(g);
+  // removed_edges lists, ascending and once each, exactly the old ids the
+  // remap drops (`dropped` is built ascending and duplicate-free).
+  std::vector<EdgeId> dropped;
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    if (edited->edge_remap[e] == kInvalidEdge) retire.RemoveEdge(e);
+    if (edited->edge_remap[e] == kInvalidEdge) dropped.push_back(e);
   }
-  const uint32_t next_m = edited->graph.NumEdges();
-  TrussDecomposition carried;
-  carried.trussness.assign(next_m, kTrussnessNotComputed);
-  carried.layer.assign(next_m, 0);
-  carried.max_trussness = retire.decomposition().max_trussness;
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    const EdgeId mapped = edited->edge_remap[e];
-    if (mapped == kInvalidEdge) continue;
-    carried.trussness[mapped] = retire.decomposition().trussness[e];
-    carried.layer[mapped] = retire.decomposition().layer[e];
-  }
-  IncrementalTruss maintained(edited->graph, std::move(carried));
-  for (const EdgeId e : edited->added_edges) maintained.InsertEdge(e);
+  EXPECT_EQ(edited->removed_edges, dropped) << "seed " << seed;
+
+  // The UpdateGraph recipe: one engine retires the removals on the old
+  // topology, is carried across the remap and streams the additions in.
+  IncrementalTruss engine(g);
+  for (const EdgeId e : edited->removed_edges) engine.RemoveEdge(e);
+  engine.CarryAcross(edited->graph, edited->edge_remap);
+  for (const EdgeId e : edited->added_edges) engine.InsertEdge(e);
+
+  // The carried histogram agrees with an engine seeded on the new graph.
+  const IncrementalTruss seeded(edited->graph, engine.decomposition());
+  EXPECT_EQ(engine.total_trussness(), seeded.total_trussness())
+      << "seed " << seed;
+  EXPECT_EQ(engine.decomposition().max_trussness,
+            seeded.decomposition().max_trussness)
+      << "seed " << seed;
 
   const TrussDecomposition oracle =
       ComputeTrussDecomposition(edited->graph);
-  EXPECT_EQ(maintained.decomposition().trussness, oracle.trussness)
-      << "seed " << seed;
-  EXPECT_EQ(maintained.decomposition().layer, oracle.layer)
-      << "seed " << seed;
-  EXPECT_EQ(maintained.decomposition().max_trussness, oracle.max_trussness)
+  const TrussDecomposition maintained = std::move(engine).decomposition();
+  EXPECT_EQ(maintained.trussness, oracle.trussness) << "seed " << seed;
+  EXPECT_EQ(maintained.layer, oracle.layer) << "seed " << seed;
+  EXPECT_EQ(maintained.max_trussness, oracle.max_trussness)
       << "seed " << seed;
 }
 
@@ -311,6 +314,69 @@ TEST(ApplyEditsCarry, SeededMaintenanceMatchesFromScratch) {
   for (uint64_t i = 0; i < episodes; ++i) {
     ASSERT_NO_FATAL_FAILURE(RunCarryEpisode(base + i)) << "episode " << i;
   }
+}
+
+TEST(ApplyEditsCarry, CarriesAnchorsAndClearsTheUndoLog) {
+  const Graph g = MakeFig3Graph();
+  IncrementalTruss engine(g);
+  const EdgeId anchor = Fig3Edge(g, 5, 8);
+  engine.ApplyAnchor(anchor);
+  const IncrementalTruss::Checkpoint checkpoint = engine.MarkRollbackPoint();
+
+  // Remove one unanchored edge; add an edge to a new vertex and one
+  // between two existing vertices that are not yet adjacent.
+  GraphDelta delta;
+  delta.remove.push_back(g.Edge(anchor == 0 ? 1 : 0));
+  delta.add.push_back(EdgeEndpoints{0, g.NumVertices()});
+  for (VertexId v = 1; v < g.NumVertices(); ++v) {
+    if (!g.HasEdge(0, v)) {
+      delta.add.push_back(EdgeEndpoints{0, v});
+      break;
+    }
+  }
+  StatusOr<GraphEditResult> edited = g.ApplyEdits(delta);
+  ASSERT_TRUE(edited.ok()) << edited.status().message();
+  ASSERT_EQ(edited->added_edges.size(), 2u);
+  for (const EdgeId e : edited->removed_edges) engine.RemoveEdge(e);
+  const uint64_t removed_before = engine.stats().edges_removed;
+
+  engine.CarryAcross(edited->graph, edited->edge_remap);
+  EXPECT_EQ(&engine.graph(), &edited->graph);
+  EXPECT_FALSE(engine.IsValidCheckpoint(checkpoint));
+  int writes = 0;
+  engine.ForEachWrite([&](EdgeId, uint32_t) { ++writes; });
+  EXPECT_EQ(writes, 0);
+  EXPECT_EQ(engine.stats().edges_removed, removed_before);
+  EXPECT_TRUE(engine.IsAnchored(edited->edge_remap[anchor]));
+  for (const EdgeId e : edited->added_edges) EXPECT_FALSE(engine.IsAlive(e));
+  ASSERT_NO_FATAL_FAILURE(ExpectByteIdentical(engine, 0, 0));
+
+  for (const EdgeId e : edited->added_edges) engine.InsertEdge(e);
+  ASSERT_NO_FATAL_FAILURE(ExpectByteIdentical(engine, 0, 1));
+}
+
+TEST(ApplyEditsCarryDeath, RejectsAliveDroppedEdgesAndTriangleIndexes) {
+  const Graph g = MakeFig3Graph();
+  GraphDelta delta;
+  delta.remove.push_back(g.Edge(0));
+  StatusOr<GraphEditResult> edited = g.ApplyEdits(delta);
+  ASSERT_TRUE(edited.ok());
+  // The remap has no slot for edge 0, so it must be removed first.
+  EXPECT_DEATH(
+      {
+        IncrementalTruss engine(g);
+        engine.CarryAcross(edited->graph, edited->edge_remap);
+      },
+      "drops an alive edge");
+  // A caller's triangle index belongs to the old graph.
+  const TriangleIndex index = BuildTriangleIndex(g);
+  EXPECT_DEATH(
+      {
+        IncrementalTruss engine(g, ComputeTrussDecomposition(g), &index);
+        engine.RemoveEdge(0);
+        engine.CarryAcross(edited->graph, edited->edge_remap);
+      },
+      "triangle index");
 }
 
 }  // namespace
