@@ -16,17 +16,16 @@
 namespace atr {
 namespace {
 
-// The read sets of one CandidateCursor block's candidates: candidate
-// begin + i popped edges[end[i - 1], end[i]) in its last search (from 0
-// for i = 0). Only the worker that claims the block reads or writes it.
-struct BlockReads {
-  std::vector<uint32_t> end;
-  std::vector<EdgeId> edges;
-
-  std::span<const EdgeId> Of(int64_t i) const {
-    const uint32_t from = i == 0 ? 0 : end[i - 1];
-    return {edges.data() + from, end[i] - from};
-  }
+// One CandidateCursor block's cache. `reads` holds every edge its
+// candidates' last searches popped, each tagged in `owners` with the
+// popping candidate's offset in the block; `best` is the block's best
+// eligible candidate under BetterCandidate (kInvalidEdge when it has
+// none). Only the worker that claims the block reads or writes it.
+struct BlockCache {
+  std::vector<EdgeId> reads;
+  std::vector<uint8_t> owners;
+  uint32_t best_gain = 0;
+  EdgeId best = kInvalidEdge;
 };
 
 }  // namespace
@@ -45,18 +44,17 @@ SolveResult RunGas(const Graph& g, const TrussDecomposition& seed,
   const TrussDecomposition& current = engine.decomposition();
   const std::vector<bool>& anchored = engine.anchored();
 
-  // Per candidate: its cached follower count and, per claim block, the
-  // edges its last search popped. `marks` starts all-kNear, so round 1
-  // searches every candidate; after each commit MarkCommitWrites rewrites
-  // it for the next sweep.
+  // Per candidate its cached follower count, and per claim block its
+  // tagged reads and best. Round 1 searches every eligible candidate;
+  // after each commit MarkCommitWrites rewrites `marks` for the next
+  // sweep. GAS never removes an edge, so a commit takes only its anchor
+  // out of the `eligible` pool.
   constexpr int64_t kBlock = CandidateCursor::kBlock;
+  static_assert(kBlock <= 256, "a read's owner tag is one byte");
   std::vector<uint32_t> gain(m, 0);
-  std::vector<BlockReads> blocks((m + kBlock - 1) / kBlock);
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    const int64_t first = static_cast<int64_t>(b) * kBlock;
-    blocks[b].end.assign(std::min<int64_t>(kBlock, m - first), 0);
-  }
-  std::vector<uint8_t> marks(m, kNear);
+  std::vector<BlockCache> blocks((m + kBlock - 1) / kBlock);
+  std::vector<uint8_t> marks(m, 0);
+  uint32_t eligible = 0;
 
   // One search per sweep worker for the whole solve; each reads the
   // engine's state in place.
@@ -75,75 +73,88 @@ SolveResult RunGas(const Graph& g, const TrussDecomposition& seed,
     struct Best {
       uint64_t gain = 0;
       EdgeId edge = kInvalidEdge;
-      uint32_t reused = 0;
       uint32_t searched = 0;
     };
-    // Each worker evaluates the blocks it claims into a stack-local best and
-    // publishes it once at the end (adjacent slots would false-share).
+    const bool first_round = result.anchor_edges.empty();
+    // Each worker folds the bests of the blocks it claims into a
+    // stack-local best and publishes it once at the end (adjacent slots
+    // would false-share).
     std::vector<Best> bests(workers);
     CandidateCursor cursor(m);
     ParallelForChunked(workers, [&](int worker, int64_t, int64_t) {
       FollowerSearch& search = *searches[worker];
-      bool redo[kBlock];
-      BlockReads rebuilt;
+      bool stale_flags[kBlock] = {};
       std::vector<EdgeId> popped;
+      std::vector<EdgeId> fresh;
+      std::vector<uint8_t> fresh_owners;
       Best local;
       int64_t begin = 0;
       int64_t end = 0;
       while (cursor.Claim(&begin, &end)) {
-        BlockReads& block = blocks[begin / kBlock];
-        bool any = false;
-        for (int64_t i = begin; i < end; ++i) {
-          const EdgeId e = static_cast<EdgeId>(i);
-          redo[i - begin] = EligibleCandidate(current, anchored, e) &&
-                            ReadsCommitWrites(marks, e, block.Of(i - begin));
-          any = any || redo[i - begin];
+        BlockCache& block = blocks[begin / kBlock];
+        const std::span<bool> stale(stale_flags, end - begin);
+        bool rewrite = true;
+        if (first_round) {
+          std::fill(stale.begin(), stale.end(), true);
+        } else {
+          rewrite = FlagStaleCandidates(marks, begin, block.reads,
+                                        block.owners, stale);
         }
-        if (any) {
-          // Rewrite the block: fresh read sets for the re-searched
-          // candidates, the cached ones for the rest; ineligible
-          // candidates keep none.
-          rebuilt.end.clear();
-          rebuilt.edges.clear();
+        if (rewrite) {
+          // Search the stale candidates again and find the block's best
+          // again. The last anchor is in the commit's written set, so its
+          // kNear mark flags it and its block is rewritten; it is no longer
+          // eligible, so it is not searched and keeps no reads.
+          fresh.clear();
+          fresh_owners.clear();
+          block.best = kInvalidEdge;
           for (int64_t i = begin; i < end; ++i) {
             const EdgeId e = static_cast<EdgeId>(i);
-            if (redo[i - begin]) {
+            if (!EligibleCandidate(current, anchored, e)) continue;
+            if (stale[i - begin]) {
               gain[e] = search.CountFollowers(e, nullptr, &popped);
-              rebuilt.edges.insert(rebuilt.edges.end(), popped.begin(),
-                                   popped.end());
-            } else if (EligibleCandidate(current, anchored, e)) {
-              const std::span<const EdgeId> cached = block.Of(i - begin);
-              rebuilt.edges.insert(rebuilt.edges.end(), cached.begin(),
-                                   cached.end());
+              fresh.insert(fresh.end(), popped.begin(), popped.end());
+              fresh_owners.insert(fresh_owners.end(), popped.size(),
+                                  static_cast<uint8_t>(i - begin));
+              ++local.searched;
             }
-            rebuilt.end.push_back(
-                static_cast<uint32_t>(rebuilt.edges.size()));
+            if (block.best == kInvalidEdge ||
+                BetterCandidate(gain[e], e, block.best_gain, block.best)) {
+              block.best_gain = gain[e];
+              block.best = e;
+            }
           }
-          // Copy rather than swap: a block's buffers then never outgrow its
-          // own largest read sets.
-          block.end = rebuilt.end;
-          block.edges = rebuilt.edges;
+          // Drop the stale candidates' reads in place and append the fresh
+          // ones. The exact reserve keeps a block's buffers to its own
+          // largest read set; growing them by doubling raised gas_large's
+          // peak RSS by ~3%.
+          size_t kept = 0;
+          for (size_t j = 0; j < block.reads.size(); ++j) {
+            if (stale[block.owners[j]]) continue;
+            block.reads[kept] = block.reads[j];
+            block.owners[kept] = block.owners[j];
+            ++kept;
+          }
+          block.reads.resize(kept);
+          block.owners.resize(kept);
+          block.reads.reserve(kept + fresh.size());
+          block.owners.reserve(kept + fresh.size());
+          block.reads.insert(block.reads.end(), fresh.begin(), fresh.end());
+          block.owners.insert(block.owners.end(), fresh_owners.begin(),
+                              fresh_owners.end());
         }
-        for (int64_t i = begin; i < end; ++i) {
-          const EdgeId e = static_cast<EdgeId>(i);
-          if (!EligibleCandidate(current, anchored, e)) continue;
-          if (redo[i - begin]) {
-            ++local.searched;
-          } else {
-            ++local.reused;
-          }
-          if (local.edge == kInvalidEdge ||
-              BetterCandidate(gain[e], e, local.gain, local.edge)) {
-            local.gain = gain[e];
-            local.edge = e;
-          }
+        if (block.best != kInvalidEdge &&
+            (local.edge == kInvalidEdge ||
+             BetterCandidate(block.best_gain, block.best, local.gain,
+                             local.edge))) {
+          local.gain = block.best_gain;
+          local.edge = block.best;
         }
       }
       bests[worker] = local;
     });
     Best best;
     for (const Best& b : bests) {
-      best.reused += b.reused;
       best.searched += b.searched;
       if (b.edge == kInvalidEdge) continue;
       if (best.edge == kInvalidEdge ||
@@ -152,13 +163,14 @@ SolveResult RunGas(const Graph& g, const TrussDecomposition& seed,
         best.edge = b.edge;
       }
     }
+    if (first_round) eligible = best.searched;
     if (best.edge == kInvalidEdge) break;  // no eligible candidate left
     const EdgeId x = best.edge;
 
     AnchorRound round;
     round.anchor = x;
     round.gain = static_cast<uint32_t>(best.gain);
-    round.fully_reusable = best.reused;
+    round.fully_reusable = eligible - best.searched;
     round.partially_reusable = 0;
     round.non_reusable = best.searched;
 
@@ -176,6 +188,7 @@ SolveResult RunGas(const Graph& g, const TrussDecomposition& seed,
       MarkCommitWrites(engine, triangles, &marks);
     }
     engine.ClearUndoLog();
+    --eligible;
 
     round.cumulative_seconds = timer.ElapsedSeconds();
     if (!RecordRound(options, budget, std::move(round), result)) break;

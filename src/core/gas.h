@@ -27,7 +27,7 @@
 // needs only the seeds x gained. A search that reads the same inputs pops
 // the same edges and returns the same count, so every other cached count
 // equals a fresh search, and by induction over rounds so does its stored
-// processed set. MarkCommitWrites and ReadsCommitWrites
+// processed set. MarkCommitWrites and FlagStaleCandidates
 // (core/greedy_internal.h) are the rule; follower_search_test checks it
 // against fresh searches. The level interval and the seed test keep the
 // rule narrow: marking every partner of C instead re-searches whole search
@@ -45,10 +45,24 @@
 // The api layer builds it once per graph version and hands the same index
 // to every solve on that version (api/solver.h). The sweep's
 // workers claim candidate blocks from a shared cursor (CandidateCursor in
-// core/greedy_internal.h); the cached read sets are stored per block, and
-// only the worker that claims a block reads or rewrites them. Each worker
-// keeps one FollowerSearch for the whole solve. What stays serial per
-// round is the commit and its marking.
+// core/greedy_internal.h), and only the worker that claims a block reads
+// or rewrites its cache. Each worker keeps one FollowerSearch for the
+// whole solve. What stays serial per round is the commit and its marking.
+//
+// The cache, per claim block. Besides each candidate's count, a block
+// keeps every edge its candidates' last searches popped, each tagged with
+// a one-byte owner (the candidate's offset in the block, so a block holds
+// at most 256 candidates), and its best eligible candidate under
+// BetterCandidate. A later round passes once over each block's candidate
+// marks and tagged reads (FlagStaleCandidates) and rewrites only the
+// blocks that hold a stale candidate (the last anchor is in C, so its
+// block is one): it drops the stale candidates' reads, appends the reads
+// of their fresh searches and finds the block's best again. The anchor is
+// the best of the block maxima. So a later round costs one flat pass over the marks and the
+// cached reads plus its re-searches, not a walk of every candidate's
+// eligibility, read span and count. GAS never removes an edge, so the
+// eligible pool is round 1's count less one per commit, and
+// fully_reusable is that pool less the candidates re-searched.
 //
 // GAS must select exactly the same anchor sequence as BASE and BASE+ (the
 // reuse is exact); the property tests enforce this.

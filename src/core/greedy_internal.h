@@ -44,9 +44,11 @@ inline bool EligibleCandidate(const TrussDecomposition& current,
 // edges of blocks they claimed.
 class CandidateCursor {
  public:
-  // 64, 256 and 1024 time within noise of each other on pokec@0.2 at four
+  // 64, 256 and 1024 timed within noise of each other on pokec@0.2 at four
   // threads; 256 keeps the cursor to a few hundred claims per sweep and
-  // still leaves dozens of blocks per worker to even out the tail.
+  // still leaves dozens of blocks per worker to even out the tail. 1024 is
+  // out: GAS tags each cached read with its candidate's offset in the
+  // block in one byte, so a block holds at most 256 candidates.
   static constexpr int64_t kBlock = 256;
 
   explicit CandidateCursor(uint32_t m) : m_(m) {}
@@ -108,17 +110,31 @@ inline void MarkCommitWrites(const IncrementalTruss& engine,
   });
 }
 
-// Whether candidate `x`, whose last search popped `processed`, must be
-// searched again after the commit `marks` describes. Every other cached
-// count equals what a fresh search would return, and its processed set
-// what a fresh search would pop.
-inline bool ReadsCommitWrites(const std::vector<uint8_t>& marks, EdgeId x,
-                              std::span<const EdgeId> processed) {
-  if ((marks[x] & kNear) != 0) return true;
-  for (const EdgeId r : processed) {
-    if ((marks[r] & kTouched) != 0) return true;
+// Flags the candidates of one block that must be searched again after the
+// commit `marks` describes. The block's candidates are first + i for i in
+// [0, stale.size()); each entry of `reads` is an edge that candidate
+// first + owners[j] popped in its last search. Candidate first + i is
+// stale when its own mark has kNear or one of its reads has kTouched.
+// Sets stale[i] for those, clears the rest, and returns whether any is
+// set. Every other cached count equals what a fresh search would return,
+// and its processed set what a fresh search would pop.
+inline bool FlagStaleCandidates(const std::vector<uint8_t>& marks,
+                                int64_t first,
+                                std::span<const EdgeId> reads,
+                                std::span<const uint8_t> owners,
+                                std::span<bool> stale) {
+  bool any = false;
+  for (size_t i = 0; i < stale.size(); ++i) {
+    stale[i] = (marks[first + i] & kNear) != 0;
+    any = any || stale[i];
   }
-  return false;
+  for (size_t j = 0; j < reads.size(); ++j) {
+    if ((marks[reads[j]] & kTouched) != 0) {
+      stale[owners[j]] = true;
+      any = true;
+    }
+  }
+  return any;
 }
 
 // Appends a committed round to `result` and reports it to

@@ -175,8 +175,13 @@ uint32_t FollowerSearch::CountFollowers(EdgeId x,
   current_anchor_ = x;
   CollectSeeds(x);
   // Group seeds by trussness level; each level is an independent batch.
-  std::stable_sort(seeds_.begin(), seeds_.end(), [this](EdgeId a, EdgeId b) {
-    return decomp_->trussness[a] < decomp_->trussness[b];
+  // CollectSeeds leaves them id-sorted and unique, so ordering by
+  // (trussness, id) keeps each level in id order without the temporary
+  // buffer a stable sort allocates.
+  std::sort(seeds_.begin(), seeds_.end(), [this](EdgeId a, EdgeId b) {
+    const uint32_t ta = decomp_->trussness[a];
+    const uint32_t tb = decomp_->trussness[b];
+    return ta != tb ? ta < tb : a < b;
   });
   if (followers != nullptr) followers->clear();
   if (processed != nullptr) processed->clear();

@@ -27,21 +27,10 @@
 #include "truss/decomposition.h"
 #include "truss/gain.h"
 #include "truss/incremental.h"
-#include "util/env.h"
 #include "util/prng.h"
 
 namespace atr {
 namespace {
-
-uint64_t StressIters() {
-  return static_cast<uint64_t>(
-      std::max<int64_t>(1, GetEnvInt64("ATR_STRESS_ITERS", 1)));
-}
-
-uint64_t StressSeed() {
-  return static_cast<uint64_t>(
-      std::max<int64_t>(0, GetEnvInt64("ATR_STRESS_SEED", 0)));
-}
 
 SolverOptions Budget(uint32_t budget) {
   SolverOptions options;

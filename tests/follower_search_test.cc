@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/greedy_internal.h"
@@ -27,7 +28,6 @@
 #include "truss/decomposition.h"
 #include "truss/gain.h"
 #include "truss/incremental.h"
-#include "util/env.h"
 #include "util/prng.h"
 
 namespace atr {
@@ -218,16 +218,6 @@ TEST_P(FollowerPropertyTest, ProcessedSetListsEachPoppedEdgeOnce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FollowerPropertyTest,
                          ::testing::Range<uint64_t>(0, 30));
 
-uint64_t StressIters() {
-  return static_cast<uint64_t>(
-      std::max<int64_t>(1, GetEnvInt64("ATR_STRESS_ITERS", 1)));
-}
-
-uint64_t StressSeed() {
-  return static_cast<uint64_t>(
-      std::max<int64_t>(0, GetEnvInt64("ATR_STRESS_SEED", 0)));
-}
-
 // The property-graph seeds of one ReadSetRuleTest parameter, one per
 // stress iteration.
 std::vector<uint64_t> RuleSeeds(uint64_t param) {
@@ -243,12 +233,49 @@ struct SearchRecord {
   std::vector<EdgeId> processed;
 };
 
+// Runs GAS's per-block check, FlagStaleCandidates, on every
+// CandidateCursor block of `records`, with each candidate's processed
+// edges tagged by its offset in the block as GAS caches them, and asserts
+// that it flags exactly the candidates the per-candidate oracle
+// ReadsCommitWrites flags. Fills `stale` with the flags, one per edge.
+void FlagStaleRecords(const std::vector<uint8_t>& marks,
+                      const std::vector<SearchRecord>& records,
+                      std::vector<bool>* stale) {
+  constexpr int64_t kBlock = CandidateCursor::kBlock;
+  const int64_t m = static_cast<int64_t>(records.size());
+  stale->assign(m, false);
+  std::vector<EdgeId> reads;
+  std::vector<uint8_t> owners;
+  bool flags[kBlock];
+  for (int64_t first = 0; first < m; first += kBlock) {
+    const int64_t end = std::min(m, first + kBlock);
+    reads.clear();
+    owners.clear();
+    for (int64_t x = first; x < end; ++x) {
+      reads.insert(reads.end(), records[x].processed.begin(),
+                   records[x].processed.end());
+      owners.insert(owners.end(), records[x].processed.size(),
+                    static_cast<uint8_t>(x - first));
+    }
+    FlagStaleCandidates(marks, first, reads, owners,
+                        std::span<bool>(flags, end - first));
+    for (int64_t x = first; x < end; ++x) {
+      const EdgeId e = static_cast<EdgeId>(x);
+      ASSERT_EQ(flags[x - first],
+                ReadsCommitWrites(marks, e, records[x].processed))
+          << "candidate " << x;
+      (*stale)[x] = flags[x - first];
+    }
+  }
+}
+
 // Commits four anchors through `inc`, alternating the best candidate (GAS's
 // pick) and a random one, the way GAS does: every candidate is searched
-// once, and after each commit only the candidates the rule marks are
-// searched again, the rest keep their record. Each record the rule keeps
-// must equal a fresh search on the committed state — count and processed
-// set in pop order — so every candidate whose count changed was marked.
+// once, and after each commit only the candidates GAS's per-block check
+// flags are searched again, the rest keep their record. Each record the
+// rule keeps must equal a fresh search on the committed state — count and
+// processed set in pop order — so every candidate whose count changed was
+// flagged.
 void CheckReadSetRule(const Graph& g, const TriangleIndex& triangles,
                       IncrementalTruss& inc, uint64_t seed) {
   const uint32_t m = g.NumEdges();
@@ -263,6 +290,7 @@ void CheckReadSetRule(const Graph& g, const TriangleIndex& triangles,
     records[x].count = search.CountFollowers(x, nullptr, &records[x].processed);
   }
   std::vector<uint8_t> marks(m);
+  std::vector<bool> stale;
   Rng rng(seed * 0x9e3779b97f4a7c15ULL + 7);
   SearchRecord fresh;
   for (int step = 0; step < 4; ++step) {
@@ -280,10 +308,11 @@ void CheckReadSetRule(const Graph& g, const TriangleIndex& triangles,
     inc.ApplyAnchor(anchor);
     MarkCommitWrites(inc, triangles, &marks);
     inc.ClearUndoLog();
+    ASSERT_NO_FATAL_FAILURE(FlagStaleRecords(marks, records, &stale));
     for (EdgeId x = 0; x < m; ++x) {
       if (!eligible(x)) continue;
       fresh.count = search.CountFollowers(x, nullptr, &fresh.processed);
-      if (ReadsCommitWrites(marks, x, records[x].processed)) {
+      if (stale[x]) {
         records[x] = fresh;
         continue;
       }

@@ -4,20 +4,32 @@
 // identical anchor sequences with identical per-round gains. All solvers run
 // through the unified registry API (api/registry.h) — the same code path
 // benches and services use. Also checks the reported total gain against an
-// independent anchored re-decomposition.
+// independent anchored re-decomposition, and GAS's reuse counters against
+// a reference replay of its read-set rule.
+//
+// Stress knobs for the reuse-counter replay (the CI nightly job turns
+// these up):
+//   ATR_STRESS_ITERS — multiplies the number of graphs (default 1)
+//   ATR_STRESS_SEED  — offsets every graph seed (default 0)
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "api/registry.h"
 #include "api/solver.h"
+#include "core/greedy_internal.h"
 #include "graph/generators/social_profiles.h"
+#include "graph/triangle_index.h"
+#include "route/follower_search.h"
 #include "tests/paper_fixtures.h"
 #include "tests/test_helpers.h"
 #include "truss/decomposition.h"
 #include "truss/gain.h"
+#include "truss/incremental.h"
 
 namespace atr {
 namespace {
@@ -239,6 +251,85 @@ TEST(GreedyEquivalence, GasThreadSweepOnManyClaimBlocks) {
     EXPECT_EQ(plus.rounds[i].follower_trussness,
               gas_prefix.rounds[i].follower_trussness)
         << "BASE+ vs GAS round " << i;
+  }
+}
+
+// Replays GAS on `g` with the rule's reference loop: one FollowerSearch
+// record (count and processed set) per candidate, all taken in round 1;
+// after each commit MarkCommitWrites, and a record is taken again only
+// when the per-candidate oracle ReadsCommitWrites says so. GAS's anchors,
+// follower counts and per-round reuse counters must equal the replay's at
+// 1 and 8 threads. The thread sweeps compare GAS only with itself, so a
+// change that shifts the counters alike at every thread count fails only
+// here.
+void ExpectReuseCountersFollowTheRule(const Graph& g, uint32_t budget,
+                                      const std::string& label) {
+  const uint32_t m = g.NumEdges();
+  const TriangleIndex triangles = BuildTriangleIndex(g);
+  IncrementalTruss inc(g, ComputeTrussDecomposition(g), &triangles);
+  FollowerSearch search(g, triangles);
+  search.SetState(&inc.decomposition(), &inc.anchored());
+  std::vector<uint32_t> counts(m);
+  std::vector<std::vector<EdgeId>> processed(m);
+  std::vector<uint8_t> marks(m, kNear);  // round 1 searches every candidate
+  std::vector<AnchorRound> reference;
+  while (reference.size() < budget) {
+    AnchorRound round;
+    EdgeId best = kInvalidEdge;
+    for (EdgeId x = 0; x < m; ++x) {
+      if (!EligibleCandidate(inc.decomposition(), inc.anchored(), x)) continue;
+      if (ReadsCommitWrites(marks, x, processed[x])) {
+        counts[x] = search.CountFollowers(x, nullptr, &processed[x]);
+        ++round.non_reusable;
+      } else {
+        ++round.fully_reusable;
+      }
+      if (best == kInvalidEdge ||
+          BetterCandidate(counts[x], x, counts[best], best)) {
+        best = x;
+      }
+    }
+    if (best == kInvalidEdge) break;
+    round.anchor = best;
+    round.gain = counts[best];
+    inc.ApplyAnchor(best);
+    MarkCommitWrites(inc, triangles, &marks);
+    inc.ClearUndoLog();
+    reference.push_back(round);
+  }
+  for (const int threads : {1, 8}) {
+    const SolveResult gas = RunAtThreads("gas", g, budget, threads);
+    const std::string at = label + ", threads " + std::to_string(threads);
+    ASSERT_EQ(gas.rounds.size(), reference.size()) << at;
+    for (size_t r = 0; r < reference.size(); ++r) {
+      const AnchorRound& want = reference[r];
+      const AnchorRound& got = gas.rounds[r];
+      ASSERT_EQ(got.anchor, want.anchor) << at << " round " << r;
+      EXPECT_EQ(got.follower_trussness.size(), want.gain)
+          << at << " round " << r;
+      EXPECT_EQ(got.fully_reusable, want.fully_reusable)
+          << at << " round " << r;
+      EXPECT_EQ(got.partially_reusable, 0u) << at << " round " << r;
+      EXPECT_EQ(got.non_reusable, want.non_reusable) << at << " round " << r;
+    }
+  }
+}
+
+TEST(GreedyEquivalence, GasReuseCountersFollowTheReadSetRule) {
+  for (uint64_t i = 0; i < StressIters(); ++i) {
+    for (uint64_t p = 0; p < 20; ++p) {
+      const uint64_t seed = StressSeed() + p + 20 * i;
+      ASSERT_NO_FATAL_FAILURE(ExpectReuseCountersFollowTheRule(
+          MakePropertyGraph(seed), 10 + seed % 11,
+          "property graph " + std::to_string(seed)));
+    }
+    // Dozens of claim blocks: a read tagged with the wrong owner, or a
+    // block's cached best left stale, shifts the counters here.
+    const uint64_t seed = StressSeed() + i;
+    const Graph g = MakeSocialProfile("pokec", 0.05, seed);
+    ASSERT_GT(g.NumEdges(), 40u * 256);
+    ASSERT_NO_FATAL_FAILURE(ExpectReuseCountersFollowTheRule(
+        g, 20, "pokec@0.05 seed " + std::to_string(seed)));
   }
 }
 

@@ -25,22 +25,14 @@
 #include "graph/triangle_index.h"
 #include "graph/triangles.h"
 #include "tests/paper_fixtures.h"
+#include "tests/test_helpers.h"
 #include "truss/decomposition.h"
 #include "truss/gain.h"
 #include "truss/incremental.h"
-#include "util/env.h"
 #include "util/prng.h"
 
 namespace atr {
 namespace {
-
-uint64_t StressIters() {
-  return static_cast<uint64_t>(std::max<int64_t>(1, GetEnvInt64("ATR_STRESS_ITERS", 1)));
-}
-
-uint64_t StressSeed() {
-  return static_cast<uint64_t>(std::max<int64_t>(0, GetEnvInt64("ATR_STRESS_SEED", 0)));
-}
 
 // The issue's two required families plus their parameter spread.
 Graph MakeDifferentialGraph(uint64_t seed) {

@@ -18,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -26,25 +25,15 @@
 #include "graph/generators/generators.h"
 #include "graph/graph.h"
 #include "tests/paper_fixtures.h"
+#include "tests/test_helpers.h"
 #include "truss/decomposition.h"
 #include "truss/flat_peel.h"
-#include "util/env.h"
 #include "util/parallel_for.h"
 
 namespace atr {
 namespace {
 
 constexpr int kThreadSweep[] = {1, 2, 3, 4, 8, 16};
-
-uint64_t StressIters() {
-  return static_cast<uint64_t>(
-      std::max<int64_t>(1, GetEnvInt64("ATR_STRESS_ITERS", 1)));
-}
-
-uint64_t StressSeed() {
-  return static_cast<uint64_t>(
-      std::max<int64_t>(0, GetEnvInt64("ATR_STRESS_SEED", 0)));
-}
 
 // RAII cutoff override so every test restores the production value.
 class ScopedPeelCutoff {

@@ -30,25 +30,15 @@
 #include "graph/graph.h"
 #include "graph/triangle_index.h"
 #include "tests/paper_fixtures.h"
+#include "tests/test_helpers.h"
 #include "truss/decomposition.h"
 #include "truss/incremental.h"
 #include "truss/flat_peel.h"
-#include "util/env.h"
 #include "util/parallel_for.h"
 #include "util/prng.h"
 
 namespace atr {
 namespace {
-
-uint64_t StressIters() {
-  return static_cast<uint64_t>(
-      std::max<int64_t>(1, GetEnvInt64("ATR_STRESS_ITERS", 1)));
-}
-
-uint64_t StressSeed() {
-  return static_cast<uint64_t>(
-      std::max<int64_t>(0, GetEnvInt64("ATR_STRESS_SEED", 0)));
-}
 
 // RAII cutoff override so every test restores the production value.
 class ScopedPeelCutoff {

@@ -4,14 +4,31 @@
 #ifndef ATR_TESTS_TEST_HELPERS_H_
 #define ATR_TESTS_TEST_HELPERS_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "core/greedy_internal.h"
 #include "graph/generators/generators.h"
 #include "graph/graph.h"
 #include "truss/decomposition.h"
+#include "util/env.h"
 
 namespace atr {
+
+// The stress knobs of the randomized differential tests (the CI nightly
+// job turns them up): ATR_STRESS_ITERS multiplies the number of cases
+// (default 1) and ATR_STRESS_SEED offsets every case seed (default 0).
+inline uint64_t StressIters() {
+  return static_cast<uint64_t>(
+      std::max<int64_t>(1, GetEnvInt64("ATR_STRESS_ITERS", 1)));
+}
+
+inline uint64_t StressSeed() {
+  return static_cast<uint64_t>(
+      std::max<int64_t>(0, GetEnvInt64("ATR_STRESS_SEED", 0)));
+}
 
 // A varied family of small graphs for property sweeps, indexed by seed.
 // Mixes density regimes and generator families so sweeps hit triangle-rich,
@@ -78,6 +95,20 @@ inline std::vector<uint32_t> NaiveTrussness(const Graph& g,
     if (is_anchored(e)) trussness[e] = kAnchoredTrussness;
   }
   return trussness;
+}
+
+// GAS's read-set rule for one candidate (core/greedy_internal.h), the
+// oracle for FlagStaleCandidates and for GAS's reuse counters: candidate
+// `x`, whose last search popped `processed`, must be searched again after
+// the commit `marks` describes when its own mark has kNear or an edge it
+// popped has kTouched.
+inline bool ReadsCommitWrites(const std::vector<uint8_t>& marks, EdgeId x,
+                              std::span<const EdgeId> processed) {
+  if ((marks[x] & kNear) != 0) return true;
+  for (const EdgeId r : processed) {
+    if ((marks[r] & kTouched) != 0) return true;
+  }
+  return false;
 }
 
 }  // namespace atr
